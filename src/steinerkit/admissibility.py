@@ -52,25 +52,26 @@ class Status(enum.Enum):
 CAMERON_EQUALITY_CASES = ((3, 4, 8), (3, 6, 22), (3, 12, 112), (4, 7, 23), (5, 8, 24))
 
 
+def json_witness(witness):
+    """A witness dict for JSON: exact integers/rationals as decimal strings."""
+    out = {}
+    for key, value in witness.items():
+        if isinstance(value, bool):
+            out[key] = value
+        elif isinstance(value, (int, Fraction)):
+            out[key] = str(value)
+        elif isinstance(value, (list, tuple)):
+            out[key] = [str(item) for item in value]
+        else:
+            out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class ConditionOutcome:
     condition: Condition
     status: Status
     witness: dict
-
-    def json_witness(self):
-        """Exact integers/rationals rendered as decimal strings."""
-        out = {}
-        for key, value in self.witness.items():
-            if isinstance(value, bool):
-                out[key] = value
-            elif isinstance(value, (int, Fraction)):
-                out[key] = str(value)
-            elif isinstance(value, (list, tuple)):
-                out[key] = [str(item) for item in value]
-            else:
-                out[key] = value
-        return out
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class AdmissibilityReport:
                 {
                     "condition": out.condition.value,
                     "status": out.status.value,
-                    "witness": out.json_witness(),
+                    "witness": json_witness(out.witness),
                 }
                 for out in self.outcomes
             ],

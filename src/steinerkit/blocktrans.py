@@ -18,13 +18,8 @@ from fractions import Fraction
 from math import comb
 
 from . import admissibility
-from .catalog import (
-    borel_generators,
-    candidates_for_degree,
-    cyclic_scaling_generators,
-)
+from .catalog import candidates_for_degree
 from .designs import DesignParameters, lambda_s
-from .errors import MembershipError
 from .perms import DEFAULT_SUBSET_CAP, PermutationGroup, check_membership, induced_block_action
 
 
@@ -32,22 +27,12 @@ from .perms import DEFAULT_SUBSET_CAP, PermutationGroup, check_membership, induc
 class ReasonStep:
     """One failed screen test with the exact numbers that failed it."""
 
-    test: str  # inadmissible-params | not-3-homogeneous | b-does-not-divide-order
+    test: str  # inadmissible-params | insufficient-homogeneity | b-does-not-divide-order
     #            | bound-violation | orbit-length-obstruction
     witness: dict
 
     def to_json_dict(self):
-        out = {}
-        for key, value in self.witness.items():
-            if isinstance(value, bool):
-                out[key] = value
-            elif isinstance(value, (int, Fraction)):
-                out[key] = str(value)
-            elif isinstance(value, (list, tuple)):
-                out[key] = [str(item) for item in value]
-            else:
-                out[key] = value
-        return {"test": self.test, "witness": out}
+        return {"test": self.test, "witness": admissibility.json_witness(self.witness)}
 
 
 @dataclass(frozen=True)
@@ -180,6 +165,10 @@ def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
             homog_cache["value"] = known
         return homog_cache["value"]
 
+    homogeneity_reason = ReasonStep(
+        "insufficient-homogeneity", {"required_homogeneity": required, "note": entry.notes}
+    )
+
     feasible = _feasible_k_range(t, v, lam)
     k_outcomes = []
     for k in feasible:
@@ -195,7 +184,7 @@ def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
                 "conditions": [out.condition.value for out in failures],
             }
             first = failures[0]
-            detail.update(first.json_witness())
+            detail.update(admissibility.json_witness(first.witness))
             reasons.append(ReasonStep("inadmissible-params", detail))
         elif b.denominator != 1:
             # the counting conditions range over s >= 1; the block count
@@ -203,38 +192,31 @@ def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
             reasons.append(
                 ReasonStep("inadmissible-params", {"condition": "block-count-integrality", "b": b})
             )
+        elif homogeneity_known() is False:
+            reasons.append(homogeneity_reason)
         else:
-            homog = homogeneity_known()
-            if homog is False:
+            b_int = int(b)
+            if entry.k_homogeneous_all and b_int != comb(v, k):
                 reasons.append(
                     ReasonStep(
-                        "not-3-homogeneous",
-                        {"required_homogeneity": required, "note": entry.notes},
+                        "orbit-length-obstruction",
+                        {
+                            "note": "group is transitive on k-subsets; the only "
+                            "invariant block set is complete",
+                            "b": b_int,
+                            "complete_block_count": comb(v, k),
+                        },
+                    )
+                )
+            elif entry.order % b_int != 0:
+                reasons.append(
+                    ReasonStep(
+                        "b-does-not-divide-order",
+                        {"b": b_int, "group_order": entry.order},
                     )
                 )
             else:
-                b_int = int(b)
-                if entry.k_homogeneous_all and b_int != comb(v, k):
-                    reasons.append(
-                        ReasonStep(
-                            "orbit-length-obstruction",
-                            {
-                                "note": "group is transitive on k-subsets; the only "
-                                "invariant block set is complete",
-                                "b": b_int,
-                                "complete_block_count": comb(v, k),
-                            },
-                        )
-                    )
-                elif entry.order % b_int != 0:
-                    reasons.append(
-                        ReasonStep(
-                            "b-does-not-divide-order",
-                            {"b": b_int, "group_order": entry.order},
-                        )
-                    )
-                else:
-                    gb = entry.order // b_int
+                gb = entry.order // b_int
         k_outcomes.append(
             KOutcome(
                 k=k,
@@ -248,12 +230,7 @@ def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
     group_reasons = []
     if not feasible:
         if homogeneity_known() is False:
-            group_reasons.append(
-                ReasonStep(
-                    "not-3-homogeneous",
-                    {"required_homogeneity": required, "note": entry.notes},
-                )
-            )
+            group_reasons.append(homogeneity_reason)
         else:
             group_reasons.append(
                 ReasonStep(
@@ -343,7 +320,7 @@ class FlagImplicationReport:
     is_point_2_transitive: bool
 
 
-def verify_flag_implication(group, design, cap=DEFAULT_SUBSET_CAP):
+def verify_flag_implication(group, design):
     """Flag-transitive implies point 2-transitive, for designs with t >= 3.
 
     Designs with t < 3 are outside the hypothesis: the result is
@@ -352,7 +329,7 @@ def verify_flag_implication(group, design, cap=DEFAULT_SUBSET_CAP):
     if design.params.t < 3:
         return FlagImplicationReport(ImplicationResult.NOT_APPLICABLE, False, False)
     action = induced_block_action(group, design)
-    two_transitive = group.is_transitive_on_tuples(2, cap=cap)
+    two_transitive = group.is_transitive_on_tuples(2)
     passed = (not action.is_flag_transitive) or two_transitive
     return FlagImplicationReport(
         result=ImplicationResult.PASS if passed else ImplicationResult.FAIL,
@@ -368,19 +345,6 @@ def subgroup_orbit_profile(group, subgroup_generators):
     chain first; a non-member raises MembershipError.
     """
     subgroup_generators = list(subgroup_generators)
-    try:
-        check_membership(group, subgroup_generators)
-    except MembershipError:
-        raise
+    check_membership(group, subgroup_generators)
     subgroup = PermutationGroup(subgroup_generators, degree=group.degree)
     return tuple(sorted(len(orbit) for orbit in subgroup.point_orbits()))
-
-
-def projective_borel_generators(q):
-    """Generators of the Borel subgroup of PSL(2,q) on the projective line."""
-    return borel_generators(q)
-
-
-def projective_cyclic_generators(q):
-    """Generator of the diagonal cyclic subgroup of PGL(2,q)."""
-    return cyclic_scaling_generators(q)

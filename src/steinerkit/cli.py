@@ -1,7 +1,7 @@
 """Command-line frontend.
 
 Every run is a pure function of the argv and the input files; reports are
-byte-identical across repeated invocations and worker counts.  Exit codes:
+byte-identical across repeated invocations.  Exit codes:
 0 success / affirmative, 1 definite negative (inadmissible, verification
 failure, eliminated, nothing found), 2 usage or input error, 3 capacity
 cap exceeded.
@@ -33,10 +33,7 @@ EXIT_CAPACITY = 3
 
 
 def _caps_dict(args):
-    return {
-        "max_subsets": getattr(args, "max_subsets", DEFAULT_SUBSET_CAP),
-        "threads": getattr(args, "threads", 1),
-    }
+    return {"max_subsets": getattr(args, "max_subsets", DEFAULT_SUBSET_CAP)}
 
 
 def _print_header(args):
@@ -74,7 +71,7 @@ def cmd_admissible(args):
         for out in report.outcomes:
             line = "  %-24s %s" % (out.condition.value, out.status.value)
             if out.witness:
-                line += "  " + json.dumps(out.json_witness(), sort_keys=True)
+                line += "  " + json.dumps(admissibility.json_witness(out.witness), sort_keys=True)
             print(line)
         print("admissible: %s" % ("yes" if report.admissible else "no"))
     return EXIT_OK if report.admissible else EXIT_NEGATIVE
@@ -106,12 +103,11 @@ def cmd_scan(args):
 
 def cmd_verify(args):
     design = _read_design(args.design)
-    report = verify(design, cap=args.max_subsets, workers=args.threads)
+    report = verify(design, cap=args.max_subsets)
     ok = report.covered_lambda == design.params.lam
     if args.json:
         payload = {
             "caps": _caps_dict(args),
-            "is_uniform": report.is_uniform,
             "covered_lambda": report.covered_lambda,
             "failing_witness": (
                 {"subset": list(report.failing_witness[0]), "count": report.failing_witness[1]}
@@ -277,8 +273,6 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_CAP,
                        help="cap on exact enumerations (default %(default)s)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker bound for partitionable enumerations (results identical)")
         p.add_argument("--data-dir", default=None,
                        help="override the bundled generator data directory")
 

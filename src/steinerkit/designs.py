@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -46,10 +46,6 @@ class DesignParameters:
     def block_count(self):
         """Exact b = lambda * C(v,t) / C(k,t), as a Fraction."""
         return lambda_s(self, 0)
-
-    def replication(self):
-        """Exact r = lambda_1."""
-        return lambda_s(self, 1) if self.t >= 1 else Fraction(self.lam)
 
 
 def lambda_s(params, s):
@@ -136,15 +132,11 @@ class VerificationReport:
     differs from the declared lambda, paired with its count.
     """
 
-    is_uniform: bool
     covered_lambda: Optional[int]
     failing_witness: Optional[tuple]
 
-    def matches(self, params):
-        return self.covered_lambda == params.lam
 
-
-def verify(design, cap=DEFAULT_VERIFY_CAP, workers=1):
+def verify(design, cap=DEFAULT_VERIFY_CAP):
     """Exhaustively count block covers of every t-subset of the point set.
 
     Counting walks each block's C(k,t) sub-subsets (total lambda*C(v,t)
@@ -160,8 +152,10 @@ def verify(design, cap=DEFAULT_VERIFY_CAP, workers=1):
         raise CapacityError(
             "verify would cover C(%d,%d)=%d t-subsets, above the cap %d" % (v, t, total, cap)
         )
-    is_uniform = all(len(block) == params.k for block in design.blocks)
-    counts = _cover_counts(design.blocks, t, workers)
+    counts = {}
+    for block in design.blocks:
+        for sub in combinations(block, t):
+            counts[sub] = counts.get(sub, 0) + 1
     if len(counts) == total:
         values = set(counts.values())
         if len(values) == 1:
@@ -169,40 +163,16 @@ def verify(design, cap=DEFAULT_VERIFY_CAP, workers=1):
             witness = None
             if common != params.lam:
                 witness = (min(counts), common)
-            return VerificationReport(is_uniform, common, witness)
+            return VerificationReport(common, witness)
     elif not counts:
         # no blocks at all: every t-subset is covered zero times
         witness = None if params.lam == 0 else (tuple(range(t)), 0)
-        return VerificationReport(is_uniform, 0, witness)
+        return VerificationReport(0, witness)
     for subset in combinations(range(v), t):
         count = counts.get(subset, 0)
         if count != params.lam:
-            return VerificationReport(is_uniform, None, (subset, count))
+            return VerificationReport(None, (subset, count))
     raise AssertionError("unreachable: non-constant counts with no witness")
-
-
-def _count_chunk(blocks, t):
-    counts = {}
-    for block in blocks:
-        for sub in combinations(block, t):
-            counts[sub] = counts.get(sub, 0) + 1
-    return counts
-
-
-def _cover_counts(blocks, t, workers):
-    if workers <= 1 or len(blocks) < 4 * workers or len(blocks) < 50000:
-        return _count_chunk(blocks, t)
-    import multiprocessing
-
-    chunk = (len(blocks) + workers - 1) // workers
-    pieces = [blocks[i : i + chunk] for i in range(0, len(blocks), chunk)]
-    with multiprocessing.Pool(workers) as pool:
-        results = pool.starmap(_count_chunk, [(piece, t) for piece in pieces])
-    merged = results[0]
-    for extra in results[1:]:
-        for key, value in extra.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
 
 
 def derived(design, x):
@@ -326,8 +296,3 @@ def blocks_through(design, subset):
     """Indices of blocks containing every point of ``subset`` (exact count check)."""
     subset = set(subset)
     return [i for i, block in enumerate(design.blocks) if subset.issubset(block)]
-
-
-def head_blocks(design, count):
-    """First ``count`` blocks in canonical order (for reports)."""
-    return list(islice(design.blocks, count))

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .designs import Design, DesignParameters, verify
-from .perms import DEFAULT_SUBSET_CAP, induced_block_action
+from .perms import DEFAULT_SUBSET_CAP, _orbit, induced_block_action
 
 
 @dataclass(frozen=True)
@@ -146,17 +146,10 @@ def solve(matrix, lam, limit=None):
 
 def expand_selection(group, matrix, selection, lam):
     """Turn a column selection into an explicit verified design."""
+    maps = [g.apply_set for g in group.generators]
     blocks = set()
     for j in selection.columns:
-        rep = matrix.col_reps[j]
-        orbit = {rep}
-        queue = [rep]
-        for sub in queue:
-            for g in group.generators:
-                image = g.apply_set(sub)
-                if image not in orbit:
-                    orbit.add(image)
-                    queue.append(image)
+        orbit = _orbit(matrix.col_reps[j], maps)
         if len(orbit) != matrix.col_sizes[j]:
             raise AssertionError("orbit size drifted for column %d" % j)
         blocks.update(orbit)

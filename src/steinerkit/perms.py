@@ -84,15 +84,8 @@ class Permutation:
         """Image of a point set, returned as a sorted tuple."""
         return tuple(sorted(self.images[p] for p in points))
 
-    def apply_tuple(self, points):
-        """Image of an ordered point tuple."""
-        return tuple(self.images[p] for p in points)
-
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
-
-    def moved_points(self):
-        return [i for i, j in enumerate(self.images) if i != j]
 
     def min_moved(self):
         for i, j in enumerate(self.images):
@@ -179,8 +172,11 @@ def parse_cycles(text, degree=None):
         if degree is None:
             raise ValueError("cannot infer degree from identity cycle text")
         return Permutation.identity(degree)
+    largest = max(max(c) for c in cycles)
     if degree is None:
-        degree = max(max(c) for c in cycles) + 1
+        degree = largest + 1
+    elif largest >= degree:
+        raise ValueError("point %d in %r is out of range for degree %d" % (largest, text, degree))
     return Permutation.from_cycles(degree, cycles)
 
 
@@ -327,15 +323,7 @@ class PermutationGroup:
 
     def orbit(self, point):
         """Orbit of a point, sorted."""
-        seen = {point}
-        queue = [point]
-        for p in queue:
-            for g in self.generators:
-                q = g(p)
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return tuple(sorted(seen))
+        return tuple(sorted(_orbit(point, self.generators)))
 
     def point_orbits(self):
         """All point orbits, each sorted, ordered by least element."""
@@ -442,7 +430,7 @@ class PermutationGroup:
             raise ValueError("point %d is not in the block" % x)
         return self.stabilizer_point(x).stabilizer_setwise(block)
 
-    # -- subset / tuple actions ----------------------------------------------
+    # -- subset actions, tuple transitivity ------------------------------------
 
     def subset_orbits(self, m, cap=DEFAULT_SUBSET_CAP):
         """Orbit representatives and sizes of the action on m-subsets.
@@ -460,6 +448,7 @@ class PermutationGroup:
             raise CapacityError(
                 "%d-subset enumeration size %d exceeds cap %d" % (m, total, cap)
             )
+        maps = [g.apply_set for g in self.generators]
         index_of = {}
         reps = []
         sizes = []
@@ -467,54 +456,25 @@ class PermutationGroup:
             if seed in index_of:
                 continue
             idx = len(reps)
-            orbit = {seed}
-            queue = [seed]
-            for sub in queue:
-                for g in self.generators:
-                    image = g.apply_set(sub)
-                    if image not in orbit:
-                        orbit.add(image)
-                        queue.append(image)
+            orbit = _orbit(seed, maps)
             for sub in orbit:
                 index_of[sub] = idx
             reps.append(seed)
             sizes.append(len(orbit))
         return reps, sizes, index_of
 
-    def _tuple_orbit_size(self, t):
-        seed = tuple(range(t))
-        orbit = {seed}
-        queue = [seed]
-        for tup in queue:
-            for g in self.generators:
-                image = g.apply_tuple(tup)
-                if image not in orbit:
-                    orbit.add(image)
-                    queue.append(image)
-        return len(orbit)
+    def is_transitive_on_tuples(self, t):
+        """Exact t-transitivity test, read from the stabilizer chain.
 
-    def _subset_orbit_size(self, m):
-        seed = tuple(range(m))
-        orbit = {seed}
-        queue = [seed]
-        for sub in queue:
-            for g in self.generators:
-                image = g.apply_set(sub)
-                if image not in orbit:
-                    orbit.add(image)
-                    queue.append(image)
-        return len(orbit)
-
-    def is_transitive_on_tuples(self, t, cap=DEFAULT_SUBSET_CAP):
-        """Exact t-transitivity test (single orbit on distinct t-tuples)."""
-        total = 1
-        for i in range(t):
-            total *= self.degree - i
-        if total > cap:
-            raise CapacityError("t=%d tuple enumeration size %d exceeds cap %d" % (t, total, cap))
-        if total == 0:
+        With base prefix 0..t-1, transversal i is the orbit of point i under
+        the pointwise stabilizer of 0..i-1, so the orbit on distinct t-tuples
+        has the product of their lengths as its size.  Each length is at
+        most degree - i; the group is t-transitive iff every one attains it.
+        """
+        if t > self.degree:
             return False
-        return self._tuple_orbit_size(t) == total
+        chain = PermutationGroup(self.generators, self.degree, base_prefix=range(t))
+        return all(len(chain._transversals[i]) == self.degree - i for i in range(t))
 
     def is_homogeneous(self, m, cap=DEFAULT_SUBSET_CAP):
         """Exact m-homogeneity test (single orbit on m-subsets)."""
@@ -523,7 +483,8 @@ class PermutationGroup:
             raise CapacityError("t=%d subset enumeration size %d exceeds cap %d" % (m, total, cap))
         if total == 0:
             return False
-        return self._subset_orbit_size(m) == total
+        orbit = _orbit(tuple(range(m)), [g.apply_set for g in self.generators])
+        return len(orbit) == total
 
 
 @dataclass(frozen=True)
@@ -540,9 +501,9 @@ class ActionReport:
 def homogeneity(group, t_max, cap=DEFAULT_SUBSET_CAP):
     """Exact transitivity and homogeneity degrees up to ``t_max``.
 
-    Decided by explicit orbit counting on t-subsets and on distinct
-    t-tuples; raises CapacityError naming the offending t when an
-    enumeration would exceed ``cap``.
+    Homogeneity is decided by explicit orbit counting on t-subsets, which
+    raises CapacityError naming the offending t when the enumeration would
+    exceed ``cap``; transitivity is read from the stabilizer chain.
     """
     t_max = min(t_max, group.degree)
     orbits = group.point_orbits()
@@ -555,7 +516,7 @@ def homogeneity(group, t_max, cap=DEFAULT_SUBSET_CAP):
             homog_degree = t
         else:
             homog_alive = False
-        if trans_alive and group.is_transitive_on_tuples(t, cap=cap):
+        if trans_alive and group.is_transitive_on_tuples(t):
             trans_degree = t
         else:
             trans_alive = False
@@ -610,14 +571,22 @@ def induced_block_action(group, design):
         induced.append(images)
 
     nblocks = len(design.blocks)
-    block_orbits = _orbit_count(range(nblocks), [img.__getitem__ for img in induced])
-    point_orbits = len(group.point_orbits())
     flags = [(x, bi) for bi in range(nblocks) for x in design.blocks[bi]]
     flag_maps = [
         (lambda flag, g=g, img=img: (g(flag[0]), img[flag[1]]))
         for g, img in zip(group.generators, induced)
     ]
-    flag_orbits = _orbit_count(flags, flag_maps)
+    block_maps = [img.__getitem__ for img in induced]
+    orbit_counts = []
+    for items, maps in ((range(nblocks), block_maps), (flags, flag_maps)):
+        remaining = set(items)
+        count = 0
+        while remaining:
+            remaining.difference_update(_orbit(remaining.pop(), maps))
+            count += 1
+        orbit_counts.append(count)
+    block_orbits, flag_orbits = orbit_counts
+    point_orbits = len(group.point_orbits())
     return BlockActionReport(
         is_automorphism_group=True,
         block_orbit_count=block_orbits,
@@ -629,21 +598,17 @@ def induced_block_action(group, design):
     )
 
 
-def _orbit_count(items, maps):
-    items = list(items)
-    remaining = set(items)
-    count = 0
-    while remaining:
-        seed = remaining.pop()
-        queue = [seed]
-        for item in queue:
-            for f in maps:
-                image = f(item)
-                if image in remaining:
-                    remaining.remove(image)
-                    queue.append(image)
-        count += 1
-    return count
+def _orbit(seed, maps):
+    """Orbit of ``seed`` under the functions ``maps``, in breadth-first order."""
+    seen = {seed}
+    queue = [seed]
+    for item in queue:
+        for f in maps:
+            image = f(item)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return queue
 
 
 def group_to_json_dict(group):
@@ -661,25 +626,28 @@ def group_from_json_dict(data):
     if "degree" not in data or "generators" not in data:
         raise ValueError("group json: missing 'degree' or 'generators'")
     degree = data["degree"]
-    if not isinstance(degree, int) or degree <= 0:
+    if not _is_int(degree) or degree <= 0:
         raise ValueError("group json: degree must be a positive integer")
+    if not isinstance(data["generators"], list):
+        raise ValueError("group json: 'generators' must be an array")
     gens = []
     for i, entry in enumerate(data["generators"]):
-        if isinstance(entry, str):
-            gens.append(parse_cycles(entry, degree=degree))
-        elif isinstance(entry, list):
-            if len(entry) != degree:
-                raise ValueError(
-                    "group json: generators[%d] has length %d, expected %d"
-                    % (i, len(entry), degree)
-                )
-            try:
+        try:
+            if isinstance(entry, str):
+                gens.append(parse_cycles(entry, degree=degree))
+            elif isinstance(entry, list) and all(_is_int(x) for x in entry):
+                if len(entry) != degree:
+                    raise ValueError("has length %d, expected %d" % (len(entry), degree))
                 gens.append(Permutation(entry))
-            except ValueError as exc:
-                raise ValueError("group json: generators[%d]: %s" % (i, exc)) from exc
-        else:
-            raise ValueError("group json: generators[%d] must be an array or cycle text" % i)
+            else:
+                raise ValueError("must be an array of integers or cycle text")
+        except ValueError as exc:
+            raise ValueError("group json: generators[%d]: %s" % (i, exc)) from exc
     return PermutationGroup(gens, degree=degree)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_membership(group, perms):

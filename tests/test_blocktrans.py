@@ -8,8 +8,6 @@ from steinerkit.blocktrans import (
     ImplicationResult,
     bt_equation_check,
     eliminate,
-    projective_borel_generators,
-    projective_cyclic_generators,
     subgroup_orbit_profile,
     sweep,
     verify_block_lemma,
@@ -17,7 +15,9 @@ from steinerkit.blocktrans import (
 )
 from steinerkit.catalog import (
     affine_group,
+    borel_generators,
     catalog_entry_by_name,
+    cyclic_scaling_generators,
     projective_group,
 )
 from steinerkit.designs import DesignParameters, complete_design, construct_boolean, fano_plane
@@ -92,7 +92,16 @@ def test_eliminate_psl25_t6_not_homogeneous():
     verdict = eliminate(catalog_entry_by_name("PSL(2,5)"), 6, 1)
     assert verdict.eliminated
     assert verdict.feasible_k == ()
-    assert verdict.group_reasons[0].test == "not-3-homogeneous"
+    assert verdict.group_reasons[0].test == "insufficient-homogeneity"
+
+
+def test_eliminate_t8_requires_four_homogeneity():
+    # M_11 on 12 points is 3- but not 4-homogeneous; t=8 needs floor(8/2)=4
+    verdict = eliminate(catalog_entry_by_name("M_11(deg12)"), 8, 1)
+    assert verdict.eliminated and verdict.feasible_k == ()
+    step = verdict.group_reasons[0].to_json_dict()
+    assert step["test"] == "insufficient-homogeneity"
+    assert step["witness"]["required_homogeneity"] == "4"
 
 
 def test_eliminate_alternating_orbit_obstruction():
@@ -188,9 +197,9 @@ def test_verify_flag_implication():
 
 def test_subgroup_orbit_profiles():
     psl7 = projective_group("PSL", 7)
-    assert subgroup_orbit_profile(psl7, projective_borel_generators(7)) == (1, 7)
+    assert subgroup_orbit_profile(psl7, borel_generators(7)) == (1, 7)
     pgl7 = projective_group("PGL", 7)
-    assert subgroup_orbit_profile(pgl7, projective_cyclic_generators(7)) == (1, 1, 6)
+    assert subgroup_orbit_profile(pgl7, cyclic_scaling_generators(7)) == (1, 1, 6)
     assert subgroup_orbit_profile(psl7, []) == tuple([1] * 8)
 
 
@@ -205,7 +214,7 @@ def test_subgroup_orbit_profile_membership_enforced():
 def test_borel_orbits_across_q():
     for q in (5, 7, 11, 13):
         psl = projective_group("PSL", q)
-        profile = subgroup_orbit_profile(psl, projective_borel_generators(q))
+        profile = subgroup_orbit_profile(psl, borel_generators(q))
         assert profile == (1, q)
 
 

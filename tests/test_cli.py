@@ -179,14 +179,14 @@ def test_byte_identical_repeat_runs(capsys):
     assert first == second
 
 
-def test_threads_flag_does_not_change_output(capsys, monkeypatch):
-    _, design_text, _ = run_cli(capsys, ["construct", "boolean", "4"])
-    _, out1, _ = run_cli(capsys, ["verify", "-", "--json"], stdin=design_text, monkeypatch=monkeypatch)
-    _, out2, _ = run_cli(
-        capsys,
-        ["verify", "-", "--json", "--threads", "3"],
-        stdin=design_text,
-        monkeypatch=monkeypatch,
-    )
-    assert json.loads(out1)["covered_lambda"] == json.loads(out2)["covered_lambda"]
-    assert out1.replace('"threads": 1', '"threads": 3') == out2
+@pytest.mark.parametrize(
+    "generators",
+    [["(0 5)"], 5, [[0, 1, "a"]], [[1, 0, 2.0]]],
+    ids=["cycle-point-out-of-range", "generators-not-array", "string-point", "float-point"],
+)
+def test_malformed_group_json_exits_2(capsys, tmp_path, generators):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": 3, "generators": generators}))
+    code, out, err = run_cli(capsys, ["group", "info", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: group json: ") and err.count("\n") == 1

@@ -135,11 +135,6 @@ def test_verify_capacity():
         verify(design, cap=10)
 
 
-def test_verify_workers_match_serial():
-    design = construct_boolean(4)
-    assert verify(design, workers=2) == verify(design, workers=1)
-
-
 def test_derived_boolean():
     design = construct_boolean(3)
     for x in range(8):

@@ -1,7 +1,9 @@
 import random
 from itertools import permutations
+from math import perm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinerkit.designs import construct_boolean, fano_plane
 from steinerkit.errors import CapacityError, NotAutomorphismError
@@ -178,19 +180,31 @@ def test_subset_orbits_c7():
     orbits3 = c7.subset_orbits(3)
     assert len(orbits3) == 5 and all(size == 7 for _, size in orbits3)
     for rep, _ in orbits3:
-        assert rep == min(_orbit_of(c7, rep))
+        assert rep == min(_orbit_of(c7, rep, Permutation.apply_set))
 
 
-def _orbit_of(group, subset):
-    orbit = {subset}
-    queue = [subset]
-    for sub in queue:
+def _orbit_of(group, seed, act):
+    """Reference orbit by breadth-first search, ``act(g, x)`` the action."""
+    orbit = {seed}
+    queue = [seed]
+    for item in queue:
         for g in group.generators:
-            image = g.apply_set(sub)
+            image = act(g, item)
             if image not in orbit:
                 orbit.add(image)
                 queue.append(image)
     return orbit
+
+
+def _transitive_on_tuples_bfs(group, t):
+    """Reference t-transitivity: one orbit on all distinct t-tuples."""
+    total = perm(group.degree, t)
+    seed = tuple(range(t))
+    return total > 0 and len(_orbit_of(group, seed, _apply_tuple)) == total
+
+
+def _apply_tuple(g, points):
+    return tuple(g(p) for p in points)
 
 
 def test_subset_orbits_trivial_group():
@@ -225,6 +239,68 @@ def test_homogeneity_monotone():
             assert group.is_transitive_on_tuples(t)
             assert group.is_homogeneous(t)
         assert report.homogeneity_degree >= report.transitivity_degree
+
+
+SMALL_GROUPS = [
+    (["(0 1)", "(0 1 2 3)"], 4),  # S4
+    (["(0 1 2)", "(0 1 2 3 4)"], 5),  # A5
+    (["(0 1 2 3 4 5 6)"], 7),  # C7
+    (["(0 1 2 3)", "(1 3)"], 4),  # dihedral of the square
+    (["(0 1 2)", "(0 1 2 3 4 5)"], 6),
+    (["(0 1 2)", "(0 1 2 3 4 5 6)"], 7),
+    (["(0 1 2)", "(0 1)(2 3)(4 5)"], 6),
+    (["(0 1 2)", "(3 4)"], 6),  # intransitive
+    ([], 5),  # trivial
+]
+
+
+@pytest.mark.parametrize("cycles, degree", SMALL_GROUPS)
+def test_tuple_transitivity_matches_bfs_small_groups(cycles, degree):
+    group = PermutationGroup([parse_cycles(c, degree) for c in cycles], degree=degree)
+    for t in range(degree + 2):
+        assert group.is_transitive_on_tuples(t) == _transitive_on_tuples_bfs(group, t), t
+
+
+@pytest.mark.parametrize("name", ["M_11", "M_11(deg12)", "PGL(2,11)", "PSL(2,11)", "AGL(3,2)"])
+def test_tuple_transitivity_matches_bfs_catalog(name):
+    from steinerkit.catalog import catalog_entry_by_name
+
+    group = catalog_entry_by_name(name).group()
+    t = 0
+    while _transitive_on_tuples_bfs(group, t + 1):
+        t += 1
+        assert group.is_transitive_on_tuples(t), t
+    assert not group.is_transitive_on_tuples(t + 1), t + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tuple_transitivity_matches_bfs_random(data):
+    degree = data.draw(st.integers(1, 7))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    for t in range(degree + 2):
+        assert group.is_transitive_on_tuples(t) == _transitive_on_tuples_bfs(group, t), t
+
+
+def test_transitivity_degree_matches_sympy_on_catalog():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from steinerkit.catalog import candidates_for_degree
+
+    checked = 0
+    for v in range(4, 13):
+        for entry in candidates_for_degree(v):
+            if not entry.constructible:
+                continue
+            group = entry.group()
+            oracle = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g.images)) for g in group.generators]
+            )
+            expected = oracle.transitivity_degree
+            report = homogeneity(group, min(expected + 1, group.degree))
+            assert report.transitivity_degree == expected, entry.name
+            checked += 1
+    assert checked >= 25
 
 
 def test_capacity_errors():

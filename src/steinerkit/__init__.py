@@ -28,7 +28,6 @@ from .blocktrans import (
 )
 from .catalog import (
     CatalogEntry,
-    affine_group,
     alternating_group,
     candidates_for_degree,
     catalog_entry_by_name,
@@ -98,7 +97,6 @@ __all__ = [
     "Selection",
     "Status",
     "VerificationReport",
-    "affine_group",
     "alternating_group",
     "bounds_summary",
     "bt_equation_check",

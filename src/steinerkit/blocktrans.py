@@ -255,7 +255,7 @@ def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
     )
 
 
-def sweep(t, lam, v_max, degree_cap=None, data_dir=None, subset_cap=DEFAULT_SUBSET_CAP):
+def sweep(t, lam, v_max, data_dir=None, subset_cap=DEFAULT_SUBSET_CAP):
     """Screen every catalog entry at every degree up to v_max.
 
     Degrees below t+2 carry no nontrivial parameter set and are skipped,
@@ -264,10 +264,7 @@ def sweep(t, lam, v_max, degree_cap=None, data_dir=None, subset_cap=DEFAULT_SUBS
     """
     verdicts = []
     for v in range(max(4, t + 2), v_max + 1):
-        kwargs = {"data_dir": data_dir}
-        if degree_cap is not None:
-            kwargs["degree_cap"] = degree_cap
-        for entry in candidates_for_degree(v, **kwargs):
+        for entry in candidates_for_degree(v, data_dir=data_dir):
             verdicts.append(eliminate(entry, t, lam, subset_cap=subset_cap))
     verdicts.sort(key=lambda verdict: (verdict.degree, verdict.family, verdict.entry_name))
     return verdicts

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field as dc_field
 from math import comb, factorial, gcd
 
@@ -161,8 +162,6 @@ def _transvection_perm(d, i, j):
 
 
 def _agl_d2_group(d):
-    if not 2 <= d <= 6:
-        raise ValueError("AGL(d,2) constructible for 2 <= d <= 6, got d=%d" % d)
     gens = [Permutation([x ^ 1 for x in range(2**d)])]
     for i in range(d):
         for j in range(d):
@@ -190,35 +189,6 @@ def _affine_1dim_group(q, semilinear):
             "affine 1-dim group over GF(%d): chain order %d != %d" % (q, group.order, expected)
         )
     return group
-
-
-AFFINE_SPECS = ("AGL(1,8)", "AGammaL(1,8)", "AGammaL(1,32)", "2^4:A7") + tuple(
-    "AGL(%d,2)" % d for d in range(2, 7)
-)
-
-
-def affine_group(spec, data_dir=None):
-    """Build one of the affine families by name.
-
-    Accepted specs: ``AGL(1,8)``, ``AGammaL(1,8)``, ``AGammaL(1,32)``,
-    ``AGL(d,2)`` for 2 <= d <= 6, and ``2^4:A7`` (the degree-16 affine
-    group whose point stabilizer is A_7, loaded from the bundle).
-    """
-    if spec == "AGL(1,8)":
-        return _affine_1dim_group(8, semilinear=False)
-    if spec == "AGammaL(1,8)":
-        return _affine_1dim_group(8, semilinear=True)
-    if spec == "AGammaL(1,32)":
-        return _affine_1dim_group(32, semilinear=True)
-    if spec == "2^4:A7":
-        return load_bundled_group("a7_16", data_dir=data_dir)
-    if spec.startswith("AGL(") and spec.endswith(",2)"):
-        try:
-            d = int(spec[4:-3])
-        except ValueError:
-            raise ValueError("unknown affine spec %r" % (spec,)) from None
-        return _agl_d2_group(d)
-    raise ValueError("unknown affine spec %r" % (spec,))
 
 
 # -- alternating / symmetric ---------------------------------------------------
@@ -408,7 +378,7 @@ def _projective_entries(v):
                     degree=v,
                     order=psigmal_order(q),
                     char=p,
-                    three_homogeneous=None,
+                    three_homogeneous=q % 4 == 3,
                     notes="PSL extended by the field automorphisms",
                     constructible=constructible,
                     _builder=lambda q=q: projective_group("PSigmaL", q),
@@ -444,7 +414,7 @@ def _affine_entries(v, data_dir=None):
             char=2,
             three_homogeneous=True,
             notes="3-transitive (no three collinear points over GF(2))",
-            constructible=v <= AFFINE_CONSTRUCT_CAP and d <= 6,
+            constructible=v <= AFFINE_CONSTRUCT_CAP,
             _builder=lambda d=d: _agl_d2_group(d),
         )
     ]
@@ -566,7 +536,7 @@ def _alternating_entries(v):
     ]
 
 
-def candidates_for_degree(v, degree_cap=DEFAULT_DEGREE_CAP, data_dir=None):
+def candidates_for_degree(v, data_dir=None):
     """All catalog family members acting on v points.
 
     Ordered affine, alternating, mathieu, projective (then by name) for
@@ -575,8 +545,8 @@ def candidates_for_degree(v, degree_cap=DEFAULT_DEGREE_CAP, data_dir=None):
     """
     if v < 4:
         raise ValueError("catalog degrees start at 4")
-    if v > degree_cap:
-        raise ValueError("degree %d exceeds catalog cap %d" % (v, degree_cap))
+    if v > DEFAULT_DEGREE_CAP:
+        raise ValueError("degree %d exceeds catalog cap %d" % (v, DEFAULT_DEGREE_CAP))
     entries = (
         sorted(_affine_entries(v, data_dir=data_dir), key=lambda c: c.name)
         + _alternating_entries(v)
@@ -587,43 +557,21 @@ def candidates_for_degree(v, degree_cap=DEFAULT_DEGREE_CAP, data_dir=None):
 
 
 def catalog_entry_by_name(name, data_dir=None):
-    """Resolve names like ``PSL(2,7)``, ``M_12``, ``AGL(3,2)``, ``A_8``, ``2^4:A7``."""
-    import re
+    """The entry that ``candidates_for_degree`` lists under exactly ``name``.
 
-    m = re.fullmatch(r"(PSL|PGL|PSigmaL|PGammaL)\(2,(\d+)\)", name)
-    if m:
-        q = int(m.group(2))
-        for entry in _projective_entries(q + 1):
-            if entry.name == name:
-                return entry
-        raise ValueError("no projective entry %r" % (name,))
-    m = re.fullmatch(r"M_(\d+)", name)
-    if m:
-        v = int(m.group(1))
-        for entry in _mathieu_entries(v, data_dir=data_dir):
-            if entry.name == name:
-                return entry
-        raise ValueError("no Mathieu entry %r" % (name,))
-    if name == "M_11(deg12)":
-        for entry in _mathieu_entries(12, data_dir=data_dir):
-            if entry.name == name:
-                return entry
-    m = re.fullmatch(r"A_(\d+)", name)
-    if m:
-        entries = _alternating_entries(int(m.group(1)))
-        if entries:
-            return entries[0]
-        raise ValueError("no alternating entry %r" % (name,))
-    m = re.fullmatch(r"AGL\((\d+),2\)", name)
-    if m:
-        d = int(m.group(1))
-        for entry in _affine_entries(2**d, data_dir=data_dir):
-            if entry.name == name:
-                return entry
-        raise ValueError("no affine entry %r" % (name,))
-    if name in ("AGL(1,8)", "AGammaL(1,8)", "AGammaL(1,32)", "2^4:A7"):
-        degree = {"AGL(1,8)": 8, "AGammaL(1,8)": 8, "AGammaL(1,32)": 32, "2^4:A7": 16}[name]
-        for entry in _affine_entries(degree, data_dir=data_dir):
-            if entry.name == name:
-                return entry
+    The degrees tried are n, n+1 and 2^n for every integer n written in the
+    name, which covers q+1, 2^d and each degree written out (``PSL(2,7)``,
+    ``AGL(3,2)``, ``M_12``, ``2^4:A7``); longer digit runs name no degree
+    within the cap and are skipped unparsed.
+    """
+    degrees = set()
+    for digits in re.findall(r"[0-9]+", name):
+        if len(digits) <= len(str(DEFAULT_DEGREE_CAP)):
+            n = int(digits)
+            degrees.update((n, n + 1, 2**n))
+    for v in sorted(degrees):
+        if 4 <= v <= DEFAULT_DEGREE_CAP:
+            for entry in candidates_for_degree(v, data_dir=data_dir):
+                if entry.name == name:
+                    return entry
     raise ValueError("unknown catalog entry %r" % (name,))

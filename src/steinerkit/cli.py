@@ -31,6 +31,10 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+# Reports print group orders in full; the largest in the catalog, |A_4096| =
+# 4096!/2, has this many digits, beyond Python's default limit of 4300.
+MAX_INT_DIGITS = 13020
+
 
 def _caps_dict(args):
     return {"max_subsets": getattr(args, "max_subsets", DEFAULT_SUBSET_CAP)}
@@ -343,6 +347,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if 0 < sys.get_int_max_str_digits() < MAX_INT_DIGITS:
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:
         return args.func(args)
     except CapacityError as exc:

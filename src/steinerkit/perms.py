@@ -327,13 +327,14 @@ class PermutationGroup:
 
     def point_orbits(self):
         """All point orbits, each sorted, ordered by least element."""
-        remaining = set(range(self.degree))
+        seen = [False] * self.degree
         out = []
-        while remaining:
-            seed = min(remaining)
-            orb = self.orbit(seed)
-            out.append(orb)
-            remaining.difference_update(orb)
+        for seed in range(self.degree):
+            if not seen[seed]:
+                orb = self.orbit(seed)
+                for point in orb:
+                    seen[point] = True
+                out.append(orb)
         return out
 
     def is_transitive(self):
@@ -464,17 +465,22 @@ class PermutationGroup:
         return reps, sizes, index_of
 
     def is_transitive_on_tuples(self, t):
-        """Exact t-transitivity test, read from the stabilizer chain.
+        """Exact t-transitivity test, read from the stabilizer chain."""
+        return t <= self.degree and self._transitivity_up_to(t) >= t
+
+    def _transitivity_up_to(self, t):
+        """The largest s <= t such that the group is s-transitive (t <= degree).
 
         With base prefix 0..t-1, transversal i is the orbit of point i under
-        the pointwise stabilizer of 0..i-1, so the orbit on distinct t-tuples
-        has the product of their lengths as its size.  Each length is at
-        most degree - i; the group is t-transitive iff every one attains it.
+        the pointwise stabilizer of 0..i-1, so the orbit on distinct s-tuples
+        has the product of the first s lengths as its size.  Length i is at
+        most degree - i; the group is s-transitive iff the first s attain it.
         """
-        if t > self.degree:
-            return False
         chain = PermutationGroup(self.generators, self.degree, base_prefix=range(t))
-        return all(len(chain._transversals[i]) == self.degree - i for i in range(t))
+        s = 0
+        while s < t and len(chain._transversals[s]) == self.degree - s:
+            s += 1
+        return s
 
     def is_homogeneous(self, m, cap=DEFAULT_SUBSET_CAP):
         """Exact m-homogeneity test (single orbit on m-subsets)."""
@@ -501,27 +507,17 @@ class ActionReport:
 def homogeneity(group, t_max, cap=DEFAULT_SUBSET_CAP):
     """Exact transitivity and homogeneity degrees up to ``t_max``.
 
-    Homogeneity is decided by explicit orbit counting on t-subsets, which
-    raises CapacityError naming the offending t when the enumeration would
-    exceed ``cap``; transitivity is read from the stabilizer chain.
+    Transitivity is read from one stabilizer chain.  A t-transitive group
+    is t-homogeneous, so only larger t are decided by orbit counting on
+    t-subsets, which raises CapacityError naming the offending t when the
+    enumeration would exceed ``cap``.
     """
     t_max = min(t_max, group.degree)
     orbits = group.point_orbits()
-    trans_degree = 0
-    homog_degree = 0
-    trans_alive = True
-    homog_alive = True
-    for t in range(1, t_max + 1):
-        if homog_alive and group.is_homogeneous(t, cap=cap):
-            homog_degree = t
-        else:
-            homog_alive = False
-        if trans_alive and group.is_transitive_on_tuples(t):
-            trans_degree = t
-        else:
-            trans_alive = False
-        if not homog_alive and not trans_alive:
-            break
+    trans_degree = group._transitivity_up_to(t_max)
+    homog_degree = trans_degree
+    while homog_degree < t_max and group.is_homogeneous(homog_degree + 1, cap=cap):
+        homog_degree += 1
     return ActionReport(
         orbit_count_points=len(orbits),
         orbit_lengths=tuple(sorted(len(o) for o in orbits)),

@@ -14,7 +14,6 @@ from math import factorial
 from steinerkit.admissibility import CAMERON_EQUALITY_CASES, scan
 from steinerkit.blocktrans import bt_equation_check, eliminate, sweep, verify_block_lemma
 from steinerkit.catalog import (
-    affine_group,
     candidates_for_degree,
     catalog_entry_by_name,
     projective_group,
@@ -110,7 +109,7 @@ def test_criterion_4_degree_24_elimination():
 
 def test_criterion_5_bt_equation_agl32():
     started = time.time()
-    agl = affine_group("AGL(3,2)")
+    agl = catalog_entry_by_name("AGL(3,2)").group()
     design = construct_boolean(3)
     assert agl.order == 1344
     gxy = agl.stabilizer_pair(0, 1).order
@@ -196,10 +195,10 @@ def test_criterion_9_property_suites():
     corpus = [
         (c7, fano_plane()),
         (PermutationGroup.trivial(7), fano_plane()),
-        (affine_group("AGL(3,2)"), construct_boolean(3)),
-        (affine_group("AGL(1,8)"), construct_boolean(3)),
-        (affine_group("AGammaL(1,8)"), construct_boolean(3)),
-        (affine_group("AGL(4,2)"), construct_boolean(4)),
+        (catalog_entry_by_name("AGL(3,2)").group(), construct_boolean(3)),
+        (catalog_entry_by_name("AGL(1,8)").group(), construct_boolean(3)),
+        (catalog_entry_by_name("AGammaL(1,8)").group(), construct_boolean(3)),
+        (catalog_entry_by_name("AGL(4,2)").group(), construct_boolean(4)),
         (psl11, witt),
         (catalog_entry_by_name("A_5").group(), complete_design(5, 3, 2)),
     ]

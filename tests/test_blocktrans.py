@@ -14,7 +14,6 @@ from steinerkit.blocktrans import (
     verify_flag_implication,
 )
 from steinerkit.catalog import (
-    affine_group,
     borel_generators,
     catalog_entry_by_name,
     cyclic_scaling_generators,
@@ -54,7 +53,7 @@ def test_bt_equation_rejects_non_dividing_b():
 
 def test_bt_equation_conjugation_invariant():
     # orders of the stabilizers do not change under relabelling
-    agl = affine_group("AGL(3,2)")
+    agl = catalog_entry_by_name("AGL(3,2)").group()
     rng = random.Random(9)
     images = list(range(8))
     rng.shuffle(images)
@@ -166,7 +165,7 @@ def test_verify_block_lemma_corpus():
     assert report.result is ImplicationResult.PASS  # vacuous
     assert not report.is_block_transitive
 
-    agl = affine_group("AGL(3,2)")
+    agl = catalog_entry_by_name("AGL(3,2)").group()
     report = verify_block_lemma(agl, construct_boolean(3))
     assert report.result is ImplicationResult.PASS
     assert report.is_block_transitive and report.is_point_transitive
@@ -179,7 +178,7 @@ def test_verify_block_lemma_requires_automorphism_group():
 
 
 def test_verify_flag_implication():
-    agl = affine_group("AGL(3,2)")
+    agl = catalog_entry_by_name("AGL(3,2)").group()
     report = verify_flag_implication(agl, construct_boolean(3))
     assert report.result is ImplicationResult.PASS
     assert report.is_flag_transitive and report.is_point_2_transitive

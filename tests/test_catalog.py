@@ -1,10 +1,10 @@
 import json
 import shutil
+import time
 
 import pytest
 
 from steinerkit.catalog import (
-    affine_group,
     agl_d2_order,
     alternating_group,
     candidates_for_degree,
@@ -72,29 +72,29 @@ def test_field_element_orders_inside_projective_catalog():
 
 
 def test_affine_orders():
-    assert affine_group("AGL(1,8)").order == 56
-    assert affine_group("AGammaL(1,8)").order == 168
-    assert affine_group("AGammaL(1,32)").order == 4960
-    assert affine_group("AGL(3,2)").order == 1344 == agl_d2_order(3)
-    assert affine_group("AGL(2,2)").order == 24
+    assert catalog_entry_by_name("AGL(1,8)").group().order == 56
+    assert catalog_entry_by_name("AGammaL(1,8)").group().order == 168
+    assert catalog_entry_by_name("AGammaL(1,32)").group().order == 4960
+    assert catalog_entry_by_name("AGL(3,2)").group().order == 1344 == agl_d2_order(3)
+    assert catalog_entry_by_name("AGL(2,2)").group().order == 24
 
 
 def test_affine_sharply_three_homogeneous_32():
-    group = affine_group("AGammaL(1,32)")
+    group = catalog_entry_by_name("AGammaL(1,32)").group()
     # 4960 = C(32,3): one regular orbit on triples
     assert group.is_homogeneous(3)
 
 
 def test_affine_three_homogeneity():
     for spec in ("AGL(1,8)", "AGammaL(1,8)", "AGL(3,2)", "AGL(4,2)"):
-        assert affine_group(spec).is_homogeneous(3), spec
+        assert catalog_entry_by_name(spec).group().is_homogeneous(3), spec
 
 
 def test_affine_rejects_unknown():
-    with pytest.raises(ValueError):
-        affine_group("AGL(7,2)")
-    with pytest.raises(ValueError):
-        affine_group("AGL(1,9)")
+    with pytest.raises(ValueError, match="symbolic"):
+        catalog_entry_by_name("AGL(7,2)").group()
+    with pytest.raises(ValueError, match="unknown catalog entry"):
+        catalog_entry_by_name("AGL(1,9)").group()
 
 
 def test_alternating_and_symmetric():
@@ -123,7 +123,7 @@ def test_mathieu_transitivity():
 
 
 def test_affine_a7_bundle():
-    group = affine_group("2^4:A7")
+    group = catalog_entry_by_name("2^4:A7").group()
     assert group.degree == 16 and group.order == 40320
     assert group.is_homogeneous(3)
     assert not group.is_homogeneous(4)
@@ -228,12 +228,39 @@ def test_known_homogeneity_annotations():
 
 
 def test_catalog_entry_by_name_errors():
-    with pytest.raises(ValueError):
-        catalog_entry_by_name("M_13")
-    with pytest.raises(ValueError):
-        catalog_entry_by_name("PSL(2,6)")
-    with pytest.raises(ValueError):
-        catalog_entry_by_name("nonsense")
+    for name in ("M_13", "PSL(2,6)", "nonsense", "PGL(2,8)", "A_4", "AGL(2,3)", "psl(2,7)",
+                 "PSL(2,07)", " M_12", "M_12(deg12)"):
+        with pytest.raises(ValueError, match="unknown catalog entry"):
+            catalog_entry_by_name(name)
+
+
+def test_name_index_matches_candidate_listing():
+    # every listed entry resolves by name to an entry with the same data
+    for v in list(range(4, 301)) + [1024, 4094, 4096]:
+        for listed in candidates_for_degree(v):
+            found = catalog_entry_by_name(listed.name)
+            assert (found.name, found.family, found.degree, found.order, found.constructible) == (
+                listed.name, listed.family, listed.degree, listed.order, listed.constructible
+            )
+
+
+def test_m22_2_resolves_to_symbolic_entry():
+    entry = catalog_entry_by_name("M_22:2")
+    assert (entry.degree, entry.order, entry.constructible) == (22, 887040, False)
+    with pytest.raises(ValueError, match="symbolic"):
+        entry.group()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["PSL(2,100000000000031)", "AGL(1200,2)", "A_5000", "PSL(2,%s)" % ("9" * 5000)],
+    ids=["large-prime-q", "AGL-1200", "A_5000", "5000-digit-q"],
+)
+def test_names_beyond_the_degree_cap_are_rejected_quickly(name):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="unknown catalog entry"):
+        catalog_entry_by_name(name)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_degree_cap():

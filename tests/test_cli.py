@@ -190,3 +190,49 @@ def test_malformed_group_json_exits_2(capsys, tmp_path, generators):
     code, out, err = run_cli(capsys, ["group", "info", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: group json: ") and err.count("\n") == 1
+
+
+def test_analyze_bt_prints_orders_beyond_4300_digits(capsys):
+    from math import factorial
+
+    code, out, err = run_cli(capsys, ["analyze-bt", "--t", "6", "--group", "catalog:A_2000",
+                                      "--json"])
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert len(payload["order"]) == 5736
+    assert int(payload["order"]) == factorial(2000) // 2
+
+
+def test_max_int_digits_fits_the_largest_catalog_order():
+    from steinerkit.catalog import DEFAULT_DEGREE_CAP, catalog_entry_by_name
+    from steinerkit.cli import MAX_INT_DIGITS
+
+    order = catalog_entry_by_name("A_%d" % DEFAULT_DEGREE_CAP).order
+    assert 10 ** (MAX_INT_DIGITS - 1) <= order < 10**MAX_INT_DIGITS
+
+
+def test_m22_2_screens_by_name_but_has_no_construction(capsys):
+    code, single, _ = run_cli(capsys, ["analyze-bt", "--t", "6", "--group", "catalog:M_22:2",
+                                       "--json"])
+    assert code == 1
+    code, sweep, _ = run_cli(capsys, ["analyze-bt", "--t", "6", "--v-max", "22", "--json"])
+    assert code == 0
+    assert [line for line in sweep.splitlines() if '"entry": "M_22:2"' in line] == [
+        single.strip()
+    ]
+    code, _, err = run_cli(capsys, ["group", "info", "catalog:M_22:2"])
+    assert code == 2 and "symbolic" in err
+
+
+def test_catalog_name_above_degree_cap_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["group", "info", "catalog:A_5000"])
+    assert code == 2 and out == ""
+    assert "unknown catalog entry" in err
+
+
+def test_homogeneity_reads_transitive_degrees_without_subset_enumeration(capsys):
+    code, out, _ = run_cli(capsys, ["group", "homogeneity", "catalog:M_24", "--t-max", "5",
+                                    "--max-subsets", "10000", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["transitivity_degree"], payload["homogeneity_degree"]) == (5, 5)

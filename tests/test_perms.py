@@ -1,6 +1,6 @@
 import random
 from itertools import permutations
-from math import perm
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,6 +283,39 @@ def test_tuple_transitivity_matches_bfs_random(data):
         assert group.is_transitive_on_tuples(t) == _transitive_on_tuples_bfs(group, t), t
 
 
+def _homogeneous_bfs(group, t):
+    """Reference t-homogeneity: one orbit on all t-subsets."""
+    seed = tuple(range(t))
+    return len(_orbit_of(group, seed, Permutation.apply_set)) == comb(group.degree, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_homogeneity_report_matches_bfs_random(data):
+    degree = data.draw(st.integers(1, 7))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    t_max = data.draw(st.integers(0, degree + 1))
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    report = homogeneity(group, t_max)
+    top = min(t_max, degree)
+    trans = 0
+    while trans < top and _transitive_on_tuples_bfs(group, trans + 1):
+        trans += 1
+    homog = 0
+    while homog < top and _homogeneous_bfs(group, homog + 1):
+        homog += 1
+    assert (report.transitivity_degree, report.homogeneity_degree) == (trans, homog)
+    assert report.tested_t_max == top
+
+
+def test_point_orbits_with_many_orbits():
+    group = PermutationGroup([parse_cycles("(0 1)(5 9 7)", 20000)])
+    orbits = group.point_orbits()
+    assert len(orbits) == 19997
+    assert orbits[:6] == [(0, 1), (2,), (3,), (4,), (5, 7, 9), (6,)]
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+
+
 def test_transitivity_degree_matches_sympy_on_catalog():
     combinatorics = pytest.importorskip("sympy.combinatorics")
     from steinerkit.catalog import candidates_for_degree
@@ -328,10 +361,10 @@ def test_induced_block_action_fano():
 
 
 def test_induced_block_action_boolean():
-    from steinerkit.catalog import affine_group
+    from steinerkit.catalog import catalog_entry_by_name
 
     design = construct_boolean(3)
-    agl = affine_group("AGL(3,2)")
+    agl = catalog_entry_by_name("AGL(3,2)").group()
     report = induced_block_action(agl, design)
     assert report.is_block_transitive and report.is_flag_transitive and report.is_point_transitive
 

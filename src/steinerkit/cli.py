@@ -142,7 +142,7 @@ def cmd_derive(args):
 def cmd_construct(args):
     if args.kind != "boolean":
         raise ValueError("unknown construction %r" % (args.kind,))
-    design = construct_boolean(args.n)
+    design = construct_boolean(args.n, cap=args.max_subsets)
     print(design_to_json(design))
     return EXIT_OK
 
@@ -273,19 +273,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_CAP,
-                       help="cap on exact enumerations (default %(default)s)")
-        p.add_argument("--data-dir", default=None,
-                       help="override the bundled generator data directory")
+    def common(p, json=True, max_subsets=True, data_dir=True):
+        if json:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        if max_subsets:
+            p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_CAP,
+                           help="cap on exact enumerations (default %(default)s)")
+        if data_dir:
+            p.add_argument("--data-dir", help="override the bundled generator data directory")
 
     p = sub.add_parser("admissible", help="evaluate the necessary conditions on (t, v, k, lambda)")
     p.add_argument("t", type=int)
     p.add_argument("v", type=int)
     p.add_argument("k", type=int)
     p.add_argument("lam", type=int, metavar="lambda")
-    common(p)
+    common(p, max_subsets=False, data_dir=False)
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("scan", help="list admissible nontrivial parameter sets up to v-max")
@@ -294,24 +296,23 @@ def build_parser():
     p.add_argument("--v-max", type=int, required=True)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    common(p)
+    common(p, max_subsets=False, data_dir=False)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="exhaustively verify a design file ('-' for stdin)")
     p.add_argument("design")
-    common(p)
+    common(p, data_dir=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="derived design at a point, written to stdout")
     p.add_argument("design")
     p.add_argument("x", type=int)
-    common(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("construct", help="build a named design family member")
     p.add_argument("kind", choices=["boolean"])
     p.add_argument("n", type=int)
-    common(p)
+    common(p, json=False, data_dir=False)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("group", help="inspect a permutation group (file or catalog:NAME)")

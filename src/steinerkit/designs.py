@@ -16,9 +16,9 @@ from math import comb
 from typing import Optional
 
 from .errors import CapacityError
+from .perms import DEFAULT_SUBSET_CAP
 
 DEFAULT_VERIFY_CAP = 10**8
-DEFAULT_BOOLEAN_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class DesignParameters:
 
     def nontrivial(self):
         return self.t < self.k < self.v
-
-    def block_count(self):
-        """Exact b = lambda * C(v,t) / C(k,t), as a Fraction."""
-        return lambda_s(self, 0)
 
 
 def lambda_s(params, s):
@@ -194,29 +190,32 @@ def derived(design, x):
     return Design(new_params, new_blocks)
 
 
-def construct_boolean(n, cap=DEFAULT_BOOLEAN_CAP, verify_cap=DEFAULT_VERIFY_CAP):
+def construct_boolean(n, cap=DEFAULT_SUBSET_CAP):
     """The quadruple system on the 2^n bit vectors: blocks are the 4-sets
     with zero XOR.
 
     Every 3-set {a,b,c} extends by d = a^b^c to exactly one block, so the
-    result is a 3-(2^n, 4, 1) design; for small n this is re-checked by the
-    exhaustive verifier.
+    result is a 3-(2^n, 4, 1) design, re-checked by the exhaustive
+    verifier.  Refuses (CapacityError) before enumerating anything when the
+    C(2^n, 3) triples exceed ``cap``.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError("n must be an integer >= 3, got %r" % (n,))
-    if n >= cap:
-        raise CapacityError("boolean construction cap: need n < %d, got %d" % (cap, n))
     v = 2**n
+    total = comb(v, 3)
+    if total > cap:
+        raise CapacityError(
+            "boolean construction would enumerate C(%d,3)=%d triples, above the cap %d"
+            % (v, total, cap)
+        )
     blocks = []
     for a, b, c in combinations(range(v), 3):
         d = a ^ b ^ c
         if d > c:
             blocks.append((a, b, c, d))
     design = Design(DesignParameters(3, v, 4, 1), blocks)
-    if comb(v, 3) <= verify_cap:
-        report = verify(design, cap=verify_cap)
-        if report.covered_lambda != 1:
-            raise AssertionError("boolean construction failed verification (bug)")
+    if verify(design, cap=cap).covered_lambda != 1:
+        raise AssertionError("boolean construction failed verification (bug)")
     return design
 
 

@@ -387,42 +387,36 @@ class PermutationGroup:
     def stabilizer_setwise(self, block):
         """Setwise stabilizer of a point set, by backtracking over the chain.
 
-        Exhaustively enumerates the elements mapping the set onto itself,
-        pruning branches whose decided base-point images already violate set
-        membership.  Exact; intended for desk-scale groups.
+        On a chain with the block as base prefix the levels below the block
+        hold the pointwise stabilizer G_(B), so the search chooses only the
+        images of the block's points: one leaf per coset of G_(B) in G_B.
         """
-        block = sorted(set(block))
+        block = tuple(sorted(set(block)))
         for p in block:
             if not 0 <= p < self.degree:
                 raise ValueError("point %d out of range" % p)
         bset = frozenset(block)
         chain = PermutationGroup(self.generators, self.degree, base_prefix=block)
-        base = chain.base
-        nlevels = len(base)
-        identity = Permutation.identity(self.degree)
-        target = tuple(block)
-        found = []
-        known = PermutationGroup.trivial(self.degree)
+        found = list(chain._level_gens[len(block)])
+        known = PermutationGroup(found, self.degree)
 
         def rec(level, post):
             # post = composition of the transversal elements chosen at
-            # shallower levels; the final image of base[level] is post(gamma).
+            # shallower levels; the final image of block[level] is post(gamma).
             nonlocal known
-            if level == nlevels:
-                if post.apply_set(block) == target and not post.is_identity():
-                    if post not in known:
-                        found.append(post)
-                        known = PermutationGroup(found, self.degree)
+            if level == len(block):
+                if post.apply_set(block) != block:
+                    raise AssertionError("backtrack leaf does not stabilize the block (bug)")
+                if post not in known:
+                    found.append(post)
+                    known = PermutationGroup(found, self.degree)
                 return
             trans = chain._transversals[level]
-            inside = base[level] in bset
-            post_images = post.images
             for gamma in sorted(trans):
-                if (post_images[gamma] in bset) != inside:
-                    continue
-                rec(level + 1, trans[gamma] * post)
+                if post.images[gamma] in bset:
+                    rec(level + 1, trans[gamma] * post)
 
-        rec(0, identity)
+        rec(0, Permutation.identity(self.degree))
         return known
 
     def stabilizer_point_in_block(self, x, block):
@@ -531,7 +525,6 @@ def homogeneity(group, t_max, cap=DEFAULT_SUBSET_CAP):
 class BlockActionReport:
     """Induced action of a group on a design's blocks and flags."""
 
-    is_automorphism_group: bool
     block_orbit_count: int
     flag_orbit_count: int
     point_orbit_count: int
@@ -540,11 +533,10 @@ class BlockActionReport:
     is_point_transitive: bool
 
 
-def induced_block_action(group, design):
-    """Check a group acts on a design and report its block/flag/point orbits.
+def induced_block_images(group, design):
+    """Each generator's action on block indices.
 
-    Every generator must map blocks to blocks; otherwise
-    NotAutomorphismError carries the offending generator and block.
+    NotAutomorphismError names the first generator and block it maps outside.
     """
     if group.degree != design.params.v:
         raise ValueError(
@@ -565,7 +557,12 @@ def induced_block_action(group, design):
                 )
             images.append(block_index[image])
         induced.append(images)
+    return induced
 
+
+def induced_block_action(group, design):
+    """Check a group acts on a design and report its block/flag/point orbits."""
+    induced = induced_block_images(group, design)
     nblocks = len(design.blocks)
     flags = [(x, bi) for bi in range(nblocks) for x in design.blocks[bi]]
     flag_maps = [
@@ -584,7 +581,6 @@ def induced_block_action(group, design):
     block_orbits, flag_orbits = orbit_counts
     point_orbits = len(group.point_orbits())
     return BlockActionReport(
-        is_automorphism_group=True,
         block_orbit_count=block_orbits,
         flag_orbit_count=flag_orbits,
         point_orbit_count=point_orbits,

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -166,6 +168,51 @@ def test_capacity_error_exit_code(capsys, monkeypatch):
     )
     assert code == 3
     assert "capacity" in err
+
+
+def test_construct_boolean_refuses_large_n_before_enumerating(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, ["construct", "boolean", "9"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("capacity error: ")
+    code, _, _ = run_cli(capsys, ["construct", "boolean", "4", "--max-subsets", "559"])
+    assert code == 3
+
+
+def test_construct_boolean_4_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, ["construct", "boolean", "4"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e9ba062f1359525ea395568d2a94c0ff55887eaa3ab805ea442158f1674d3c43"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["admissible", "6", "14", "7", "1", "--max-subsets", "5"],
+        ["admissible", "6", "14", "7", "1", "--data-dir", "x"],
+        ["scan", "6", "1", "--v-max", "40", "--max-subsets", "5"],
+        ["scan", "6", "1", "--v-max", "40", "--data-dir", "x"],
+        ["verify", "-", "--data-dir", "x"],
+        ["derive", "-", "0", "--json"],
+        ["derive", "-", "0", "--max-subsets", "5"],
+        ["derive", "-", "0", "--data-dir", "x"],
+        ["construct", "boolean", "3", "--json"],
+        ["construct", "boolean", "3", "--data-dir", "x"],
+    ],
+)
+def test_options_a_subcommand_never_reads_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+def test_caps_line_shows_the_default_without_the_option(capsys):
+    _, out, _ = run_cli(capsys, ["scan", "6", "1", "--v-max", "40"])
+    assert out.startswith("# caps: max_subsets=10000000\n")
+    _, out, _ = run_cli(capsys, ["admissible", "6", "14", "7", "1", "--json"])
+    assert json.loads(out)["caps"] == {"max_subsets": 10000000}
 
 
 def test_byte_identical_repeat_runs(capsys):

@@ -181,6 +181,15 @@ def test_construct_boolean_properties():
         construct_boolean(16)
 
 
+def test_construct_boolean_cap_bounds_the_triples():
+    # the cap is on the C(2^n, 3) triples, checked before any enumeration
+    with pytest.raises(CapacityError, match=r"C\(512,3\)=22238720"):
+        construct_boolean(9)
+    with pytest.raises(CapacityError):
+        construct_boolean(4, cap=comb(16, 3) - 1)
+    assert construct_boolean(4, cap=comb(16, 3)).b == 140
+
+
 def test_flags():
     design = construct_boolean(3)
     all_flags = flags(design)

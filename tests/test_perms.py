@@ -437,5 +437,79 @@ def test_chain_against_closure_random_battery():
 
         size = rng.randrange(1, degree)
         block = tuple(sorted(rng.sample(range(degree), size)))
-        expected_setwise = sum(1 for p in elements if p.apply_set(block) == block)
-        assert group.stabilizer_setwise(block).order == expected_setwise, (trial, block)
+        _check_setwise_against_closure(group, elements, block)
+
+    # products of symmetric groups on two disjoint parts, with a block that
+    # holds a whole part: the pointwise stabilizer G_(B) is often nontrivial
+    nontrivial_pointwise = 0
+    for _ in range(20):
+        degree = rng.randrange(4, 8)
+        points = rng.sample(range(degree), degree)
+        cut = rng.randrange(2, degree - 1)
+        parts = (points[:cut], points[cut:])
+        gens = []
+        for part in parts:
+            gens.append(Permutation.from_cycles(degree, [part]))
+            gens.append(Permutation.from_cycles(degree, [part[:2]]))
+        group = PermutationGroup(gens, degree=degree)
+        elements = closure(group.generators, degree)
+        whole, rest = rng.sample(parts, 2)
+        block = tuple(sorted(whole + rng.sample(rest, rng.randrange(len(rest)))))
+        pointwise = _check_setwise_against_closure(group, elements, block)
+        nontrivial_pointwise += pointwise > 1
+    assert nontrivial_pointwise >= 5
+
+
+def _check_setwise_against_closure(group, elements, block):
+    """Assert the setwise stabilizer is the closure's filter; return |G_(B)|."""
+    expected = {p for p in elements if p.apply_set(block) == block}
+    setwise = group.stabilizer_setwise(block)
+    assert setwise.order == len(expected), block
+    assert set(setwise.elements()) == expected, block
+    return sum(1 for p in expected if all(p(x) == x for x in block))
+
+
+HEPTAD = (0, 1, 2, 8, 11, 20, 22)  # a block of the Steiner system S(4,7,23)
+HEXAD = (0, 1, 2, 8, 11, 20)  # a block of the Steiner system S(3,6,22)
+
+
+@pytest.mark.parametrize("name, block, order", [("M_23", HEPTAD, 40320), ("M_22", HEXAD, 5760)])
+def test_setwise_stabilizer_of_steiner_blocks(name, block, order):
+    from steinerkit.catalog import catalog_entry_by_name
+
+    group = catalog_entry_by_name(name).group()
+    stab = group.stabilizer_setwise(block)
+    assert stab.order == order
+    for g in stab.generators:
+        assert g.apply_set(block) == block
+        assert g in group
+
+
+def test_stabilizer_point_in_heptad():
+    from steinerkit.catalog import catalog_entry_by_name
+
+    m23 = catalog_entry_by_name("M_23").group()
+    sub = m23.stabilizer_point_in_block(HEPTAD[0], HEPTAD)
+    assert sub.order == 5760
+    for g in sub.generators:
+        assert g(HEPTAD[0]) == HEPTAD[0] and g.apply_set(HEPTAD) == HEPTAD
+        assert g in m23
+
+
+def test_setwise_backtrack_has_one_leaf_per_pointwise_coset(monkeypatch):
+    # the search walks only the block's base levels: one sift per coset of
+    # G_(B) in G_B, that is |G_B : G_(B)| = 40320 / 16 for the M_23 heptad
+    from steinerkit.catalog import catalog_entry_by_name
+
+    m23 = catalog_entry_by_name("M_23").group()
+    assert m23.stabilizer_pointwise(HEPTAD).order == 16
+    sifts = []
+    real_sift = PermutationGroup.sift
+
+    def counting_sift(self, perm):
+        sifts.append(perm)
+        return real_sift(self, perm)
+
+    monkeypatch.setattr(PermutationGroup, "sift", counting_sift)
+    assert m23.stabilizer_setwise(HEPTAD).order == 40320
+    assert len(sifts) == 2520

@@ -8,10 +8,8 @@ design search.
 
 from .admissibility import (
     AdmissibilityReport,
-    BoundsSummary,
     Condition,
     Status,
-    bounds_summary,
     check,
     scan,
 )
@@ -39,7 +37,6 @@ from .catalog import (
 from .designs import (
     Design,
     DesignParameters,
-    Flag,
     VerificationReport,
     complete_design,
     construct_boolean,
@@ -47,7 +44,6 @@ from .designs import (
     design_from_json,
     design_to_json,
     fano_plane,
-    flags,
     lambda_s,
     verify,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "AdmissibilityReport",
     "ActionReport",
     "BlockActionReport",
-    "BoundsSummary",
     "BtEquationResult",
     "CapacityError",
     "CatalogEntry",
@@ -86,7 +81,6 @@ __all__ = [
     "DesignParameters",
     "EliminationVerdict",
     "FieldSpec",
-    "Flag",
     "GF",
     "ImplicationResult",
     "MembershipError",
@@ -98,7 +92,6 @@ __all__ = [
     "Status",
     "VerificationReport",
     "alternating_group",
-    "bounds_summary",
     "bt_equation_check",
     "build_orbit_matrix",
     "candidates_for_degree",
@@ -112,7 +105,6 @@ __all__ = [
     "eliminate",
     "fano_plane",
     "field",
-    "flags",
     "homogeneity",
     "induced_block_action",
     "lambda_s",

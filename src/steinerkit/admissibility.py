@@ -8,7 +8,10 @@ never asserts existence.
 Conditions and their hypotheses:
 
 * integrality-all-s: lambda * C(v-s, t-s) must be divisible by
-  C(k-s, t-s) for every s in 1..t.  Always applicable.
+  C(k-s, t-s) for every s in 1..t.  Always applicable.  The block count
+  b = lambda_0 (s = 0) is not tested, so parameters with a fractional b
+  can be admissible: 2-(11,3,1) passes with b = 55/3.  The block-transitive
+  screen in ``blocktrans`` rejects such b itself.
 * tits-bound: v >= (t+1)(k-t+1) for nontrivial Steiner parameters.
 * cameron-bound: v-t+1 >= (k-t+2)(k-t+1) for nontrivial Steiner
   parameters with t > 2.
@@ -128,6 +131,29 @@ def _integrality_outcome(params):
     return ConditionOutcome(Condition.INTEGRALITY_ALL_S, Status.FAIL, witness)
 
 
+def _tits_min_v(t, k):
+    return (t + 1) * (k - t + 1)
+
+
+def _cameron_rhs(t, k):
+    return (k - t + 2) * (k - t + 1)
+
+
+def feasible_k(t, v, lam):
+    """The k with t < k < v that pass the Tits and Cameron bounds.
+
+    For lam = 1 the list stops at the first k that fails the Tits bound
+    or, when t > 2, the Cameron bound: both right-hand sides grow with k.
+    For lam > 1 neither bound applies and every k in the range is listed.
+    """
+    ks = []
+    for k in range(t + 1, v):
+        if lam == 1 and (v < _tits_min_v(t, k) or t > 2 and v - t + 1 < _cameron_rhs(t, k)):
+            break
+        ks.append(k)
+    return ks
+
+
 def check(params):
     """Evaluate every condition on a parameter quadruple."""
     t, v, k, lam = params.t, params.v, params.k, params.lam
@@ -152,7 +178,7 @@ def check(params):
     outcomes.append(_integrality_outcome(params))
 
     if nontrivial and steiner:
-        rhs = (t + 1) * (k - t + 1)
+        rhs = _tits_min_v(t, k)
         status = Status.PASS if v >= rhs else Status.FAIL
         outcomes.append(
             ConditionOutcome(
@@ -167,7 +193,7 @@ def check(params):
     cameron_applicable = nontrivial and steiner and t > 2
     if cameron_applicable:
         lhs = v - t + 1
-        rhs = (k - t + 2) * (k - t + 1)
+        rhs = _cameron_rhs(t, k)
         status = Status.PASS if lhs >= rhs else Status.FAIL
         outcomes.append(
             ConditionOutcome(
@@ -265,101 +291,17 @@ def check(params):
 def scan(t, lam, v_max, k_range=None):
     """All admissible nontrivial quadruples with v <= v_max, sorted by (v, k).
 
-    Iterates k inside v and, for Steiner parameters, breaks the k loop as
-    soon as the monotone Tits bound excludes the rest.
+    Only the k that ``feasible_k`` lists for each v are checked.
     """
     if t < 1 or lam < 1:
         raise ValueError("need t >= 1 and lambda >= 1")
     if v_max < t + 2:
         raise ValueError("v_max must be at least t+2 for a nontrivial range")
-    k_lo, k_hi = (k_range if k_range is not None else (t + 1, v_max - 1))
+    k_lo, k_hi = k_range if k_range is not None else (t + 1, v_max - 1)
     found = []
     for v in range(t + 2, v_max + 1):
-        for k in range(max(t + 1, k_lo), min(v - 1, k_hi) + 1):
-            if lam == 1 and v < (t + 1) * (k - t + 1):
-                break  # Tits bound is monotone in k
+        for k in feasible_k(t, v, lam):
             params = DesignParameters(t, v, k, lam)
-            if check(params).admissible:
+            if k_lo <= k <= k_hi and check(params).admissible:
                 found.append(params)
     return found
-
-
-@dataclass(frozen=True)
-class BoundsSummary:
-    """Both sides of the four bounds, with the binding side annotated."""
-
-    params: DesignParameters
-    tits_min_v: int
-    tits_holds: bool
-    cameron_min_v: int
-    cameron_holds: bool
-    cameron_applicable: bool
-    cameron_equality_case: tuple | None
-    binding: str  # "tits" | "cameron" | "both-equal"
-    boundary_min_v: int  # both bounds demand v >= t^2 - 1 at k = 2(t-1)
-    fisher_b: Fraction
-    fisher_holds: bool
-    rw_bound: int | None
-    rw_holds: bool | None
-
-    def to_json_dict(self):
-        return {
-            "tits_min_v": str(self.tits_min_v),
-            "tits_holds": self.tits_holds,
-            "cameron_min_v": str(self.cameron_min_v),
-            "cameron_holds": self.cameron_holds,
-            "cameron_applicable": self.cameron_applicable,
-            "cameron_equality_case": list(self.cameron_equality_case)
-            if self.cameron_equality_case
-            else None,
-            "binding": self.binding,
-            "boundary_min_v": str(self.boundary_min_v),
-            "fisher_b": str(self.fisher_b),
-            "fisher_holds": self.fisher_holds,
-            "rw_bound": str(self.rw_bound) if self.rw_bound is not None else None,
-            "rw_holds": self.rw_holds,
-        }
-
-
-def bounds_summary(params):
-    """Evaluate the bound pair on nontrivial Steiner parameters.
-
-    The smaller-k bound binds below k = 2(t-1), the quadratic one above;
-    at the boundary both demand v >= t^2 - 1.
-    """
-    t, v, k, lam = params.t, params.v, params.k, params.lam
-    if lam != 1 or not params.nontrivial():
-        raise ValueError("bounds summary requires nontrivial Steiner parameters")
-    tits_min_v = (t + 1) * (k - t + 1)
-    cameron_min_v = (k - t + 2) * (k - t + 1) + t - 1
-    if k < 2 * (t - 1):
-        binding = "tits"
-    elif k > 2 * (t - 1):
-        binding = "cameron"
-    else:
-        binding = "both-equal"
-    equality_case = None
-    if t > 2 and v == cameron_min_v and (t, k, v) in CAMERON_EQUALITY_CASES:
-        equality_case = (t, k, v)
-    b = lambda_s(params, 0)
-    if t % 2 == 0:
-        s = t // 2
-        rw_bound = comb(v, s) if v >= k + s else None
-    else:
-        s = (t - 1) // 2
-        rw_bound = 2 * comb(v - 1, s) if v - 1 >= k + s else None
-    return BoundsSummary(
-        params=params,
-        tits_min_v=tits_min_v,
-        tits_holds=v >= tits_min_v,
-        cameron_min_v=cameron_min_v,
-        cameron_holds=v >= cameron_min_v,
-        cameron_applicable=t > 2,
-        cameron_equality_case=equality_case,
-        binding=binding,
-        boundary_min_v=t * t - 1,
-        fisher_b=b,
-        fisher_holds=b >= v,
-        rw_bound=rw_bound,
-        rw_holds=(b >= rw_bound) if rw_bound is not None else None,
-    )

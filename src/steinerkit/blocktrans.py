@@ -2,13 +2,16 @@
 Steiner designs, plus named verifiers for the classical transitivity
 implications.
 
-The screen runs, cheapest first: feasible-k bounds, then the counting
-divisibility conditions, then the floor(t/2)-homogeneity prerequisite that
-block-transitivity forces on the point action, then the orbit conditions
-b = |G| / |G_B| (so b must divide |G|; for a group transitive on k-subsets
-the only invariant block set is complete, which a nontrivial design never
-is).  A surviving pair merely survives this screen; nothing here asserts
-that a design exists.
+The screen runs in two steps.  The parameter step depends only on
+(t, v, k, lambda): the k allowed by the Tits and Cameron bounds, the
+admissibility conditions, and an integral block count b.  It runs once per
+degree, however many groups act on that many points.  The group step
+follows: the floor(t/2)-homogeneity prerequisite that block-transitivity
+forces on the point action, then the orbit conditions b = |G| / |G_B| (so
+b must divide |G|; for a group transitive on k-subsets the only invariant
+block set is complete, which a nontrivial design never is).  A surviving
+pair merely survives this screen; nothing here asserts that a design
+exists.
 """
 from __future__ import annotations
 
@@ -38,10 +41,13 @@ class ReasonStep:
 @dataclass(frozen=True)
 class KOutcome:
     k: int
-    eliminated: bool
     reasons: tuple  # nonempty iff eliminated
     b: int | None = None
     required_gb_order: int | None = None
+
+    @property
+    def eliminated(self):
+        return bool(self.reasons)
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,10 @@ class EliminationVerdict:
     feasible_k: tuple
     k_outcomes: tuple
     group_reasons: tuple  # reason chain used when no k was feasible
-    eliminated: bool
+
+    @property
+    def eliminated(self):
+        return not self.surviving_k
 
     @property
     def survives(self):
@@ -130,129 +139,94 @@ def bt_equation_check(group_order, params, gxy_order):
     return BtEquationResult(b, gb, True, dict(witness, required_gb_order=gb))
 
 
-def _feasible_k_range(t, v, lam):
-    """k with t < k < v surviving the two Steiner bounds (all k when lam > 1)."""
-    out = []
-    for k in range(t + 1, v):
-        if lam == 1:
-            if v < (t + 1) * (k - t + 1):
-                break  # increasing in k
-            if t > 2 and v - t + 1 < (k - t + 2) * (k - t + 1):
-                break  # increasing in k
-        out.append(k)
-    return out
+def _parameter_step(t, v, k, lam):
+    """(reason, None) if (t, v, k, lam) fails, else (None, integral b)."""
+    params = DesignParameters(t, v, k, lam)
+    report = admissibility.check(params)
+    if not report.admissible:
+        failures = report.failures()
+        detail = {"conditions": [out.condition.value for out in failures]}
+        detail.update(admissibility.json_witness(failures[0].witness))
+        return ReasonStep("inadmissible-params", detail), None
+    b = lambda_s(params, 0)
+    if b.denominator != 1:
+        # the counting conditions range over s >= 1; the block count
+        # itself must also be an integer for a design to exist
+        witness = {"condition": "block-count-integrality", "b": b}
+        return ReasonStep("inadmissible-params", witness), None
+    return None, int(b)
 
 
-def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
-    """Run the arithmetic screen on one catalog entry for all feasible k.
+def _group_step(entry, k, b, homogeneity_reason):
+    """The outcome at k for parameters that passed, with block count b."""
+    if homogeneity_reason is not None:
+        return KOutcome(k, (homogeneity_reason,))
+    if entry.k_homogeneous_all and b != comb(entry.degree, k):
+        note = "group is transitive on k-subsets; the only invariant block set is complete"
+        witness = {"note": note, "b": b, "complete_block_count": comb(entry.degree, k)}
+        return KOutcome(k, (ReasonStep("orbit-length-obstruction", witness),), b)
+    if entry.order % b != 0:
+        witness = {"b": b, "group_order": entry.order}
+        return KOutcome(k, (ReasonStep("b-does-not-divide-order", witness),), b)
+    return KOutcome(k, (), b, entry.order // b)
+
+
+def _screen(v, entries, t, lam, subset_cap):
+    """Verdicts for entries of degree v; the parameter step runs once per k.
 
     The homogeneity prerequisite (block-transitive implies point
     floor(t/2)-homogeneous) is resolved from the catalog annotation when
     certain, by exact orbit counting when the entry is constructible, and
-    is otherwise left undecided (which never eliminates).
+    is otherwise left undecided (which never eliminates).  It is resolved
+    only when some k passes the parameter step or no k is feasible.
     """
     if t < 2:
         raise ValueError("elimination screen needs t >= 2")
-    v = entry.degree
     required = t // 2
-    homog_cache = {}
-
-    def homogeneity_known():
-        if "value" not in homog_cache:
-            known = entry.known_homogeneity(required)
-            if known is None and entry.constructible and comb(v, required) <= subset_cap:
-                known = entry.group().is_homogeneous(required, cap=subset_cap)
-            homog_cache["value"] = known
-        return homog_cache["value"]
-
-    homogeneity_reason = ReasonStep(
-        "insufficient-homogeneity", {"required_homogeneity": required, "note": entry.notes}
-    )
-
-    feasible = _feasible_k_range(t, v, lam)
-    k_outcomes = []
-    for k in feasible:
-        params = DesignParameters(t, v, k, lam)
-        reasons = []
-        b_int = None
-        gb = None
-        report = admissibility.check(params)
-        b = lambda_s(params, 0)
-        if not report.admissible:
-            failures = report.failures()
-            detail = {
-                "conditions": [out.condition.value for out in failures],
-            }
-            first = failures[0]
-            detail.update(admissibility.json_witness(first.witness))
-            reasons.append(ReasonStep("inadmissible-params", detail))
-        elif b.denominator != 1:
-            # the counting conditions range over s >= 1; the block count
-            # itself must also be an integer for a design to exist
-            reasons.append(
-                ReasonStep("inadmissible-params", {"condition": "block-count-integrality", "b": b})
+    feasible = admissibility.feasible_k(t, v, lam)
+    steps = [(k, *_parameter_step(t, v, k, lam)) for k in feasible]
+    needs_homogeneity = not feasible or any(reason is None for _, reason, _ in steps)
+    verdicts = []
+    for entry in entries:
+        homogeneous = None
+        if needs_homogeneity:
+            homogeneous = entry.known_homogeneity(required)
+            if homogeneous is None and entry.constructible and comb(v, required) <= subset_cap:
+                homogeneous = entry.group().is_homogeneous(required, cap=subset_cap)
+        homogeneity_reason = None
+        if homogeneous is False:
+            homogeneity_reason = ReasonStep(
+                "insufficient-homogeneity", {"required_homogeneity": required, "note": entry.notes}
             )
-        elif homogeneity_known() is False:
-            reasons.append(homogeneity_reason)
-        else:
-            b_int = int(b)
-            if entry.k_homogeneous_all and b_int != comb(v, k):
-                reasons.append(
-                    ReasonStep(
-                        "orbit-length-obstruction",
-                        {
-                            "note": "group is transitive on k-subsets; the only "
-                            "invariant block set is complete",
-                            "b": b_int,
-                            "complete_block_count": comb(v, k),
-                        },
-                    )
-                )
-            elif entry.order % b_int != 0:
-                reasons.append(
-                    ReasonStep(
-                        "b-does-not-divide-order",
-                        {"b": b_int, "group_order": entry.order},
-                    )
-                )
-            else:
-                gb = entry.order // b_int
-        k_outcomes.append(
-            KOutcome(
-                k=k,
-                eliminated=bool(reasons),
-                reasons=tuple(reasons),
-                b=b_int,
-                required_gb_order=gb,
+        k_outcomes = tuple(
+            KOutcome(k, (reason,)) if reason else _group_step(entry, k, b, homogeneity_reason)
+            for k, reason, b in steps
+        )
+        group_reasons = ()
+        if not feasible:
+            note = "no k in the nontrivial range satisfies the bounds"
+            bound_reason = ReasonStep("bound-violation", {"note": note, "v": v})
+            group_reasons = (homogeneity_reason or bound_reason,)
+        verdicts.append(
+            EliminationVerdict(
+                entry_name=entry.name,
+                family=entry.family,
+                degree=v,
+                char=entry.char,
+                group_order=entry.order,
+                t=t,
+                lam=lam,
+                feasible_k=tuple(feasible),
+                k_outcomes=k_outcomes,
+                group_reasons=group_reasons,
             )
         )
+    return verdicts
 
-    group_reasons = []
-    if not feasible:
-        if homogeneity_known() is False:
-            group_reasons.append(homogeneity_reason)
-        else:
-            group_reasons.append(
-                ReasonStep(
-                    "bound-violation",
-                    {"note": "no k in the nontrivial range satisfies the bounds", "v": v},
-                )
-            )
 
-    eliminated = all(out.eliminated for out in k_outcomes) if k_outcomes else True
-    return EliminationVerdict(
-        entry_name=entry.name,
-        family=entry.family,
-        degree=v,
-        char=entry.char,
-        group_order=entry.order,
-        t=t,
-        lam=lam,
-        feasible_k=tuple(feasible),
-        k_outcomes=tuple(k_outcomes),
-        group_reasons=tuple(group_reasons),
-        eliminated=eliminated,
-    )
+def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
+    """Run the arithmetic screen on one catalog entry for all feasible k."""
+    return _screen(entry.degree, [entry], t, lam, subset_cap)[0]
 
 
 def sweep(t, lam, v_max, data_dir=None, subset_cap=DEFAULT_SUBSET_CAP):
@@ -264,8 +238,7 @@ def sweep(t, lam, v_max, data_dir=None, subset_cap=DEFAULT_SUBSET_CAP):
     """
     verdicts = []
     for v in range(max(4, t + 2), v_max + 1):
-        for entry in candidates_for_degree(v, data_dir=data_dir):
-            verdicts.append(eliminate(entry, t, lam, subset_cap=subset_cap))
+        verdicts += _screen(v, candidates_for_degree(v, data_dir=data_dir), t, lam, subset_cap)
     verdicts.sort(key=lambda verdict: (verdict.degree, verdict.family, verdict.entry_name))
     return verdicts
 

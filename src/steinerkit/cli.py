@@ -148,6 +148,8 @@ def cmd_construct(args):
 
 
 def cmd_group(args):
+    if args.action == "homogeneity" and args.t_max < 1:
+        raise ValueError("--t-max must be at least 1, got %d" % args.t_max)
     group, name = _load_group(args.source, data_dir=args.data_dir)
     if args.action == "info":
         payload = {

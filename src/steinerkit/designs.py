@@ -111,14 +111,6 @@ class Design:
 
 
 @dataclass(frozen=True)
-class Flag:
-    """An incident point-block pair; the block is referenced by index."""
-
-    point: int
-    block_index: int
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the exhaustive cover-count check.
 
@@ -217,15 +209,6 @@ def construct_boolean(n, cap=DEFAULT_SUBSET_CAP):
     if verify(design, cap=cap).covered_lambda != 1:
         raise AssertionError("boolean construction failed verification (bug)")
     return design
-
-
-def flags(design):
-    """All incident point-block pairs, ordered by (block index, point)."""
-    return [
-        Flag(point=x, block_index=bi)
-        for bi in range(len(design.blocks))
-        for x in design.blocks[bi]
-    ]
 
 
 def complete_design(v, k, t):

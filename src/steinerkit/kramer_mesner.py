@@ -49,8 +49,10 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
     to C(v-t, k-t) because every k-superset of the representative lies in
     exactly one column orbit (checked).
     """
-    if not t <= k <= group.degree:
-        raise ValueError("need t <= k <= degree, got t=%d k=%d degree=%d" % (t, k, group.degree))
+    if not 1 <= t <= k <= group.degree:
+        raise ValueError(
+            "need 1 <= t <= k <= degree, got t=%d k=%d degree=%d" % (t, k, group.degree)
+        )
     row_reps, _, _ = group.subset_orbit_partition(t, cap=cap)
     col_reps, col_sizes, col_index = group.subset_orbit_partition(k, cap=cap)
     v = group.degree
@@ -164,6 +166,7 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_na
     lambda, and the prescribing group is re-checked as an automorphism
     group of it.
     """
+    DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
     matrix = build_orbit_matrix(group, t, k, cap=cap, group_name=group_name)
     designs = []
     for selection in solve(matrix, lam, limit=limit):

@@ -564,9 +564,11 @@ def induced_block_action(group, design):
     """Check a group acts on a design and report its block/flag/point orbits."""
     induced = induced_block_images(group, design)
     nblocks = len(design.blocks)
-    flags = [(x, bi) for bi in range(nblocks) for x in design.blocks[bi]]
+    v = design.params.v
+    # the flag (point x, block bi) is the int bi * v + x
+    flags = [bi * v + x for bi, block in enumerate(design.blocks) for x in block]
     flag_maps = [
-        (lambda flag, g=g, img=img: (g(flag[0]), img[flag[1]]))
+        (lambda flag, p=g.images, img=img: img[flag // v] * v + p[flag % v])
         for g, img in zip(group.generators, induced)
     ]
     block_maps = [img.__getitem__ for img in induced]

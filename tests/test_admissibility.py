@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,8 +8,8 @@ from steinerkit.admissibility import (
     CAMERON_EQUALITY_CASES,
     Condition,
     Status,
-    bounds_summary,
     check,
+    feasible_k,
     scan,
 )
 from steinerkit.designs import DesignParameters, complete_design, construct_boolean, fano_plane, verify
@@ -172,31 +173,28 @@ def test_scan_k_range_and_empty():
     assert scan(6, 1, 13) == []  # Tits excludes everything this small
 
 
-def test_bounds_summary_boundary():
-    summary = bounds_summary(DesignParameters(6, 35, 10, 1))
-    assert summary.tits_min_v == summary.cameron_min_v == summary.boundary_min_v == 35
-    assert summary.binding == "both-equal"
-
-
-def test_bounds_summary_tits_side():
-    summary = bounds_summary(DesignParameters(6, 21, 8, 1))
-    assert summary.binding == "tits"
-    assert summary.tits_min_v == 21
-    assert summary.tits_holds
-
-
-def test_bounds_summary_cameron_side():
-    summary = bounds_summary(DesignParameters(3, 112, 12, 1))
-    assert summary.binding == "cameron"
-    assert summary.cameron_min_v == 112
-    assert summary.cameron_equality_case == (3, 12, 112)
-
-
-def test_bounds_summary_rejects_trivial():
-    with pytest.raises(ValueError):
-        bounds_summary(DesignParameters(3, 8, 8, 1))
-    with pytest.raises(ValueError):
-        bounds_summary(DesignParameters(3, 9, 4, 2))
+def test_scan_and_feasible_k_match_a_brute_force_filter_of_check(monkeypatch):
+    # every t < k < v is checked, so the bound pruning may drop no admissible
+    # set; lambda > 1 prunes nothing and is run to a smaller v_max
+    memo = functools.lru_cache(maxsize=None)(check)
+    monkeypatch.setattr("steinerkit.admissibility.check", memo)
+    bounds = (Condition.TITS_BOUND, Condition.CAMERON_BOUND)
+    for lam, v_max in ((1, 60), (2, 30), (3, 30)):
+        for t in range(2, 9):
+            brute = []
+            for v in range(t + 2, v_max + 1):
+                reports = [memo(DesignParameters(t, v, k, lam)) for k in range(t + 1, v)]
+                assert feasible_k(t, v, lam) == [
+                    r.params.k
+                    for r in reports
+                    if all(r.outcome(c).status is not Status.FAIL for c in bounds)
+                ]
+                brute += [r.params for r in reports if r.admissible]
+            assert scan(t, lam, v_max) == brute
+            k_lo, k_hi = t + 2, t + 5
+            assert scan(t, lam, v_max, k_range=(k_lo, k_hi)) == [
+                p for p in brute if k_lo <= p.k <= k_hi
+            ]
 
 
 def test_report_json_shape():

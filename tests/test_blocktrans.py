@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from steinerkit import admissibility
 from steinerkit.blocktrans import (
     ImplicationResult,
     bt_equation_check,
@@ -15,6 +16,7 @@ from steinerkit.blocktrans import (
 )
 from steinerkit.catalog import (
     borel_generators,
+    candidates_for_degree,
     catalog_entry_by_name,
     cyclic_scaling_generators,
     projective_group,
@@ -119,6 +121,16 @@ def test_eliminate_m23_near_miss():
     assert outcome.reasons[0].witness["b"] == 14421
 
 
+def test_eliminate_rejects_a_fractional_block_count():
+    # 2-(11,3,1) passes admissibility.check, but b = 55/3
+    verdict = eliminate(catalog_entry_by_name("A_11"), 2, 1)
+    outcome = verdict.k_outcomes[0]
+    assert outcome.k == 3 and outcome.eliminated and outcome.b is None
+    step = outcome.reasons[0]
+    assert step.test == "inadmissible-params"
+    assert step.witness == {"condition": "block-count-integrality", "b": Fraction(55, 3)}
+
+
 def test_eliminate_requires_t_at_least_2():
     with pytest.raises(ValueError):
         eliminate(catalog_entry_by_name("PSL(2,7)"), 1, 1)
@@ -133,6 +145,27 @@ def test_sweep_deterministic():
     first = [v.to_json_dict() for v in sweep(6, 1, 30)]
     second = [v.to_json_dict() for v in sweep(6, 1, 30)]
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_sweep_matches_eliminate_of_each_entry():
+    for t in range(4, 9):
+        swept = [verdict.to_json_dict() for verdict in sweep(t, 1, 64)]
+        single = [
+            eliminate(entry, t, 1).to_json_dict()
+            for v in range(t + 2, 65)
+            for entry in candidates_for_degree(v)
+        ]
+        single.sort(key=lambda d: (d["degree"], d["family"], d["entry"]))
+        assert json.dumps(swept, sort_keys=True) == json.dumps(single, sort_keys=True)
+
+
+def test_sweep_checks_each_parameter_set_once(monkeypatch):
+    calls = []
+    check = admissibility.check
+    monkeypatch.setattr(admissibility, "check", lambda params: calls.append(params) or check(params))
+    verdicts = sweep(6, 1, 100)
+    distinct = {(verdict.degree, k) for verdict in verdicts for k in verdict.feasible_k}
+    assert len(calls) == len(set(calls)) == len(distinct)
 
 
 def test_sweep_t6_small_all_eliminated():

@@ -161,6 +161,27 @@ def test_usage_error_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["km-search", "--group", "catalog:PSL(2,7)", "--t", "0", "--k", "2"],
+        ["group", "homogeneity", "catalog:PSL(2,7)", "--t-max", "-1"],
+        ["group", "homogeneity", "catalog:PSL(2,7)", "--t-max", "0"],
+    ],
+)
+def test_out_of_range_parameters_exit_2_before_any_output(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_km_search_rejects_t_0_before_writing_the_matrix(capsys, tmp_path):
+    dump = tmp_path / "matrix.json"
+    argv = ["km-search", "--group", "catalog:PSL(2,7)", "--t", "0", "--k", "2"]
+    code, out, _ = run_cli(capsys, argv + ["--dump-matrix", str(dump)])
+    assert code == 2 and out == "" and not dump.exists()
+
+
 def test_capacity_error_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["construct", "boolean", "5"])
     code, _, err = run_cli(
@@ -185,6 +206,19 @@ def test_construct_boolean_4_output_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "e9ba062f1359525ea395568d2a94c0ff55887eaa3ab805ea442158f1674d3c43"
+
+
+@pytest.mark.parametrize(
+    "t, digest",
+    [
+        (6, "5f2edfa62ce301a47779f17903d9e935220e75a3f060901c48322970efecb4f7"),
+        (7, "c025d2293d6da610c88e8d28f221f572c18a260c8855cc16384cbab8ee4e9be4"),
+    ],
+)
+def test_analyze_bt_sweep_json_is_pinned(capsys, t, digest):
+    code, out, _ = run_cli(capsys, ["analyze-bt", "--t", str(t), "--v-max", "257", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

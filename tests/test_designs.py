@@ -15,7 +15,6 @@ from steinerkit.designs import (
     design_from_json,
     design_to_json,
     fano_plane,
-    flags,
     lambda_s,
     verify,
 )
@@ -188,20 +187,6 @@ def test_construct_boolean_cap_bounds_the_triples():
     with pytest.raises(CapacityError):
         construct_boolean(4, cap=comb(16, 3) - 1)
     assert construct_boolean(4, cap=comb(16, 3)).b == 140
-
-
-def test_flags():
-    design = construct_boolean(3)
-    all_flags = flags(design)
-    assert len(all_flags) == 14 * 4
-    assert all(design.blocks[f.block_index][0] <= f.point for f in all_flags[:1])
-    assert [(f.block_index, f.point) for f in all_flags] == sorted(
-        (f.block_index, f.point) for f in all_flags
-    )
-    fano = fano_plane()
-    assert len(flags(fano)) == 21
-    empty = Design(DesignParameters(2, 5, 3, 1), [])
-    assert flags(empty) == []
 
 
 def test_incidence_counts_match_lambda_s():

@@ -369,6 +369,27 @@ def test_induced_block_action_boolean():
     assert report.is_block_transitive and report.is_flag_transitive and report.is_point_transitive
 
 
+def test_flag_orbit_count_matches_a_pair_bfs():
+    from steinerkit.catalog import catalog_entry_by_name
+
+    cases = [
+        (PermutationGroup([parse_cycles("(0 1 2 3 4 5 6)", 7)]), fano_plane()),
+        (PermutationGroup.trivial(7), fano_plane()),
+        (catalog_entry_by_name("AGL(3,2)").group(), construct_boolean(3)),
+        (PermutationGroup([parse_cycles("(1 2 4)(3 6 5)", 8)]), construct_boolean(3)),
+    ]
+    for group, design in cases:
+        flags = {(x, block) for block in design.blocks for x in block}
+        orbits = 0
+        while flags:
+            seen = _orbit_of(group, flags.pop(), lambda g, f: (g(f[0]), g.apply_set(f[1])))
+            flags -= seen
+            orbits += 1
+        report = induced_block_action(group, design)
+        assert report.flag_orbit_count == orbits
+        assert report.is_flag_transitive == (orbits == 1)
+
+
 def test_induced_block_action_rejects_non_automorphism():
     fano = fano_plane()
     bad = PermutationGroup([parse_cycles("(0 1)", 7)])

@@ -246,15 +246,16 @@ def cmd_analyze_bt(args):
 
 def cmd_km_search(args):
     group, name = _load_group(args.group, data_dir=args.data_dir)
+    DesignParameters(args.t, group.degree, args.k, args.lam)  # before building or writing
+    matrix = kramer_mesner.build_orbit_matrix(
+        group, args.t, args.k, cap=args.max_subsets, group_name=name
+    )
     if args.dump_matrix:
-        matrix = kramer_mesner.build_orbit_matrix(
-            group, args.t, args.k, cap=args.max_subsets, group_name=name
-        )
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
             json.dump(matrix.to_json_dict(), handle, sort_keys=True)
             handle.write("\n")
     designs = kramer_mesner.search_design(
-        group, args.t, args.k, args.lam, limit=args.limit, cap=args.max_subsets, group_name=name
+        group, args.t, args.k, args.lam, limit=args.limit, matrix=matrix
     )
     if args.json:
         for design in designs:

@@ -10,12 +10,20 @@ sets and re-verified exhaustively.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .designs import Design, DesignParameters, verify
-from .perms import DEFAULT_SUBSET_CAP, _orbit, induced_block_images
+from .errors import CapacityError
+from .perms import (
+    DEFAULT_SUBSET_CAP,
+    Permutation,
+    PermutationGroup,
+    _orbit,
+    induced_block_images,
+)
 
 
 @dataclass(frozen=True)
@@ -45,37 +53,155 @@ class OrbitMatrix:
 def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
     """Count, for each t-orbit representative, its k-supersets per k-orbit.
 
-    Rows and columns are sorted by canonical representative; each row sums
-    to C(v-t, k-t) because every k-superset of the representative lies in
-    exactly one column orbit (checked).
+    Only the t-subsets are partitioned.  Each k-orbit K is found at the
+    least row r whose orbit it meets: the k-supersets of R = R_r that meet
+    no earlier row are split into orbits of the row stabilizer G_R, and
+    the G_R-orbits lying in one K are joined by a G-invariant label, the
+    least G_R-orbit id that the Schreier tree paths of the superset's
+    t-subsets in row r carry it to.  Their sizes sum to M[r, K].  The rest
+    is double counting over the pairs (T, S) with T a t-subset of S in K:
+    |orbit(R_s)| M[s, K] = |K| n_s for every row s, where n_s counts the
+    t-subsets of any one S in K that lie in row s.  K's lex-least member
+    begins with R_r and each row's supersets are enumerated in lex order,
+    so the first superset found in K is its representative.  Rows and
+    columns are sorted by representative.
     """
-    if not 1 <= t <= k <= group.degree:
-        raise ValueError(
-            "need 1 <= t <= k <= degree, got t=%d k=%d degree=%d" % (t, k, group.degree)
-        )
-    row_reps, _, _ = group.subset_orbit_partition(t, cap=cap)
-    col_reps, col_sizes, col_index = group.subset_orbit_partition(k, cap=cap)
     v = group.degree
-    entries = [[0] * len(col_reps) for _ in row_reps]
-    for i, rep in enumerate(row_reps):
+    if not 1 <= t <= k <= v:
+        raise ValueError(
+            "need 1 <= t <= k <= degree, got t=%d k=%d degree=%d" % (t, k, v)
+        )
+    supersets = comb(v - t, k - t)
+    if supersets > cap:
+        raise CapacityError(
+            "%d-supersets of a %d-subset: %d exceed cap %d" % (k, t, supersets, cap)
+        )
+    parent = {}
+    row_reps, row_sizes, row_of = group.subset_orbit_partition(t, cap=cap, parent=parent)
+    steps = [(g.apply_set, g.inverse().images) for g in group.generators]
+    tested, last = steps[:-1], steps[-1][1] if steps else None
+
+    def to_rep(subset, points):
+        """Map ``points`` along the tree path from ``subset`` to its orbit's rep."""
+        up = parent.get(subset)
+        while up is not None:
+            for apply, inv in tested:
+                if apply(up) == subset:
+                    break
+            else:  # some generator leads from up to subset; the last needs no test
+                inv = last
+            points = [inv[p] for p in points]
+            subset, up = up, parent.get(up)
+        return points
+
+    def carry(sub, superset):
+        """The image of ``superset`` under the tree path taking its t-subset
+        ``sub`` to that row's representative."""
+        moved = to_rep(sub, [p for p in superset if p not in sub])
+        return tuple(sorted(row_reps[row_of[sub]] + tuple(moved)))
+
+    members = list(row_of)  # each row's orbit, contiguous and breadth-first
+    start = 0
+    columns = []  # (representative, least row met, entry there), one per k-orbit
+    for r, rep in enumerate(row_reps):
+        row_orbit = members[start:start + row_sizes[r]]
+        start += row_sizes[r]
+        maps = None  # G_R, once some superset needs it
         rest = [p for p in range(v) if p not in rep]
-        row = entries[i]
+        orbit_id = {}
+        orbits = []  # (least member, size, its t-subsets in row r)
         for extra in combinations(rest, k - t):
             superset = tuple(sorted(rep + extra))
-            row[col_index[superset]] += 1
-        if sum(row) != comb(v - t, k - t):
-            raise AssertionError("row %d sums to %d, expected C(%d,%d)" % (
-                i, sum(row), v - t, k - t))
+            if superset in orbit_id:
+                continue
+            meets = []
+            for sub in combinations(superset, t):
+                if row_of[sub] < r:  # its k-orbit was found at an earlier row
+                    break
+                if row_of[sub] == r:
+                    meets.append(sub)
+            else:
+                if maps is None:
+                    stabilizer = _row_stabilizer(group, row_orbit, parent, to_rep)
+                    maps = [g.apply_set for g in stabilizer]
+                orbit = _orbit(superset, maps) if maps else (superset,)
+                for member in orbit:
+                    orbit_id[member] = len(orbits)
+                orbits.append((superset, len(orbit), meets))
+        found = {}  # label -> index into columns
+        for i, (superset, size, meets) in enumerate(orbits):
+            if meets == [rep]:  # rep's tree path is empty: carry(rep, superset) is superset
+                label = i
+            else:
+                label = min(orbit_id[carry(sub, superset)] for sub in meets)
+            if label in found:
+                columns[found[label]][2] += size
+            else:
+                found[label] = len(columns)
+                columns.append([superset, r, size])
+    columns.sort()
+    entries = [[0] * len(columns) for _ in row_reps]
+    col_sizes = []
+    for j, (col_rep, r, entry) in enumerate(columns):
+        counts = Counter(row_of[sub] for sub in combinations(col_rep, t))
+        size, rem = divmod(row_sizes[r] * entry, counts[r])
+        for s, n in counts.items():
+            entries[s][j], rem_s = divmod(size * n, row_sizes[s])
+            rem += rem_s
+        if rem:
+            raise AssertionError("column %r has fractional counts (bug)" % (col_rep,))
+        col_sizes.append(size)
+    for r, row in enumerate(entries):
+        if sum(row) != supersets:
+            raise AssertionError("row %d sums to %d, expected %d (bug)" % (r, sum(row), supersets))
     return OrbitMatrix(
         group_name=group_name,
         degree=v,
         t=t,
         k=k,
         row_reps=tuple(row_reps),
-        col_reps=tuple(col_reps),
+        col_reps=tuple(col_rep for col_rep, _, _ in columns),
         col_sizes=tuple(col_sizes),
         entries=tuple(tuple(row) for row in entries),
     )
+
+
+def _row_stabilizer(group, orbit, parent, to_rep):
+    """Generators of the setwise stabilizer G_R of the row representative
+    R = ``orbit[0]``, whose order is |G| / |orbit|.
+
+    Schreier generators (R along the tree to a member S, on by a generator
+    g, back along the tree) are sifted in until the group they generate
+    reaches that order.  Tree edges, where the first generator taking S to
+    g(S) is the one that reached it, give the identity and are skipped.
+    """
+    order = group.order // len(orbit)
+    if order == 1:
+        return ()
+    degree = group.degree
+    found = []
+    known = PermutationGroup.trivial(degree)
+    for subset in orbit:
+        forth = None  # R -> subset, as an image list
+        reached = set()
+        for g in group.generators:
+            image = g.apply_set(subset)
+            if image not in reached and parent.get(image) == subset:
+                reached.add(image)
+                continue
+            reached.add(image)
+            if forth is None:
+                forth = [0] * degree
+                for x, y in enumerate(to_rep(subset, range(degree))):
+                    forth[y] = x
+            back = to_rep(image, g.images)  # subset -> R through g and the tree
+            schreier = Permutation([back[x] for x in forth])
+            if schreier not in known:
+                found.append(schreier)
+                known = PermutationGroup(found, degree)
+                if known.order == order:
+                    return known.generators
+    raise AssertionError("Schreier generators of row %r fell short (bug)" % (orbit[0],))
 
 
 @dataclass(frozen=True)
@@ -159,15 +285,18 @@ def expand_selection(group, matrix, selection, lam):
     return Design(params, sorted(blocks))
 
 
-def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_name=""):
+def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_name="",
+                  matrix=None):
     """Full pipeline: orbit matrix, solve, expand, exhaustive re-verification.
 
-    Every returned design passes the cover-count verifier at the requested
-    lambda, and the prescribing group is re-checked as an automorphism
-    group of it.
+    ``matrix`` is the orbit matrix of (group, t, k) if the caller has built
+    it already.  Every returned design passes the cover-count verifier at the
+    requested lambda, and the prescribing group is re-checked as an
+    automorphism group of it.
     """
     DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
-    matrix = build_orbit_matrix(group, t, k, cap=cap, group_name=group_name)
+    if matrix is None:
+        matrix = build_orbit_matrix(group, t, k, cap=cap, group_name=group_name)
     designs = []
     for selection in solve(matrix, lam, limit=limit):
         design = expand_selection(group, matrix, selection, lam)

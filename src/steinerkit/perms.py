@@ -34,6 +34,13 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
     @classmethod
+    def _trusted(cls, images):
+        """Wrap an image tuple that is a bijection by construction."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
+    @classmethod
     def identity(cls, degree):
         return cls(range(degree))
 
@@ -60,53 +67,29 @@ class Permutation:
     def __mul__(self, other):
         # apply self, then other
         q = other.images
-        return Permutation(q[x] for x in self.images)
+        if len(q) != len(self.images):
+            raise ValueError("degree mismatch: %d * %d" % (len(self.images), len(q)))
+        return Permutation._trusted(tuple([q[x] for x in self.images]))
 
     def inverse(self):
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
+        return Permutation._trusted(tuple(inv))
 
     def apply_set(self, points):
         """Image of a point set, returned as a sorted tuple."""
-        return tuple(sorted(self.images[p] for p in points))
+        images = self.images
+        return tuple(sorted([images[p] for p in points]))
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def min_moved(self):
         for i, j in enumerate(self.images):
             if i != j:
                 return i
         return None
-
-    def order(self):
-        seen = [False] * self.degree
-        result = 1
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            result = _lcm(result, length)
-        return result
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least point."""
@@ -138,12 +121,6 @@ class Permutation:
 
     def __repr__(self):
         return "Permutation(%s)" % self.cycle_string()
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 _CYCLE_RE = re.compile(r"\(([\d\s,]*)\)")
@@ -340,28 +317,6 @@ class PermutationGroup:
     def is_transitive(self):
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
-    def elements(self, max_elements=10**6):
-        """Iterate all group elements (deterministic order)."""
-        if self.order > max_elements:
-            raise CapacityError(
-                "group order %d exceeds element enumeration cap %d" % (self.order, max_elements)
-            )
-        identity = Permutation.identity(self.degree)
-        if not self.base:
-            yield identity
-            return
-
-        def rec(level, tail):
-            if level == len(self.base):
-                yield tail
-                return
-            trans = self._transversals[level]
-            for point in sorted(trans):
-                yield from rec(level + 1, trans[point] * tail)
-
-        # tail accumulates shallower transversal factors, applied last
-        yield from rec(0, identity)
-
     # -- stabilizers ----------------------------------------------------------
 
     def stabilizer_point(self, x):
@@ -436,8 +391,14 @@ class PermutationGroup:
         reps, sizes, _ = self.subset_orbit_partition(m, cap=cap)
         return list(zip(reps, sizes))
 
-    def subset_orbit_partition(self, m, cap=DEFAULT_SUBSET_CAP):
-        """Full orbit partition on m-subsets: (reps, sizes, subset -> index)."""
+    def subset_orbit_partition(self, m, cap=DEFAULT_SUBSET_CAP, parent=None):
+        """Full orbit partition on m-subsets: (reps, sizes, subset -> index).
+
+        The index lists each orbit's subsets together, in breadth-first order
+        from its representative.  A dict ``parent`` receives the Schreier
+        tree of that search: every subset but the representatives maps to the
+        subset a generator first reached it from.
+        """
         total = comb(self.degree, m)
         if total > cap:
             raise CapacityError(
@@ -451,7 +412,7 @@ class PermutationGroup:
             if seed in index_of:
                 continue
             idx = len(reps)
-            orbit = _orbit(seed, maps)
+            orbit = _orbit(seed, maps, parent)
             for sub in orbit:
                 index_of[sub] = idx
             reps.append(seed)
@@ -592,8 +553,12 @@ def induced_block_action(group, design):
     )
 
 
-def _orbit(seed, maps):
-    """Orbit of ``seed`` under the functions ``maps``, in breadth-first order."""
+def _orbit(seed, maps, parent=None):
+    """Orbit of ``seed`` under the functions ``maps``, in breadth-first order.
+
+    A dict ``parent`` receives, for every member but the seed, the member
+    whose image first reached it.
+    """
     seen = {seed}
     queue = [seed]
     for item in queue:
@@ -602,6 +567,8 @@ def _orbit(seed, maps):
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
+                if parent is not None:
+                    parent[image] = item
     return queue
 
 

@@ -182,6 +182,34 @@ def test_km_search_rejects_t_0_before_writing_the_matrix(capsys, tmp_path):
     assert code == 2 and out == "" and not dump.exists()
 
 
+# sha256 of the PSL(2,11) 5-(12,6,1) orbit matrix dump, as written by the
+# full-partition builder that the row-stabilizer builder replaced
+PSL211_MATRIX_SHA256 = "bc3d067e2331c9cb224874957ddb6e9a7fdf127ff1524d1cdea40e3496f3efd4"
+
+
+def test_km_search_dump_matrix_is_pinned(capsys, tmp_path):
+    dump = tmp_path / "matrix.json"
+    argv = ["km-search", "--group", "catalog:PSL(2,11)", "--t", "5", "--k", "6",
+            "--dump-matrix", str(dump)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.endswith("# 2 design(s) found\n")
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == PSL211_MATRIX_SHA256
+    # C(12,6) = 924 6-subsets exceed this cap; the 792 5-subsets and 7 supersets do not
+    code, capped, _ = run_cli(capsys, argv[:-2] + ["--max-subsets", "800"])
+    assert code == 0 and capped.splitlines()[1:] == out.splitlines()[1:]
+
+
+@pytest.mark.parametrize("t, cap", [("5", "791"), ("1", "461")])
+def test_km_search_cap_exits_3_before_writing_the_matrix(capsys, tmp_path, t, cap):
+    # C(12,5) = 792 5-subsets at t = 5; C(11,5) = 462 supersets of a point at t = 1
+    dump = tmp_path / "matrix.json"
+    argv = ["km-search", "--group", "catalog:PSL(2,11)", "--t", t, "--k", "6",
+            "--max-subsets", cap, "--dump-matrix", str(dump)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == "" and not dump.exists()
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+
+
 def test_capacity_error_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["construct", "boolean", "5"])
     code, _, err = run_cli(

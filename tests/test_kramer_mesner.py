@@ -1,11 +1,16 @@
+import importlib.util
 import random
+from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from steinerkit.catalog import projective_group, symmetric_group
+from steinerkit.catalog import catalog_entry_by_name, projective_group, symmetric_group
 from steinerkit.designs import verify
 from steinerkit.kramer_mesner import (
+    OrbitMatrix,
     Selection,
     build_orbit_matrix,
     expand_selection,
@@ -15,9 +20,50 @@ from steinerkit.kramer_mesner import (
 )
 from steinerkit.perms import Permutation, PermutationGroup, induced_block_action
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
 
 def cyclic_group(n):
     return PermutationGroup([Permutation([(i + 1) % n for i in range(n)])])
+
+
+def reference_orbit_matrix(group, t, k, group_name=""):
+    """Oracle: partition the t- and the k-subsets in full, then count each
+    row representative's k-supersets per column orbit."""
+    row_reps, _, _ = group.subset_orbit_partition(t)
+    col_reps, col_sizes, col_index = group.subset_orbit_partition(k)
+    v = group.degree
+    entries = [[0] * len(col_reps) for _ in row_reps]
+    for i, rep in enumerate(row_reps):
+        rest = [p for p in range(v) if p not in rep]
+        for extra in combinations(rest, k - t):
+            entries[i][col_index[tuple(sorted(rep + extra))]] += 1
+        assert sum(entries[i]) == comb(v - t, k - t)
+    return OrbitMatrix(
+        group_name=group_name,
+        degree=v,
+        t=t,
+        k=k,
+        row_reps=tuple(row_reps),
+        col_reps=tuple(col_reps),
+        col_sizes=tuple(col_sizes),
+        entries=tuple(tuple(row) for row in entries),
+    )
+
+
+def assert_matches_reference(group, t, k):
+    matrix = build_orbit_matrix(group, t, k, group_name="G")
+    expected = reference_orbit_matrix(group, t, k, group_name="G")
+    assert matrix == expected, (group.degree, t, k)
+    assert matrix.to_json_dict() == expected.to_json_dict()
+
+
+def small_km_cases():
+    """The (group, t, k) of the benchmark's small KM searches."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(group, t, k) for group, t, k, _ in workloads.SMALL_KM]
 
 
 def brute_force_reference(matrix, lam):
@@ -167,3 +213,50 @@ def test_matrix_json_dump_shape():
     assert data["t"] == 2 and data["k"] == 3
     assert data["col_sizes"] == [7, 7, 7, 7, 7]
     assert len(data["entries"]) == 3
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_matrix_matches_reference_cyclic(k):
+    for v in range(k, 32):
+        assert_matches_reference(cyclic_group(v), 2, k)
+
+
+@pytest.mark.parametrize("group, t, k", small_km_cases() + [("M_22", 3, 6)])
+def test_matrix_matches_reference_catalog(group, t, k):
+    if isinstance(group, int):
+        group = cyclic_group(group)
+    else:
+        group = catalog_entry_by_name(group).group()
+    assert_matches_reference(group, t, k)
+
+
+def test_matrix_matches_reference_trivial_group():
+    for t in range(1, 7):
+        for k in range(t, 7):
+            assert_matches_reference(PermutationGroup.trivial(6), t, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_matrix_matches_reference_random(data):
+    degree = data.draw(st.integers(1, 8))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    for t in range(1, degree + 1):
+        for k in range(t, degree + 1):
+            assert_matches_reference(group, t, k)
+
+
+def test_matrix_partitions_only_t_subsets(monkeypatch):
+    sizes = []
+    partition = PermutationGroup.subset_orbit_partition
+
+    def counting(self, m, *args, **kwargs):
+        sizes.append(m)
+        return partition(self, m, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationGroup, "subset_orbit_partition", counting)
+    build_orbit_matrix(projective_group("PSL", 11), 5, 6)
+    build_orbit_matrix(cyclic_group(13), 2, 3)
+    assert sizes == [5, 2]
+

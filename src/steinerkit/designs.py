@@ -9,10 +9,13 @@ equality and diffable serialized output.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial, reduce
+from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
+from operator import add, itemgetter, lt, ne
 from typing import Optional
 
 from .errors import CapacityError
@@ -62,31 +65,25 @@ class Design:
     __slots__ = ("params", "blocks")
 
     def __init__(self, params, blocks):
-        seen = set()
-        canon = []
-        blocks = list(blocks)
-        for i, block in enumerate(blocks):
-            block = tuple(block)
-            if len(block) != params.k:
-                raise ValueError(
-                    "blocks[%d] has %d points, expected k=%d" % (i, len(block), params.k)
-                )
-            for j, p in enumerate(block):
-                if not isinstance(p, int) or not 0 <= p < params.v:
-                    raise ValueError(
-                        "blocks[%d][%d]=%r out of point range [0, %d)" % (i, j, p, params.v)
-                    )
-                if j and block[j - 1] >= p:
-                    raise ValueError(
-                        "blocks[%d] is not strictly increasing at position %d" % (i, j)
-                    )
-            if block in seen:
-                raise ValueError("duplicate block %r (blocks[%d])" % (block, i))
-            seen.add(block)
-            canon.append(block)
-        canon.sort()
+        k, v = params.k, params.v
+        canon = list(map(tuple, blocks))
+        flat = list(chain.from_iterable(canon))
+        columns = [flat[j::k] for j in range(k)]
+        # whole-list checks; only a failure walks the blocks one by one
+        valid = (
+            all(map(k.__eq__, map(len, canon)))
+            and set(map(type, flat)) <= {int}
+            and all(all(map(lt, columns[j], columns[j + 1])) for j in range(k - 1))
+            and (not canon or (min(columns[0]) >= 0 and max(columns[-1]) < v))
+        )
+        ordered = canon
+        if valid and not all(map(lt, canon, islice(canon, 1, None))):
+            ordered = sorted(canon)
+            valid = all(map(ne, ordered, islice(ordered, 1, None)))
+        if not valid:
+            _raise_block_fault(params, canon)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "blocks", tuple(ordered))
 
     def __setattr__(self, name, value):
         raise AttributeError("Design is immutable")
@@ -110,6 +107,29 @@ class Design:
         return "Design(%d-(%d,%d,%d), %d blocks)" % (p.t, p.v, p.k, p.lam, self.b)
 
 
+def _raise_block_fault(params, blocks):
+    """Raise the ValueError naming the first invalid entry of ``blocks``."""
+    seen = set()
+    for i, block in enumerate(blocks):
+        if len(block) != params.k:
+            raise ValueError(
+                "blocks[%d] has %d points, expected k=%d" % (i, len(block), params.k)
+            )
+        for j, p in enumerate(block):
+            if type(p) is not int or not 0 <= p < params.v:
+                raise ValueError(
+                    "blocks[%d][%d]=%r out of point range [0, %d)" % (i, j, p, params.v)
+                )
+            if j and block[j - 1] >= p:
+                raise ValueError(
+                    "blocks[%d] is not strictly increasing at position %d" % (i, j)
+                )
+        if block in seen:
+            raise ValueError("duplicate block %r (blocks[%d])" % (block, i))
+        seen.add(block)
+    raise AssertionError("unreachable: blocks failed a whole-list check but have no fault")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the exhaustive cover-count check.
@@ -127,40 +147,44 @@ class VerificationReport:
 def verify(design, cap=DEFAULT_VERIFY_CAP):
     """Exhaustively count block covers of every t-subset of the point set.
 
-    Counting walks each block's C(k,t) sub-subsets (total lambda*C(v,t)
-    increments for a valid design); the t-subsets themselves are only
-    enumerated on the failure path, lexicographically, so the reported
-    witness is the lexicographic minimum.  Refuses (CapacityError) when
-    C(v,t) exceeds ``cap``.
+    Each t-subset has a counter at its lexicographic rank: C(v,t) bytes, or
+    four bytes each when a t-subset can lie in 256 or more blocks.  The
+    ranks of every block's C(k,t) sub-subsets (lambda*C(v,t) increments for
+    a valid design) are summed from one table per position; the first rank
+    whose count differs from lambda is the lexicographically least witness.
+    Refuses (CapacityError) when C(v,t) exceeds ``cap``.
     """
     params = design.params
-    t, v = params.t, params.v
+    t, v, k = params.t, params.v, params.k
     total = comb(v, t)
     if total > cap:
         raise CapacityError(
             "verify would cover C(%d,%d)=%d t-subsets, above the cap %d" % (v, t, total, cap)
         )
-    counts = {}
-    for block in design.blocks:
-        for sub in combinations(block, t):
-            counts[sub] = counts.get(sub, 0) + 1
-    if len(counts) == total:
-        values = set(counts.values())
-        if len(values) == 1:
-            common = values.pop()
-            witness = None
-            if common != params.lam:
-                witness = (min(counts), common)
-            return VerificationReport(common, witness)
-    elif not counts:
-        # no blocks at all: every t-subset is covered zero times
-        witness = None if params.lam == 0 else (tuple(range(t)), 0)
-        return VerificationReport(0, witness)
-    for subset in combinations(range(v), t):
-        count = counts.get(subset, 0)
-        if count != params.lam:
-            return VerificationReport(None, (subset, count))
-    raise AssertionError("unreachable: non-constant counts with no witness")
+    blocks = design.blocks
+    # no t-subset lies in more than min(b, C(v-t, k-t)) blocks
+    if min(len(blocks), comb(v - t, k - t)) < 256:
+        counts = bytearray(total)
+    else:
+        counts = array("I", [0]) * total
+    # lexrank(s_0 < ... < s_{t-1}) = C(v,t) - 1 - sum_i C(v-1-s_i, t-i),
+    # with the constant folded into the first position's table
+    tables = [[-comb(v - 1 - s, t - i) for s in range(v)] for i in range(t)]
+    tables[0] = [total - 1 + term for term in tables[0]]
+    for positions in combinations(range(k), t):
+        terms = [
+            map(table.__getitem__, map(itemgetter(j), blocks))
+            for table, j in zip(tables, positions)
+        ]
+        for rank in reduce(partial(map, add), terms):
+            counts[rank] += 1
+    common = counts[0]
+    if counts.count(common) == total:
+        witness = None if common == params.lam else (tuple(range(t)), common)
+        return VerificationReport(common, witness)
+    rank = next(compress(count(), map(params.lam.__ne__, counts)))
+    subset = next(islice(combinations(range(v), t), rank, None))
+    return VerificationReport(None, (subset, counts[rank]))
 
 
 def derived(design, x):
@@ -251,17 +275,29 @@ def design_from_json_dict(data):
         if key not in data:
             raise ValueError("design json: missing key %r" % key)
     for key in ("t", "v", "k", "lambda"):
-        if not isinstance(data[key], int):
+        if type(data[key]) is not int:
             raise ValueError("design json: %r must be an integer, got %r" % (key, data[key]))
     params = DesignParameters(data["t"], data["v"], data["k"], data["lambda"])
     blocks = data["blocks"]
     if not isinstance(blocks, list):
         raise ValueError("design json: 'blocks' must be an array")
-    for i, block in enumerate(blocks):
-        if not isinstance(block, list):
-            raise ValueError("design json: blocks[%d] must be an array" % i)
-    design = Design(params, [tuple(block) for block in blocks])
-    if list(design.blocks) != [tuple(block) for block in blocks]:
+    if not all(map(isinstance, blocks, repeat(list))):
+        i = next(i for i, block in enumerate(blocks) if not isinstance(block, list))
+        raise ValueError("design json: blocks[%d] must be an array" % i)
+    canon = list(map(tuple, blocks))
+    try:
+        design = Design(params, canon)
+    except ValueError:
+        # JSON true/false load as bools, which Design refuses as points;
+        # one is named in preference to any other fault
+        for i, block in enumerate(canon):
+            for j, p in enumerate(block):
+                if type(p) is bool:
+                    raise ValueError(
+                        "design json: blocks[%d][%d] must be an integer, got %r" % (i, j, p)
+                    ) from None
+        raise
+    if list(design.blocks) != canon:
         raise ValueError("design json: blocks must be sorted lexicographically")
     return design
 
@@ -272,9 +308,3 @@ def design_from_json(text):
     except json.JSONDecodeError as exc:
         raise ValueError("design json: %s" % exc) from exc
     return design_from_json_dict(data)
-
-
-def blocks_through(design, subset):
-    """Indices of blocks containing every point of ``subset`` (exact count check)."""
-    subset = set(subset)
-    return [i for i, block in enumerate(design.blocks) if subset.issubset(block)]

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from steinerkit.cli import main
-from steinerkit.designs import design_from_json
+from steinerkit.designs import design_from_json, design_to_json_dict, fano_plane
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -234,6 +234,58 @@ def test_construct_boolean_4_output_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "e9ba062f1359525ea395568d2a94c0ff55887eaa3ab805ea442158f1674d3c43"
+
+
+@pytest.fixture(scope="module")
+def boolean_5_files(tmp_path_factory):
+    """``construct boolean 5`` and a copy whose first block is replaced."""
+    directory = tmp_path_factory.mktemp("boolean5")
+    text = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdout", text)
+        assert main(["construct", "boolean", "5"]) == 0
+    design = directory / "design.json"
+    design.write_text(text.getvalue())
+    data = json.loads(text.getvalue())
+    data["blocks"][0] = [0, 1, 2, 31]  # {0,1,3} loses its only block
+    altered = directory / "altered.json"
+    altered.write_text(json.dumps(data))
+    return str(design), str(altered)
+
+
+@pytest.mark.parametrize(
+    "which, argv, exit_code, digest",
+    [
+        (0, ["verify"], 0, "63170ef9355734546a44c317babe30c20f66f9d2e880fb1611b32bcc4906489a"),
+        (0, ["verify", "--json"], 0,
+         "58762830827e6253e4b92c1cb5a13faabdaea9674f93a2af081d3e5bebb53473"),
+        (1, ["verify"], 1, "44be1faf1b80915e2df1131374022fbff282cf65178bab4d0081bb3d6cad940d"),
+        (1, ["verify", "--json"], 1,
+         "7f63f23cf1cef7e566ee111f227be6b928a8a115b348d7d0bcf3a1944a8dc47c"),
+        (0, ["derive", "0"], 0, "343ec68f022a3f0e65a859a7b15acb7b7fd1a18c4e152d48c03e0d5d6841d37a"),
+    ],
+    ids=["verify", "verify-json", "altered", "altered-json", "derive-0"],
+)
+def test_verify_and_derive_of_boolean_5_are_pinned(capsys, boolean_5_files, which, argv,
+                                                    exit_code, digest):
+    command, *options = argv
+    code, out, _ = run_cli(capsys, [command, boolean_5_files[which], *options])
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field", ["t", "lambda", "point"])
+def test_design_json_booleans_exit_2(capsys, tmp_path, field):
+    data = design_to_json_dict(fano_plane())
+    if field == "point":
+        data["blocks"][0] = [False, True, 3]
+    else:
+        data[field] = True
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["verify", str(path), "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: design json: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,17 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinerkit.designs import (
     Design,
     DesignParameters,
-    blocks_through,
+    VerificationReport,
     complete_design,
     construct_boolean,
     derived,
@@ -19,6 +22,61 @@ from steinerkit.designs import (
     verify,
 )
 from steinerkit.errors import CapacityError
+
+
+def blocks_through(design, subset):
+    """Indices of blocks containing every point of ``subset``."""
+    subset = set(subset)
+    return [i for i, block in enumerate(design.blocks) if subset.issubset(block)]
+
+
+def reference_verify(design):
+    """Cover counts in a dict of t-subset tuples: the oracle for ``verify``."""
+    params = design.params
+    t, v = params.t, params.v
+    counts = {}
+    for block in design.blocks:
+        for sub in combinations(block, t):
+            counts[sub] = counts.get(sub, 0) + 1
+    if len(counts) == comb(v, t):
+        values = set(counts.values())
+        if len(values) == 1:
+            common = values.pop()
+            witness = None if common == params.lam else (min(counts), common)
+            return VerificationReport(common, witness)
+    elif not counts:
+        return VerificationReport(0, (tuple(range(t)), 0))
+    for subset in combinations(range(v), t):
+        count = counts.get(subset, 0)
+        if count != params.lam:
+            return VerificationReport(None, (subset, count))
+    raise AssertionError("unreachable: non-constant counts with no witness")
+
+
+def reference_canon(params, blocks):
+    """Per-point block validation: the oracle for ``Design``'s sorted blocks."""
+    seen = set()
+    canon = []
+    for i, block in enumerate(blocks):
+        block = tuple(block)
+        if len(block) != params.k:
+            raise ValueError(
+                "blocks[%d] has %d points, expected k=%d" % (i, len(block), params.k)
+            )
+        for j, p in enumerate(block):
+            if not isinstance(p, int) or not 0 <= p < params.v:
+                raise ValueError(
+                    "blocks[%d][%d]=%r out of point range [0, %d)" % (i, j, p, params.v)
+                )
+            if j and block[j - 1] >= p:
+                raise ValueError(
+                    "blocks[%d] is not strictly increasing at position %d" % (i, j)
+                )
+        if block in seen:
+            raise ValueError("duplicate block %r (blocks[%d])" % (block, i))
+        seen.add(block)
+        canon.append(block)
+    return tuple(sorted(canon))
 
 
 def binom_oracle(n, k):
@@ -235,5 +293,110 @@ def test_json_errors_carry_positions():
         design_from_json('{"t":2,"v":7,"k":3,"lambda":1,"blocks":[[0,2,1]]}')
     with pytest.raises(ValueError, match="sorted"):
         design_from_json('{"t":2,"v":7,"k":3,"lambda":1,"blocks":[[1,2,3],[0,1,2]]}')
+    with pytest.raises(ValueError, match=r"design json: blocks\[1\] must be an array"):
+        design_from_json('{"t":2,"v":7,"k":3,"lambda":1,"blocks":[[0,1,2],"345"]}')
+    with pytest.raises(ValueError, match=r"design json: blocks\[1\]\[0\] must be an integer"):
+        design_from_json('{"t":2,"v":7,"k":3,"lambda":1,"blocks":[[0,1,2],[false,1,3]]}')
+    with pytest.raises(ValueError, match="design json: 'v' must be an integer, got True"):
+        design_from_json('{"t":2,"v":true,"k":3,"lambda":1,"blocks":[]}')
     with pytest.raises(ValueError, match="design json"):
         design_from_json("not json")
+
+
+@st.composite
+def design_cases(draw):
+    v = draw(st.integers(1, 12))
+    t = draw(st.integers(1, v))
+    k = draw(st.integers(t, v))
+    lam = draw(st.integers(1, 3))
+    ksets = list(combinations(range(v), k))
+    kind = draw(st.sampled_from(["subset", "complete", "complete-less-one"]))
+    if kind == "subset":
+        picked = draw(st.lists(st.sampled_from(ksets), unique=True, max_size=40))
+    elif kind == "complete":
+        picked = ksets  # every count is C(v-t, k-t), right or wrong lambda
+    else:
+        dropped = draw(st.sampled_from(ksets))
+        picked = [block for block in ksets if block != dropped]
+    return Design(DesignParameters(t, v, k, lam), picked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(design_cases())
+def test_verify_matches_the_dict_oracle(design):
+    assert verify(design) == reference_verify(design)
+
+
+@st.composite
+def block_lists(draw):
+    """Valid sorted k-subsets, each possibly broken in one way."""
+    v = draw(st.integers(1, 9))
+    k = draw(st.integers(1, v))
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        block = sorted(draw(st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)))
+        fault = draw(st.sampled_from(["none", "none", "order", "point", "short", "long"]))
+        j = draw(st.integers(0, k - 1))
+        if fault == "order" and k > 1:
+            block[j], block[j - 1] = block[j - 1], block[j]
+        elif fault == "point":
+            block[j] = draw(st.sampled_from(["a", 1.0, None, -1, v, 2**70]))
+        elif fault == "short":
+            del block[j]
+        elif fault == "long":
+            block.insert(j, draw(st.integers(-1, v)))
+        blocks.append(block)
+    if blocks and draw(st.booleans()):
+        blocks.insert(draw(st.integers(0, len(blocks))), draw(st.sampled_from(blocks)))
+    return DesignParameters(1, v, k, 1), blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_lists())
+def test_design_matches_the_per_point_oracle(case):
+    params, blocks = case
+    try:
+        expected = reference_canon(params, blocks)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            Design(params, blocks)
+        assert str(raised.value) == str(exc)
+    else:
+        assert Design(params, blocks).blocks == expected
+
+
+def test_design_refuses_bool_points():
+    # bool is an int subclass; a point must be an int proper
+    with pytest.raises(ValueError, match=r"blocks\[0\]\[0\]=False out of point range"):
+        Design(DesignParameters(1, 3, 2, 1), [(False, True)])
+
+
+@pytest.mark.parametrize("lam, witness", [(1, ((0, 1), 255)), (255, ((0, 2), 1))])
+def test_verify_255_covers_fit_the_byte_counters(lam, witness):
+    design = Design(DesignParameters(2, 258, 3, lam), [(0, 1, x) for x in range(2, 257)])
+    report = verify(design)
+    assert report == VerificationReport(None, witness)
+    assert report == reference_verify(design)
+
+
+@pytest.mark.parametrize("lam, witness", [(1, ((0, 1), 256)), (256, ((0, 2), 1))])
+def test_verify_256_covers_widen_the_counters(lam, witness):
+    design = Design(DesignParameters(2, 258, 3, lam), [(0, 1, x) for x in range(2, 258)])
+    report = verify(design)
+    assert report == VerificationReport(None, witness)
+    assert report == reference_verify(design)
+
+
+def test_verify_complete_design_above_255_covers():
+    assert verify(complete_design(14, 6, 2)) == VerificationReport(495, None)
+
+
+def test_verify_memory_is_the_counters():
+    design = construct_boolean(6)
+    tracemalloc.start()
+    try:
+        verify(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * comb(64, 3) + 16384

@@ -6,12 +6,12 @@ The screen runs in two steps.  The parameter step depends only on
 (t, v, k, lambda): the k allowed by the Tits and Cameron bounds, the
 admissibility conditions, and an integral block count b.  It runs once per
 degree, however many groups act on that many points.  The group step
-follows: the floor(t/2)-homogeneity prerequisite that block-transitivity
-forces on the point action, then the orbit conditions b = |G| / |G_B| (so
-b must divide |G|; for a group transitive on k-subsets the only invariant
-block set is complete, which a nontrivial design never is).  A surviving
-pair merely survives this screen; nothing here asserts that a design
-exists.
+follows: the floor(t/2)-homogeneity that block-transitivity forces on the
+point action (annotated, or read from a setwise stabilizer's index), then
+the orbit conditions b = |G| / |G_B| (so b must divide |G|; for a group
+transitive on k-subsets the only invariant block set is complete, which a
+nontrivial design never is).  A surviving pair merely survives this
+screen; nothing here asserts that a design exists.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from math import comb
 from . import admissibility
 from .catalog import candidates_for_degree
 from .designs import DesignParameters, lambda_s
-from .perms import DEFAULT_SUBSET_CAP, PermutationGroup, check_membership, induced_block_action
+from .perms import PermutationGroup, check_membership, induced_block_action
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,15 @@ def _group_step(entry, k, b, homogeneity_reason):
     return KOutcome(k, (), b, entry.order // b)
 
 
-def _screen(v, entries, t, lam, subset_cap):
+def _screen(v, entries, t, lam):
     """Verdicts for entries of degree v; the parameter step runs once per k.
 
     The homogeneity prerequisite (block-transitive implies point
     floor(t/2)-homogeneous) is resolved from the catalog annotation when
-    certain, by exact orbit counting when the entry is constructible, and
-    is otherwise left undecided (which never eliminates).  It is resolved
-    only when some k passes the parameter step or no k is feasible.
+    certain, by the index of a setwise stabilizer when the entry is
+    constructible, and is otherwise left undecided (which never
+    eliminates).  It is resolved only when some k passes the parameter
+    step or no k is feasible.
     """
     if t < 2:
         raise ValueError("elimination screen needs t >= 2")
@@ -191,8 +192,8 @@ def _screen(v, entries, t, lam, subset_cap):
         homogeneous = None
         if needs_homogeneity:
             homogeneous = entry.known_homogeneity(required)
-            if homogeneous is None and entry.constructible and comb(v, required) <= subset_cap:
-                homogeneous = entry.group().is_homogeneous(required, cap=subset_cap)
+            if homogeneous is None and entry.constructible:
+                homogeneous = entry.group().is_homogeneous(required)
         homogeneity_reason = None
         if homogeneous is False:
             homogeneity_reason = ReasonStep(
@@ -224,12 +225,12 @@ def _screen(v, entries, t, lam, subset_cap):
     return verdicts
 
 
-def eliminate(entry, t, lam, subset_cap=DEFAULT_SUBSET_CAP):
+def eliminate(entry, t, lam):
     """Run the arithmetic screen on one catalog entry for all feasible k."""
-    return _screen(entry.degree, [entry], t, lam, subset_cap)[0]
+    return _screen(entry.degree, [entry], t, lam)[0]
 
 
-def sweep(t, lam, v_max, data_dir=None, subset_cap=DEFAULT_SUBSET_CAP):
+def sweep(t, lam, v_max, data_dir=None):
     """Screen every catalog entry at every degree up to v_max.
 
     Degrees below t+2 carry no nontrivial parameter set and are skipped,
@@ -238,7 +239,7 @@ def sweep(t, lam, v_max, data_dir=None, subset_cap=DEFAULT_SUBSET_CAP):
     """
     verdicts = []
     for v in range(max(4, t + 2), v_max + 1):
-        verdicts += _screen(v, candidates_for_degree(v, data_dir=data_dir), t, lam, subset_cap)
+        verdicts += _screen(v, candidates_for_degree(v, data_dir=data_dir), t, lam)
     verdicts.sort(key=lambda verdict: (verdict.degree, verdict.family, verdict.entry_name))
     return verdicts
 

@@ -187,7 +187,7 @@ def cmd_group(args):
             print("# %d orbits on %d-subsets" % (len(orbits), args.m))
         return EXIT_OK
     if args.action == "homogeneity":
-        report = homogeneity(group, args.t_max, cap=args.max_subsets)
+        report = homogeneity(group, args.t_max)
         payload = {
             "name": name,
             "orbit_count_points": report.orbit_count_points,
@@ -213,11 +213,9 @@ def cmd_analyze_bt(args):
             args.group[len("catalog:"):] if args.group.startswith("catalog:") else args.group,
             data_dir=args.data_dir,
         )
-        verdicts = [blocktrans.eliminate(group_entry, args.t, args.lam, subset_cap=args.max_subsets)]
+        verdicts = [blocktrans.eliminate(group_entry, args.t, args.lam)]
     else:
-        verdicts = blocktrans.sweep(
-            args.t, args.lam, args.v_max, data_dir=args.data_dir, subset_cap=args.max_subsets
-        )
+        verdicts = blocktrans.sweep(args.t, args.lam, args.v_max, data_dir=args.data_dir)
     if args.json:
         for verdict in verdicts:
             print(json.dumps(verdict.to_json_dict(), sort_keys=True))
@@ -245,6 +243,8 @@ def cmd_analyze_bt(args):
 
 
 def cmd_km_search(args):
+    if args.limit is not None and args.limit < 1:
+        raise ValueError("--limit must be at least 1, got %d" % args.limit)
     group, name = _load_group(args.group, data_dir=args.data_dir)
     DesignParameters(args.t, group.degree, args.k, args.lam)  # before building or writing
     matrix = kramer_mesner.build_orbit_matrix(
@@ -255,7 +255,7 @@ def cmd_km_search(args):
             json.dump(matrix.to_json_dict(), handle, sort_keys=True)
             handle.write("\n")
     designs = kramer_mesner.search_design(
-        group, args.t, args.k, args.lam, limit=args.limit, matrix=matrix
+        group, args.t, args.k, args.lam, limit=args.limit, cap=args.max_subsets, matrix=matrix
     )
     if args.json:
         for design in designs:
@@ -331,7 +331,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=int, default=1)
     p.add_argument("--v-max", type=int, default=64)
     p.add_argument("--group", default=None, help="screen a single catalog entry instead")
-    common(p)
+    common(p, max_subsets=False)
     p.set_defaults(func=cmd_analyze_bt)
 
     p = sub.add_parser("km-search", help="prescribed-group design search")

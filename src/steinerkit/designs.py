@@ -21,8 +21,6 @@ from typing import Optional
 from .errors import CapacityError
 from .perms import DEFAULT_SUBSET_CAP
 
-DEFAULT_VERIFY_CAP = 10**8
-
 
 @dataclass(frozen=True)
 class DesignParameters:
@@ -144,7 +142,7 @@ class VerificationReport:
     failing_witness: Optional[tuple]
 
 
-def verify(design, cap=DEFAULT_VERIFY_CAP):
+def verify(design, cap=DEFAULT_SUBSET_CAP):
     """Exhaustively count block covers of every t-subset of the point set.
 
     Each t-subset has a counter at its lexicographic rank: C(v,t) bytes, or

@@ -290,9 +290,10 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_na
     """Full pipeline: orbit matrix, solve, expand, exhaustive re-verification.
 
     ``matrix`` is the orbit matrix of (group, t, k) if the caller has built
-    it already.  Every returned design passes the cover-count verifier at the
-    requested lambda, and the prescribing group is re-checked as an
-    automorphism group of it.
+    it already; ``cap`` bounds its build and each verification.  Every
+    returned design passes the cover-count verifier at the requested
+    lambda, and the prescribing group is re-checked as an automorphism
+    group of it.
     """
     DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
     if matrix is None:
@@ -300,7 +301,7 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_na
     designs = []
     for selection in solve(matrix, lam, limit=limit):
         design = expand_selection(group, matrix, selection, lam)
-        report = verify(design)
+        report = verify(design, cap=cap)
         if report.covered_lambda != lam:
             raise AssertionError("expanded selection failed verification (bug)")
         induced_block_images(group, design)

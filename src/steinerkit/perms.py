@@ -437,15 +437,16 @@ class PermutationGroup:
             s += 1
         return s
 
-    def is_homogeneous(self, m, cap=DEFAULT_SUBSET_CAP):
-        """Exact m-homogeneity test (single orbit on m-subsets)."""
+    def is_homogeneous(self, m):
+        """Exact m-homogeneity test: |G : G_S| = C(degree, m), S = {0..m-1}.
+
+        m- and (degree-m)-homogeneity agree, so S needs at most degree/2 points.
+        """
         total = comb(self.degree, m)
-        if total > cap:
-            raise CapacityError("t=%d subset enumeration size %d exceeds cap %d" % (m, total, cap))
         if total == 0:
             return False
-        orbit = _orbit(tuple(range(m)), [g.apply_set for g in self.generators])
-        return len(orbit) == total
+        m = min(m, self.degree - m)
+        return self.order == total * self.stabilizer_setwise(range(m)).order
 
 
 @dataclass(frozen=True)
@@ -459,19 +460,18 @@ class ActionReport:
     tested_t_max: int
 
 
-def homogeneity(group, t_max, cap=DEFAULT_SUBSET_CAP):
+def homogeneity(group, t_max):
     """Exact transitivity and homogeneity degrees up to ``t_max``.
 
     Transitivity is read from one stabilizer chain.  A t-transitive group
-    is t-homogeneous, so only larger t are decided by orbit counting on
-    t-subsets, which raises CapacityError naming the offending t when the
-    enumeration would exceed ``cap``.
+    is t-homogeneous, so only larger t are decided, each by the index of
+    a setwise stabilizer.
     """
     t_max = min(t_max, group.degree)
     orbits = group.point_orbits()
     trans_degree = group._transitivity_up_to(t_max)
     homog_degree = trans_degree
-    while homog_degree < t_max and group.is_homogeneous(homog_degree + 1, cap=cap):
+    while homog_degree < t_max and group.is_homogeneous(homog_degree + 1):
         homog_degree += 1
     return ActionReport(
         orbit_count_points=len(orbits),

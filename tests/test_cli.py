@@ -182,6 +182,35 @@ def test_km_search_rejects_t_0_before_writing_the_matrix(capsys, tmp_path):
     assert code == 2 and out == "" and not dump.exists()
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_km_search_rejects_a_limit_below_1_before_writing_the_matrix(capsys, tmp_path, limit):
+    # PSL(2,7) has 2 designs 3-(8,4,1); a limit of 0 must not report none
+    dump = tmp_path / "matrix.json"
+    argv = ["km-search", "--group", "catalog:PSL(2,7)", "--t", "3", "--k", "4",
+            "--limit", limit, "--dump-matrix", str(dump)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and not dump.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_km_search_verifies_under_its_max_subsets(capsys, monkeypatch):
+    from steinerkit import kramer_mesner
+
+    caps = []
+    verify = kramer_mesner.verify
+
+    def recording_verify(design, cap=None):
+        caps.append(cap)
+        return verify(design, cap=cap)
+
+    monkeypatch.setattr(kramer_mesner, "verify", recording_verify)
+    argv = ["km-search", "--group", "catalog:PSL(2,7)", "--t", "3", "--k", "4",
+            "--max-subsets", str(2 * 10**8)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.endswith("# 2 design(s) found\n")
+    assert caps == [2 * 10**8] * 2
+
+
 # sha256 of the PSL(2,11) 5-(12,6,1) orbit matrix dump, as written by the
 # full-partition builder that the row-stabilizer builder replaced
 PSL211_MATRIX_SHA256 = "bc3d067e2331c9cb224874957ddb6e9a7fdf127ff1524d1cdea40e3496f3efd4"
@@ -293,6 +322,10 @@ def test_design_json_booleans_exit_2(capsys, tmp_path, field):
     [
         (6, "5f2edfa62ce301a47779f17903d9e935220e75a3f060901c48322970efecb4f7"),
         (7, "c025d2293d6da610c88e8d28f221f572c18a260c8855cc16384cbab8ee4e9be4"),
+        # the 4-homogeneity of PGammaL(2,128), C(129,4) = 11,009,376 4-subsets,
+        # is decided by a setwise-stabilizer index; its k = 9 reason reads
+        # insufficient-homogeneity
+        (8, "2811fc8635899fc03c7bfa536c994f92b1af37b3a07fc5ccefd9587087881ad4"),
     ],
 )
 def test_analyze_bt_sweep_json_is_pinned(capsys, t, digest):
@@ -314,6 +347,7 @@ def test_analyze_bt_sweep_json_is_pinned(capsys, t, digest):
         ["derive", "-", "0", "--data-dir", "x"],
         ["construct", "boolean", "3", "--json"],
         ["construct", "boolean", "3", "--data-dir", "x"],
+        ["analyze-bt", "--t", "6", "--v-max", "20", "--max-subsets", "5"],
     ],
 )
 def test_options_a_subcommand_never_reads_exit_2(capsys, argv):
@@ -324,6 +358,8 @@ def test_options_a_subcommand_never_reads_exit_2(capsys, argv):
 
 def test_caps_line_shows_the_default_without_the_option(capsys):
     _, out, _ = run_cli(capsys, ["scan", "6", "1", "--v-max", "40"])
+    assert out.startswith("# caps: max_subsets=10000000\n")
+    _, out, _ = run_cli(capsys, ["analyze-bt", "--t", "6", "--v-max", "20"])
     assert out.startswith("# caps: max_subsets=10000000\n")
     _, out, _ = run_cli(capsys, ["admissible", "6", "14", "7", "1", "--json"])
     assert json.loads(out)["caps"] == {"max_subsets": 10000000}
@@ -397,3 +433,12 @@ def test_homogeneity_reads_transitive_degrees_without_subset_enumeration(capsys)
     assert code == 0
     payload = json.loads(out)
     assert (payload["transitivity_degree"], payload["homogeneity_degree"]) == (5, 5)
+
+
+def test_homogeneity_ignores_the_subset_cap(capsys):
+    # C(294,3) = 4,192,244 3-subsets; the index answers under any cap
+    code, out, _ = run_cli(capsys, ["group", "homogeneity", "catalog:PSL(2,293)", "--t-max", "3",
+                                    "--max-subsets", "10", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["transitivity_degree"], payload["homogeneity_degree"]) == (2, 2)

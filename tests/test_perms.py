@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 from math import comb, perm
 
@@ -300,8 +301,49 @@ def test_tuple_transitivity_matches_bfs_random(data):
 
 def _homogeneous_bfs(group, t):
     """Reference t-homogeneity: one orbit on all t-subsets."""
-    seed = tuple(range(t))
-    return len(_orbit_of(group, seed, Permutation.apply_set)) == comb(group.degree, t)
+    total = comb(group.degree, t)
+    return total > 0 and len(_orbit_of(group, tuple(range(t)), Permutation.apply_set)) == total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_is_homogeneous_matches_bfs_random(data):
+    # covers m > degree/2 (the complement step), m = degree and m > degree
+    degree = data.draw(st.integers(1, 8))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    for m in range(degree + 2):
+        assert group.is_homogeneous(m) == _homogeneous_bfs(group, m), m
+
+
+def test_is_homogeneous_matches_bfs_on_catalog():
+    # A_v and S_v are left to the random groups above and the test below:
+    # their G_(S) is large, and the setwise backtrack rebuilds a chain that
+    # size for each generator it finds
+    from steinerkit.catalog import candidates_for_degree
+
+    checked = 0
+    for v in range(4, 25):
+        for entry in candidates_for_degree(v):
+            if entry.constructible and not entry.k_homogeneous_all:
+                group = entry.group()
+                for m in range(1, 5):
+                    assert group.is_homogeneous(m) == _homogeneous_bfs(group, m), (entry.name, m)
+                checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("v", [12, 16])
+def test_homogeneity_near_the_degree_reads_the_complement(v):
+    # A_v is (v-2)-transitive; (v-1)-homogeneity must be decided through the
+    # stabilizer of one point, not of v-1 points (about (v-1)!/2 leaves)
+    from steinerkit.catalog import catalog_entry_by_name
+
+    group = catalog_entry_by_name("A_%d" % v).group()
+    started = time.perf_counter()
+    report = homogeneity(group, v - 1)
+    assert time.perf_counter() - started < 1.0
+    assert (report.transitivity_degree, report.homogeneity_degree) == (v - 2, v - 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,8 +397,9 @@ def test_capacity_errors():
     group = PermutationGroup([parse_cycles("(0 1 2 3 4 5 6 7 8 9)", 10)])
     with pytest.raises(CapacityError):
         group.subset_orbits(5, cap=10)
-    with pytest.raises(CapacityError):
-        homogeneity(group, 5, cap=10)
+    # homogeneity enumerates no subsets, so it takes no cap
+    report = homogeneity(group, 5)
+    assert (report.transitivity_degree, report.homogeneity_degree) == (1, 1)
 
 
 def test_induced_block_action_fano():

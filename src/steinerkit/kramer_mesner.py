@@ -211,78 +211,102 @@ class Selection:
 
 
 def solve(matrix, lam, limit=None):
-    """All column selections with every row sum equal to lambda.
+    """All column selections with every row sum equal to lambda, at most
+    ``limit`` of them if given.
 
-    Deterministic depth-first search: branch on the unsatisfied row with the
-    fewest usable columns (ties to the lowest row index), try its columns in
-    ascending index order.  Each solution is reached exactly once: picking
-    column j for the branching row bars the smaller-indexed columns covering
-    that row from the subtree, so a solution's columns on any row are always
-    chosen in increasing order.
+    Deterministic depth-first search on an explicit stack: branch on the
+    unsatisfied row with the fewest usable columns (ties to the lowest row
+    index), try its columns in ascending index order.  Each solution is
+    reached exactly once: picking column j for the branching row bars the
+    smaller-indexed columns covering that row from the subtree, so a
+    solution's columns on any row are always chosen in increasing order.
+
+    Column sets are int bitmasks.  A node's usable mask holds the columns
+    neither chosen nor barred whose every entry fits its row's residual;
+    choosing j only lowers the residuals of the rows j touches, so the
+    child's mask is the parent's minus the barred columns, ANDed with
+    ``fits[i][residual[i]]`` for those rows alone.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    entries = matrix.entries
-    nrows = len(entries)
-    ncols = len(matrix.col_reps)
     if lam == 0:
         return [Selection(columns=(), block_count=0)]
-    solutions = []
+    entries = matrix.entries
+    nrows = len(entries)
+    rows = range(nrows)
+    ncols = len(matrix.col_reps)
+    row_cols = [sum(1 << j for j, e in enumerate(row) if e) for row in entries]
+    fits = [[sum(1 << j for j, e in enumerate(row) if e <= r) for r in range(lam + 1)]
+            for row in entries]
+    support = [[(i, entries[i][j]) for i in rows if entries[i][j]] for j in range(ncols)]
     residual = [lam] * nrows
-    cols_of_row = [[j for j in range(ncols) if entries[i][j]] for i in range(nrows)]
-
-    def usable(j, banned, chosen):
-        if j in banned or j in chosen:
-            return False
-        return all(entries[i][j] <= residual[i] for i in range(nrows))
-
-    def dfs(chosen, banned):
-        if limit is not None and len(solutions) >= limit:
-            return
-        open_rows = [i for i in range(nrows) if residual[i] > 0]
-        if not open_rows:
+    usable = (1 << ncols) - 1
+    for i in rows:
+        usable &= fits[i][lam]
+    solutions = []
+    chosen = []  # the column taken at each stack frame
+    stack = []  # [usable mask, branching row's columns, its untried candidates]
+    while limit is None or len(solutions) < limit:
+        best_row, best_count = None, ncols + 1
+        for i in rows:
+            if residual[i]:
+                count = (usable & row_cols[i]).bit_count()
+                if count < best_count:
+                    best_row, best_count = i, count
+                    if not count:
+                        break
+        if best_row is None:
             solutions.append(
                 Selection(
                     columns=tuple(sorted(chosen)),
                     block_count=sum(matrix.col_sizes[j] for j in chosen),
                 )
             )
-            return
-        best_row = None
-        best_cols = None
-        for i in open_rows:
-            cols = [j for j in cols_of_row[i] if usable(j, banned, chosen)]
-            if not cols:
-                return  # dead end
-            if best_cols is None or len(cols) < len(best_cols):
-                best_row, best_cols = i, cols
-        for j in best_cols:
-            for i in range(nrows):
-                residual[i] -= entries[i][j]
-            newly_banned = {j2 for j2 in cols_of_row[best_row] if j2 < j} - banned
-            chosen.append(j)
-            dfs(chosen, banned | newly_banned)
-            chosen.pop()
-            for i in range(nrows):
-                residual[i] += entries[i][j]
-            if limit is not None and len(solutions) >= limit:
-                return
-
-    dfs([], frozenset())
+        elif best_count:
+            stack.append([usable, row_cols[best_row], usable & row_cols[best_row]])
+            chosen.append(None)
+        while stack:  # take the next untried candidate, undoing the last one
+            frame = stack[-1]
+            j = chosen.pop()
+            if j is not None:
+                for i, e in support[j]:
+                    residual[i] += e
+            untried = frame[2]
+            if untried:
+                low = untried & -untried
+                frame[2] = untried ^ low
+                j = low.bit_length() - 1
+                chosen.append(j)
+                usable = frame[0] & ~(frame[1] & ((low << 1) - 1))
+                for i, e in support[j]:
+                    left = residual[i] - e
+                    residual[i] = left
+                    usable &= fits[i][left]
+                break
+            stack.pop()
+        else:
+            break
     return solutions
 
 
-def expand_selection(group, matrix, selection, lam):
-    """Turn a column selection into an explicit verified design."""
-    maps = [g.apply_set for g in group.generators]
-    blocks = set()
+def expand_selection(group, matrix, selection, lam, orbits):
+    """Turn a column selection into an explicit design.
+
+    ``orbits`` maps column indices of ``matrix`` to their orbits; a column
+    missing from it is expanded here and added.  Distinct columns are
+    disjoint orbits, so the blocks are the chosen orbits put together.
+    """
+    blocks = []
     for j in selection.columns:
-        orbit = _orbit(matrix.col_reps[j], maps)
-        if len(orbit) != matrix.col_sizes[j]:
-            raise AssertionError("orbit size drifted for column %d" % j)
-        blocks.update(orbit)
+        orbit = orbits.get(j)
+        if orbit is None:
+            orbit = _orbit(matrix.col_reps[j], [g.apply_set for g in group.generators])
+            if len(orbit) != matrix.col_sizes[j]:
+                raise AssertionError("orbit size drifted for column %d" % j)
+            orbits[j] = orbit
+        blocks += orbit
     params = DesignParameters(matrix.t, matrix.degree, matrix.k, lam)
-    return Design(params, sorted(blocks))
+    return Design(params, blocks)
 
 
 def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_name="",
@@ -290,17 +314,19 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_na
     """Full pipeline: orbit matrix, solve, expand, exhaustive re-verification.
 
     ``matrix`` is the orbit matrix of (group, t, k) if the caller has built
-    it already; ``cap`` bounds its build and each verification.  Every
-    returned design passes the cover-count verifier at the requested
+    it already; ``cap`` bounds its build and each verification.  Each
+    column's orbit is computed once, the first time a selection uses it.
+    Every returned design passes the cover-count verifier at the requested
     lambda, and the prescribing group is re-checked as an automorphism
     group of it.
     """
     DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
     if matrix is None:
         matrix = build_orbit_matrix(group, t, k, cap=cap, group_name=group_name)
+    orbits = {}
     designs = []
     for selection in solve(matrix, lam, limit=limit):
-        design = expand_selection(group, matrix, selection, lam)
+        design = expand_selection(group, matrix, selection, lam, orbits)
         report = verify(design, cap=cap)
         if report.covered_lambda != lam:
             raise AssertionError("expanded selection failed verification (bug)")

@@ -211,6 +211,32 @@ def test_km_search_verifies_under_its_max_subsets(capsys, monkeypatch):
     assert caps == [2 * 10**8] * 2
 
 
+def test_km_search_selection_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # the trivial group on 1200 points: the one 1-(1200,1,1) design takes
+    # all 1200 columns, one solver level each
+    path = tmp_path / "trivial1200.json"
+    path.write_text('{"degree": 1200, "generators": []}')
+    code, out, _ = run_cli(capsys, ["km-search", "--group", str(path), "--t", "1", "--k", "1",
+                                    "--json"])
+    assert code == 0
+    (design,) = [design_from_json(line) for line in out.splitlines()]
+    assert design.blocks == tuple((p,) for p in range(1200))
+
+
+# sha256 of the first 20 designs 3-(20,4,1) under C_19 fixing point 19, as
+# printed by the recursive solver that the bitmask search replaced
+C19_SQS20_SHA256 = "14a3025b2501a8fc5abd214658fe029d54b90c99a80e40a1cf5cf02df311ad81"
+
+
+def test_km_search_sqs20_under_c19_is_pinned(capsys, tmp_path):
+    path = tmp_path / "c19.json"
+    path.write_text(json.dumps({"degree": 20, "generators": [list(range(1, 19)) + [0, 19]]}))
+    argv = ["km-search", "--group", str(path), "--t", "3", "--k", "4", "--limit", "20", "--json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 20
+    assert hashlib.sha256(out.encode()).hexdigest() == C19_SQS20_SHA256
+
+
 # sha256 of the PSL(2,11) 5-(12,6,1) orbit matrix dump, as written by the
 # full-partition builder that the row-stabilizer builder replaced
 PSL211_MATRIX_SHA256 = "bc3d067e2331c9cb224874957ddb6e9a7fdf127ff1524d1cdea40e3496f3efd4"

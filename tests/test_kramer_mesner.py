@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import random
 from itertools import combinations
@@ -64,6 +65,72 @@ def small_km_cases():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return [(group, t, k) for group, t, k, _ in workloads.SMALL_KM]
+
+
+def reference_solve(matrix, lam, limit=None):
+    """Oracle: the recursive solver that the bitmask search replaced, with
+    the same branching rule, so its solutions come in the same order."""
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    entries = matrix.entries
+    nrows = len(entries)
+    ncols = len(matrix.col_reps)
+    if lam == 0:
+        return [Selection(columns=(), block_count=0)]
+    solutions = []
+    residual = [lam] * nrows
+    cols_of_row = [[j for j in range(ncols) if entries[i][j]] for i in range(nrows)]
+
+    def usable(j, banned, chosen):
+        if j in banned or j in chosen:
+            return False
+        return all(entries[i][j] <= residual[i] for i in range(nrows))
+
+    def dfs(chosen, banned):
+        if limit is not None and len(solutions) >= limit:
+            return
+        open_rows = [i for i in range(nrows) if residual[i] > 0]
+        if not open_rows:
+            solutions.append(
+                Selection(
+                    columns=tuple(sorted(chosen)),
+                    block_count=sum(matrix.col_sizes[j] for j in chosen),
+                )
+            )
+            return
+        best_row = None
+        best_cols = None
+        for i in open_rows:
+            cols = [j for j in cols_of_row[i] if usable(j, banned, chosen)]
+            if not cols:
+                return  # dead end
+            if best_cols is None or len(cols) < len(best_cols):
+                best_row, best_cols = i, cols
+        for j in best_cols:
+            for i in range(nrows):
+                residual[i] -= entries[i][j]
+            newly_banned = {j2 for j2 in cols_of_row[best_row] if j2 < j} - banned
+            chosen.append(j)
+            dfs(chosen, banned | newly_banned)
+            chosen.pop()
+            for i in range(nrows):
+                residual[i] += entries[i][j]
+            if limit is not None and len(solutions) >= limit:
+                return
+
+    dfs([], frozenset())
+    return solutions
+
+
+def assert_solve_matches_reference(matrix, lam, limits=(None,)):
+    """Same selections in the same order as the oracle, and a limit cuts
+    the full list to its first ``limit`` entries."""
+    full = solve(matrix, lam)
+    for limit in limits:
+        assert solve(matrix, lam, limit) == reference_solve(matrix, lam, limit), (lam, limit)
+    for limit in (1, 2, 5):
+        assert solve(matrix, lam, limit=limit) == full[:limit], (lam, limit)
+    return full
 
 
 def brute_force_reference(matrix, lam):
@@ -157,12 +224,72 @@ def test_solver_limit():
     assert len(solve(matrix, 1, limit=1)) == 1
 
 
+@pytest.mark.parametrize("k, lam, v_max", [(3, 1, 31), (4, 1, 31), (4, 2, 20)])
+def test_solver_matches_reference_cyclic(k, lam, v_max):
+    # the reference takes 18 s on C_24 at (2, 4, 2), and more than twice as
+    # long for each further v, so lambda = 2 stops at v = 20
+    counts = {}
+    for v in range(k, v_max + 1):
+        counts[v] = len(assert_solve_matches_reference(
+            build_orbit_matrix(cyclic_group(v), 2, k), lam))
+    if k == 3:
+        known = {7: 2, 9: 0, 13: 4, 15: 4, 19: 32, 21: 32, 31: 2048}
+        assert {v: counts[v] for v in known} == known
+
+
+@pytest.mark.parametrize("group, t, k", small_km_cases())
+def test_solver_matches_reference_small_km(group, t, k):
+    group = cyclic_group(group) if isinstance(group, int) else catalog_entry_by_name(group).group()
+    matrix = build_orbit_matrix(group, t, k)
+    assert_solve_matches_reference(matrix, 1, limits=(None, 1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solver_matches_reference_random(data):
+    nrows = data.draw(st.integers(0, 6))
+    ncols = data.draw(st.integers(0, 12))
+    entries = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols),
+                                 min_size=nrows, max_size=nrows))
+    sizes = data.draw(st.lists(st.integers(1, 60), min_size=ncols, max_size=ncols))
+    matrix = OrbitMatrix(
+        group_name="",
+        degree=1,
+        t=1,
+        k=1,
+        row_reps=tuple((i,) for i in range(nrows)),
+        col_reps=tuple((j,) for j in range(ncols)),
+        col_sizes=tuple(sizes),
+        entries=tuple(map(tuple, entries)),
+    )
+    lam = data.draw(st.integers(1, 3))
+    limit = data.draw(st.one_of(st.none(), st.integers(1, 5)))
+    assert_solve_matches_reference(matrix, lam, limits=(limit,))
+
+
 def test_expand_and_verify_lambda2():
     group = cyclic_group(7)
     matrix = build_orbit_matrix(group, 2, 3, group_name="C7")
+    orbits = {}
+    used = set()
     for selection in solve(matrix, 2):
-        design = expand_selection(group, matrix, selection, 2)
+        design = expand_selection(group, matrix, selection, 2, orbits)
         assert verify(design).covered_lambda == 2
+        assert design == expand_selection(group, matrix, selection, 2, {})
+        used.update(selection.columns)
+    assert sorted(orbits) == sorted(used)
+
+
+def test_orbit_size_check_survives_the_orbit_cache():
+    group = cyclic_group(7)
+    matrix = build_orbit_matrix(group, 2, 3)
+    first, last = solve(matrix, 1)
+    j = min(set(last.columns) - set(first.columns))  # first met after the cache fills
+    sizes = list(matrix.col_sizes)
+    sizes[j] -= 1
+    bad = dataclasses.replace(matrix, col_sizes=tuple(sizes))
+    with pytest.raises(AssertionError, match="orbit size drifted for column %d" % j):
+        search_design(group, 2, 3, 1, matrix=bad)
 
 
 def test_search_design_fano():

@@ -108,16 +108,11 @@ class AdmissibilityReport:
         }
 
 
-def _integrality_outcome(params):
-    table = []
-    failing = []
-    for s in range(1, params.t + 1):
-        value = lambda_s(params, s)
-        table.append(value)
-        if value.denominator != 1:
-            failing.append((s, value))
+def _integrality_outcome(lambdas):
+    """The outcome for lambdas = [lambda_0, ..., lambda_t]; s = 0 is not tested."""
+    failing = [(s, value) for s, value in enumerate(lambdas) if s and value.denominator != 1]
     if not failing:
-        witness = {"lambda_s": table, "b": lambda_s(params, 0)}
+        witness = {"lambda_s": lambdas[1:], "b": lambdas[0]}
         return ConditionOutcome(Condition.INTEGRALITY_ALL_S, Status.PASS, witness)
     # headline the deepest failing s: lambda_{t-1} is the first counting
     # obstruction one meets walking down from s = t
@@ -159,7 +154,8 @@ def check(params):
     t, v, k, lam = params.t, params.v, params.k, params.lam
     nontrivial = params.nontrivial()
     steiner = lam == 1
-    b = lambda_s(params, 0)
+    lambdas = [lambda_s(params, s) for s in range(t + 1)]
+    b = lambdas[0]
     outcomes = []
 
     if nontrivial:
@@ -175,7 +171,7 @@ def check(params):
             )
         )
 
-    outcomes.append(_integrality_outcome(params))
+    outcomes.append(_integrality_outcome(lambdas))
 
     if nontrivial and steiner:
         rhs = _tits_min_v(t, k)
@@ -237,7 +233,7 @@ def check(params):
             ConditionOutcome(
                 Condition.FISHER_BOUND,
                 status,
-                {"b": b, "v": v, "via": "2-design reduction", "lambda_2": lambda_s(params, 2)},
+                {"b": b, "v": v, "via": "2-design reduction", "lambda_2": lambdas[2]},
             )
         )
     else:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from . import admissibility
-from .catalog import candidates_for_degree
+from .catalog import DEFAULT_DEGREE_CAP, candidates_for_degree
 from .designs import DesignParameters, lambda_s
 from .perms import PermutationGroup, check_membership, induced_block_action
 
@@ -230,16 +230,19 @@ def eliminate(entry, t, lam):
     return _screen(entry.degree, [entry], t, lam)[0]
 
 
-def sweep(t, lam, v_max, data_dir=None):
+def sweep(t, lam, v_max):
     """Screen every catalog entry at every degree up to v_max.
 
     Degrees below t+2 carry no nontrivial parameter set and are skipped,
-    so the result is empty when v_max < t+2.  Verdicts are ordered by
+    so the result is empty when v_max < t+2.  A v_max above the catalog
+    cap is refused before any degree is screened.  Verdicts are ordered by
     (degree, family, name).
     """
+    if v_max > DEFAULT_DEGREE_CAP:
+        raise ValueError("degree %d exceeds catalog cap %d" % (v_max, DEFAULT_DEGREE_CAP))
     verdicts = []
     for v in range(max(4, t + 2), v_max + 1):
-        verdicts += _screen(v, candidates_for_degree(v, data_dir=data_dir), t, lam)
+        verdicts += _screen(v, candidates_for_degree(v), t, lam)
     verdicts.sort(key=lambda verdict: (verdict.degree, verdict.family, verdict.entry_name))
     return verdicts
 

@@ -167,11 +167,7 @@ def _agl_d2_group(d):
         for j in range(d):
             if i != j:
                 gens.append(_transvection_perm(d, i, j))
-    group = PermutationGroup(gens, degree=2**d)
-    expected = agl_d2_order(d)
-    if group.order != expected:
-        raise DataIntegrityError("AGL(%d,2): chain order %d != %d" % (d, group.order, expected))
-    return group
+    return PermutationGroup(gens, degree=2**d)
 
 
 def _affine_1dim_group(q, semilinear):
@@ -182,13 +178,7 @@ def _affine_1dim_group(q, semilinear):
     ]
     if semilinear:
         gens.append(Permutation([f.frobenius(x) for x in range(q)]))
-    group = PermutationGroup(gens, degree=q)
-    expected = agammal1_order(q) if semilinear else agl1_order(q)
-    if group.order != expected:
-        raise DataIntegrityError(
-            "affine 1-dim group over GF(%d): chain order %d != %d" % (q, group.order, expected)
-        )
-    return group
+    return PermutationGroup(gens, degree=q)
 
 
 # -- alternating / symmetric ---------------------------------------------------
@@ -219,30 +209,21 @@ def symmetric_group(v):
 # -- bundled generator data ------------------------------------------------------
 
 
-def data_directory(override=None):
-    """Directory holding bundled generator files (flag > env var > package data)."""
-    if override:
-        return str(override)
+def data_directory():
+    """Directory holding bundled generator files (env var > package data)."""
     env = os.environ.get(DATA_ENV_VAR)
-    if env:
-        return env
-    return os.path.join(os.path.dirname(__file__), "data", "groups")
+    return env or os.path.join(os.path.dirname(__file__), "data", "groups")
 
 
-def _bundle_metadata(data_dir):
+def load_bundled_group(name):
+    """Load a bundled group and verify its chain order against the metadata."""
+    data_dir = data_directory()
     path = os.path.join(data_dir, "metadata.json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
+            meta = {entry["name"]: entry for entry in json.load(handle)["groups"]}
     except FileNotFoundError:
         raise DataIntegrityError("bundle metadata not found at %s" % path) from None
-    return {entry["name"]: entry for entry in meta["groups"]}
-
-
-def load_bundled_group(name, data_dir=None):
-    """Load a bundled group and verify its chain order against the metadata."""
-    data_dir = data_directory(data_dir)
-    meta = _bundle_metadata(data_dir)
     if name not in meta:
         raise DataIntegrityError("no bundled group named %r" % (name,))
     entry = meta[name]
@@ -261,16 +242,16 @@ def load_bundled_group(name, data_dir=None):
     return group
 
 
-def mathieu(v, data_dir=None):
+def mathieu(v):
     """The Mathieu group M_v in its natural degree-v action, from the bundle."""
     if v not in MATHIEU_ORDERS:
         raise ValueError("Mathieu groups exist for v in 11,12,22,23,24; got %r" % (v,))
-    return load_bundled_group("m%d" % v, data_dir=data_dir)
+    return load_bundled_group("m%d" % v)
 
 
-def mathieu_m11_degree12(data_dir=None):
+def mathieu_m11_degree12():
     """M_11 in its exceptional 3-transitive action on 12 points."""
-    return load_bundled_group("m11_deg12", data_dir=data_dir)
+    return load_bundled_group("m11_deg12")
 
 
 # -- catalog entries ---------------------------------------------------------
@@ -280,8 +261,10 @@ def mathieu_m11_degree12(data_dir=None):
 class CatalogEntry:
     """One group family member at a fixed degree.
 
-    ``order`` is exact (closed form or bundle metadata).  ``group()``
-    constructs lazily and caches; symbolic entries raise.  The
+    ``order`` is exact (closed form or bundle metadata).  An entry is
+    constructible exactly when it has a builder; ``group()`` builds lazily,
+    checks the built order against ``order`` and caches; symbolic entries
+    (above the construction caps, or M_22:2) raise.  The
     ``three_homogeneous`` annotation records the family's known
     3-homogeneity status (None = not annotated, must be tested).
     ``k_homogeneous_all`` marks families transitive on m-subsets for every
@@ -297,13 +280,16 @@ class CatalogEntry:
     three_homogeneous: bool | None = None
     k_homogeneous_all: bool = False
     notes: str = ""
-    constructible: bool = False
     _builder: object = dc_field(default=None, repr=False, compare=False)
     _group: object = dc_field(default=None, repr=False, compare=False)
 
+    @property
+    def constructible(self):
+        return self._builder is not None
+
     def group(self):
         if self._group is None:
-            if not self.constructible or self._builder is None:
+            if self._builder is None:
                 raise ValueError("catalog entry %s is symbolic (no construction)" % self.name)
             built = self._builder()
             if built.order != self.order:
@@ -340,7 +326,7 @@ def _projective_entries(v):
     if decomp is None or q <= 3:
         return []
     p, e = decomp
-    constructible = v <= PROJECTIVE_CONSTRUCT_CAP
+    buildable = v <= PROJECTIVE_CONSTRUCT_CAP
     psl_3hom = (q % 2 == 0) or (q % 4 == 3)
     psl_note = "3-homogeneous" if psl_3hom else "not 3-homogeneous (q = 1 mod 4)"
     entries = [
@@ -352,8 +338,7 @@ def _projective_entries(v):
             char=p,
             three_homogeneous=psl_3hom,
             notes=psl_note,
-            constructible=constructible,
-            _builder=lambda q=q: projective_group("PSL", q),
+            _builder=(lambda q=q: projective_group("PSL", q)) if buildable else None,
         )
     ]
     if q % 2 == 1:
@@ -366,8 +351,7 @@ def _projective_entries(v):
                 char=p,
                 three_homogeneous=True,
                 notes="sharply 3-transitive",
-                constructible=constructible,
-                _builder=lambda q=q: projective_group("PGL", q),
+                _builder=(lambda q=q: projective_group("PGL", q)) if buildable else None,
             )
         )
         if e > 1:
@@ -380,8 +364,7 @@ def _projective_entries(v):
                     char=p,
                     three_homogeneous=q % 4 == 3,
                     notes="PSL extended by the field automorphisms",
-                    constructible=constructible,
-                    _builder=lambda q=q: projective_group("PSigmaL", q),
+                    _builder=(lambda q=q: projective_group("PSigmaL", q)) if buildable else None,
                 )
             )
     if e > 1:
@@ -394,14 +377,13 @@ def _projective_entries(v):
                 char=p,
                 three_homogeneous=True,
                 notes="contains sharply 3-transitive PGL(2,%d)" % q,
-                constructible=constructible,
-                _builder=lambda q=q: projective_group("PGammaL", q),
+                _builder=(lambda q=q: projective_group("PGammaL", q)) if buildable else None,
             )
         )
     return entries
 
 
-def _affine_entries(v, data_dir=None):
+def _affine_entries(v):
     if v < 4 or v & (v - 1):
         return []
     d = v.bit_length() - 1
@@ -414,8 +396,7 @@ def _affine_entries(v, data_dir=None):
             char=2,
             three_homogeneous=True,
             notes="3-transitive (no three collinear points over GF(2))",
-            constructible=v <= AFFINE_CONSTRUCT_CAP,
-            _builder=lambda d=d: _agl_d2_group(d),
+            _builder=(lambda d=d: _agl_d2_group(d)) if v <= AFFINE_CONSTRUCT_CAP else None,
         )
     ]
     if v == 8:
@@ -428,7 +409,6 @@ def _affine_entries(v, data_dir=None):
                 char=2,
                 three_homogeneous=True,
                 notes="sharply 1-dimensional affine",
-                constructible=True,
                 _builder=lambda: _affine_1dim_group(8, semilinear=False),
             )
         )
@@ -440,7 +420,6 @@ def _affine_entries(v, data_dir=None):
                 order=agammal1_order(8),
                 char=2,
                 three_homogeneous=True,
-                constructible=True,
                 _builder=lambda: _affine_1dim_group(8, semilinear=True),
             )
         )
@@ -454,8 +433,7 @@ def _affine_entries(v, data_dir=None):
                 char=2,
                 three_homogeneous=True,
                 notes="translations extended by the exceptional A_7 < GL(4,2)",
-                constructible=True,
-                _builder=lambda data_dir=data_dir: load_bundled_group("a7_16", data_dir=data_dir),
+                _builder=lambda: load_bundled_group("a7_16"),
             )
         )
     if v == 32:
@@ -468,14 +446,13 @@ def _affine_entries(v, data_dir=None):
                 char=2,
                 three_homogeneous=True,
                 notes="sharply 3-homogeneous",
-                constructible=True,
                 _builder=lambda: _affine_1dim_group(32, semilinear=True),
             )
         )
     return entries
 
 
-def _mathieu_entries(v, data_dir=None):
+def _mathieu_entries(v):
     entries = []
     if v in MATHIEU_ORDERS:
         entries.append(
@@ -486,8 +463,7 @@ def _mathieu_entries(v, data_dir=None):
                 order=MATHIEU_ORDERS[v],
                 three_homogeneous=True,
                 notes="%d-transitive" % (5 if v in (12, 24) else 4 if v in (11, 23) else 3),
-                constructible=True,
-                _builder=lambda v=v, data_dir=data_dir: mathieu(v, data_dir=data_dir),
+                _builder=lambda v=v: mathieu(v),
             )
         )
     if v == 12:
@@ -499,8 +475,7 @@ def _mathieu_entries(v, data_dir=None):
                 order=MATHIEU_ORDERS[11],
                 three_homogeneous=True,
                 notes="M_11 in its 3-transitive action on 12 points",
-                constructible=True,
-                _builder=lambda data_dir=data_dir: mathieu_m11_degree12(data_dir=data_dir),
+                _builder=mathieu_m11_degree12,
             )
         )
     if v == 22:
@@ -512,7 +487,6 @@ def _mathieu_entries(v, data_dir=None):
                 order=2 * MATHIEU_ORDERS[22],
                 three_homogeneous=True,
                 notes="automorphism extension of M_22 (symbolic)",
-                constructible=False,
             )
         )
     return entries
@@ -530,13 +504,12 @@ def _alternating_entries(v):
             three_homogeneous=True,
             k_homogeneous_all=True,
             notes="socle entry; the S_%d overgroup is covered by the same orbit argument" % v,
-            constructible=v <= ALTERNATING_CONSTRUCT_CAP,
-            _builder=lambda v=v: alternating_group(v),
+            _builder=(lambda v=v: alternating_group(v)) if v <= ALTERNATING_CONSTRUCT_CAP else None,
         )
     ]
 
 
-def candidates_for_degree(v, data_dir=None):
+def candidates_for_degree(v):
     """All catalog family members acting on v points.
 
     Ordered affine, alternating, mathieu, projective (then by name) for
@@ -548,15 +521,15 @@ def candidates_for_degree(v, data_dir=None):
     if v > DEFAULT_DEGREE_CAP:
         raise ValueError("degree %d exceeds catalog cap %d" % (v, DEFAULT_DEGREE_CAP))
     entries = (
-        sorted(_affine_entries(v, data_dir=data_dir), key=lambda c: c.name)
+        sorted(_affine_entries(v), key=lambda c: c.name)
         + _alternating_entries(v)
-        + sorted(_mathieu_entries(v, data_dir=data_dir), key=lambda c: c.name)
+        + sorted(_mathieu_entries(v), key=lambda c: c.name)
         + sorted(_projective_entries(v), key=lambda c: c.name)
     )
     return entries
 
 
-def catalog_entry_by_name(name, data_dir=None):
+def catalog_entry_by_name(name):
     """The entry that ``candidates_for_degree`` lists under exactly ``name``.
 
     The degrees tried are n, n+1 and 2^n for every integer n written in the
@@ -571,7 +544,7 @@ def catalog_entry_by_name(name, data_dir=None):
             degrees.update((n, n + 1, 2**n))
     for v in sorted(degrees):
         if 4 <= v <= DEFAULT_DEGREE_CAP:
-            for entry in candidates_for_degree(v, data_dir=data_dir):
+            for entry in candidates_for_degree(v):
                 if entry.name == name:
                     return entry
     raise ValueError("unknown catalog entry %r" % (name,))

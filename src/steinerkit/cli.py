@@ -52,10 +52,10 @@ def _read_design(path):
         return design_from_json(handle.read())
 
 
-def _load_group(source, data_dir=None):
+def _load_group(source):
     """A group from ``catalog:NAME`` or a JSON interchange file."""
     if source.startswith("catalog:"):
-        entry = catalog_entry_by_name(source[len("catalog:"):], data_dir=data_dir)
+        entry = catalog_entry_by_name(source[len("catalog:"):])
         return entry.group(), entry.name
     with open(source, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -150,7 +150,7 @@ def cmd_construct(args):
 def cmd_group(args):
     if args.action == "homogeneity" and args.t_max < 1:
         raise ValueError("--t-max must be at least 1, got %d" % args.t_max)
-    group, name = _load_group(args.source, data_dir=args.data_dir)
+    group, name = _load_group(args.source)
     if args.action == "info":
         payload = {
             "name": name,
@@ -210,12 +210,12 @@ def cmd_group(args):
 def cmd_analyze_bt(args):
     if args.group:
         group_entry = catalog_entry_by_name(
-            args.group[len("catalog:"):] if args.group.startswith("catalog:") else args.group,
-            data_dir=args.data_dir,
+            args.group[len("catalog:"):] if args.group.startswith("catalog:") else args.group
         )
         verdicts = [blocktrans.eliminate(group_entry, args.t, args.lam)]
     else:
-        verdicts = blocktrans.sweep(args.t, args.lam, args.v_max, data_dir=args.data_dir)
+        v_max = 64 if args.v_max is None else args.v_max
+        verdicts = blocktrans.sweep(args.t, args.lam, v_max)
     if args.json:
         for verdict in verdicts:
             print(json.dumps(verdict.to_json_dict(), sort_keys=True))
@@ -245,7 +245,7 @@ def cmd_analyze_bt(args):
 def cmd_km_search(args):
     if args.limit is not None and args.limit < 1:
         raise ValueError("--limit must be at least 1, got %d" % args.limit)
-    group, name = _load_group(args.group, data_dir=args.data_dir)
+    group, name = _load_group(args.group)
     DesignParameters(args.t, group.degree, args.k, args.lam)  # before building or writing
     matrix = kramer_mesner.build_orbit_matrix(
         group, args.t, args.k, cap=args.max_subsets, group_name=name
@@ -276,21 +276,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json=True, max_subsets=True, data_dir=True):
+    def common(p, json=True, max_subsets=True):
         if json:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         if max_subsets:
             p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_CAP,
                            help="cap on exact enumerations (default %(default)s)")
-        if data_dir:
-            p.add_argument("--data-dir", help="override the bundled generator data directory")
 
     p = sub.add_parser("admissible", help="evaluate the necessary conditions on (t, v, k, lambda)")
     p.add_argument("t", type=int)
     p.add_argument("v", type=int)
     p.add_argument("k", type=int)
     p.add_argument("lam", type=int, metavar="lambda")
-    common(p, max_subsets=False, data_dir=False)
+    common(p, max_subsets=False)
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("scan", help="list admissible nontrivial parameter sets up to v-max")
@@ -299,12 +297,12 @@ def build_parser():
     p.add_argument("--v-max", type=int, required=True)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    common(p, max_subsets=False, data_dir=False)
+    common(p, max_subsets=False)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="exhaustively verify a design file ('-' for stdin)")
     p.add_argument("design")
-    common(p, data_dir=False)
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("derive", help="derived design at a point, written to stdout")
@@ -315,7 +313,7 @@ def build_parser():
     p = sub.add_parser("construct", help="build a named design family member")
     p.add_argument("kind", choices=["boolean"])
     p.add_argument("n", type=int)
-    common(p, json=False, data_dir=False)
+    common(p, json=False)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("group", help="inspect a permutation group (file or catalog:NAME)")
@@ -329,8 +327,11 @@ def build_parser():
     p = sub.add_parser("analyze-bt", help="block-transitivity arithmetic screen")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=1)
-    p.add_argument("--v-max", type=int, default=64)
-    p.add_argument("--group", default=None, help="screen a single catalog entry instead")
+    scope = p.add_mutually_exclusive_group()
+    # no default here: argparse lets an explicit value equal to the default
+    # (a cached small int) pass alongside --group
+    scope.add_argument("--v-max", type=int, help="sweep every degree up to this (default 64)")
+    scope.add_argument("--group", default=None, help="screen a single catalog entry instead")
     common(p, max_subsets=False)
     p.set_defaults(func=cmd_analyze_bt)
 

@@ -261,8 +261,8 @@ def design_to_json_dict(design):
     }
 
 
-def design_to_json(design, indent=None):
-    return json.dumps(design_to_json_dict(design), indent=indent)
+def design_to_json(design):
+    return json.dumps(design_to_json_dict(design))
 
 
 def design_from_json_dict(data):

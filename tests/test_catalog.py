@@ -130,7 +130,7 @@ def test_affine_a7_bundle():
     assert group.stabilizer_point(0).order == 2520
 
 
-def test_bundle_integrity_check(tmp_path):
+def test_bundle_integrity_check(tmp_path, monkeypatch):
     import steinerkit.catalog as catalog_module
 
     source = catalog_module.data_directory()
@@ -142,10 +142,11 @@ def test_bundle_integrity_check(tmp_path):
     meta["groups"][0]["expected_order"] = 7921  # corrupt the recorded order
     with open(tmp_path / "metadata.json", "w", encoding="utf-8") as handle:
         json.dump(meta, handle)
+    monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
     with pytest.raises(DataIntegrityError):
-        load_bundled_group("m11", data_dir=str(tmp_path))
+        load_bundled_group("m11")
     with pytest.raises(DataIntegrityError):
-        load_bundled_group("m24", data_dir=str(tmp_path))
+        load_bundled_group("m24")
 
 
 def test_data_dir_env_var_respected(tmp_path, monkeypatch):
@@ -212,6 +213,18 @@ def test_symbolic_entries_have_orders():
     assert agl7[0].order == agl_d2_order(7)
     with pytest.raises(ValueError):
         agl7[0].group()
+    # the entries on either side of each construction cap: an entry is
+    # constructible exactly when it has a builder, and a symbolic one refuses
+    at_the_caps = {
+        "PSL(2,293)": True, "PGL(2,293)": True, "PSL(2,307)": False, "PGL(2,307)": False,
+        "AGL(6,2)": True, "AGL(7,2)": False, "A_16": True, "A_17": False, "M_22:2": False,
+    }
+    for name, constructible in at_the_caps.items():
+        entry = catalog_entry_by_name(name)
+        assert entry.constructible == (entry._builder is not None) == constructible, name
+        if not constructible:
+            with pytest.raises(ValueError, match="symbolic"):
+                entry.group()
 
 
 def test_known_homogeneity_annotations():

@@ -374,6 +374,9 @@ def test_analyze_bt_sweep_json_is_pinned(capsys, t, digest):
         ["construct", "boolean", "3", "--json"],
         ["construct", "boolean", "3", "--data-dir", "x"],
         ["analyze-bt", "--t", "6", "--v-max", "20", "--max-subsets", "5"],
+        ["group", "info", "catalog:PSL(2,7)", "--data-dir", "x"],
+        ["analyze-bt", "--t", "6", "--v-max", "20", "--data-dir", "x"],
+        ["km-search", "--group", "catalog:PSL(2,7)", "--t", "2", "--k", "3", "--data-dir", "x"],
     ],
 )
 def test_options_a_subcommand_never_reads_exit_2(capsys, argv):
@@ -468,3 +471,66 @@ def test_homogeneity_ignores_the_subset_cap(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["transitivity_degree"], payload["homogeneity_degree"]) == (2, 2)
+
+
+def test_long_options_of_each_subcommand():
+    import argparse
+
+    from steinerkit.cli import build_parser
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    inventory = {
+        name: sorted(
+            option for action in parser._actions for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        )
+        for name, parser in subparsers.choices.items()
+    }
+    assert inventory == {
+        "admissible": ["--json"],
+        "scan": ["--json", "--k-max", "--k-min", "--v-max"],
+        "verify": ["--json", "--max-subsets"],
+        "derive": [],
+        "construct": ["--max-subsets"],
+        "group": ["--json", "--m", "--max-subsets", "--t-max"],
+        "analyze-bt": ["--group", "--json", "--lambda", "--t", "--v-max"],
+        "km-search": ["--dump-matrix", "--group", "--json", "--k", "--lambda", "--limit",
+                      "--max-subsets", "--t"],
+    }
+    assert sum(map(len, inventory.values())) == 25
+
+
+def test_analyze_bt_refuses_v_max_above_the_cap_before_sweeping(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, ["analyze-bt", "--t", "6", "--v-max", "4097", "--json"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: degree 4097 exceeds catalog cap 4096\n"
+
+
+@pytest.mark.parametrize("v_max", ["64", "20"])  # 64 is the sweep's default
+def test_analyze_bt_group_with_v_max_exits_2(capsys, v_max):
+    with pytest.raises(SystemExit) as info:
+        main(["analyze-bt", "--t", "6", "--group", "catalog:M_24", "--v-max", v_max])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
+    import shutil
+
+    from steinerkit.catalog import data_directory
+
+    shutil.copy(f"{data_directory()}/m11.json", tmp_path / "m11.json")
+    with open(f"{data_directory()}/metadata.json", "r", encoding="utf-8") as handle:
+        meta = json.load(handle)
+    meta["groups"] = [g for g in meta["groups"] if g["name"] == "m11"]
+    meta["groups"][0]["expected_order"] = 7921
+    (tmp_path / "metadata.json").write_text(json.dumps(meta))
+    monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
+    code, out, err = run_cli(capsys, ["group", "info", "catalog:M_11"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "corrupt bundle" in err

@@ -12,7 +12,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
 from operator import add, itemgetter, lt, ne
@@ -142,33 +142,30 @@ class VerificationReport:
     failing_witness: Optional[tuple]
 
 
-def verify(design, cap=DEFAULT_SUBSET_CAP):
-    """Exhaustively count block covers of every t-subset of the point set.
+@lru_cache(maxsize=8)
+def _rank_tables(v, t):
+    """lexrank(s_0 < ... < s_{t-1}) = C(v,t) - 1 - sum_i C(v-1-s_i, t-i) as
+    one term table per position i, the constant folded into the first."""
+    tables = [[-comb(v - 1 - s, t - i) for s in range(v)] for i in range(t)]
+    tables[0] = [comb(v, t) - 1 + term for term in tables[0]]
+    return tables  # lists: list.__getitem__ is the faster bound method
 
-    Each t-subset has a counter at its lexicographic rank: C(v,t) bytes, or
-    four bytes each when a t-subset can lie in 256 or more blocks.  The
-    ranks of every block's C(k,t) sub-subsets (lambda*C(v,t) increments for
-    a valid design) are summed from one table per position; the first rank
-    whose count differs from lambda is the lexicographically least witness.
-    Refuses (CapacityError) when C(v,t) exceeds ``cap``.
+
+def cover_counts(blocks, t, v, k, width, cap=DEFAULT_SUBSET_CAP):
+    """How many of ``blocks`` (k-subsets of [0, v)) contain each t-subset.
+
+    Each t-subset has a counter of ``width`` bytes (1 or 4) at its
+    lexicographic rank.  The ranks of every block's C(k,t) sub-subsets are
+    summed from one table per position.  Refuses (CapacityError) when the
+    C(v,t) counters exceed ``cap``.
     """
-    params = design.params
-    t, v, k = params.t, params.v, params.k
     total = comb(v, t)
     if total > cap:
         raise CapacityError(
-            "verify would cover C(%d,%d)=%d t-subsets, above the cap %d" % (v, t, total, cap)
+            "cover counts of C(%d,%d)=%d t-subsets are above the cap %d" % (v, t, total, cap)
         )
-    blocks = design.blocks
-    # no t-subset lies in more than min(b, C(v-t, k-t)) blocks
-    if min(len(blocks), comb(v - t, k - t)) < 256:
-        counts = bytearray(total)
-    else:
-        counts = array("I", [0]) * total
-    # lexrank(s_0 < ... < s_{t-1}) = C(v,t) - 1 - sum_i C(v-1-s_i, t-i),
-    # with the constant folded into the first position's table
-    tables = [[-comb(v - 1 - s, t - i) for s in range(v)] for i in range(t)]
-    tables[0] = [total - 1 + term for term in tables[0]]
+    counts = bytearray(total) if width == 1 else array("I", [0]) * total
+    tables = _rank_tables(v, t)
     for positions in combinations(range(k), t):
         terms = [
             map(table.__getitem__, map(itemgetter(j), blocks))
@@ -176,8 +173,22 @@ def verify(design, cap=DEFAULT_SUBSET_CAP):
         ]
         for rank in reduce(partial(map, add), terms):
             counts[rank] += 1
+    return counts
+
+
+def verify(design, cap=DEFAULT_SUBSET_CAP):
+    """Exhaustively count block covers of every t-subset of the point set.
+
+    The counts come from ``cover_counts`` (CapacityError past ``cap``), one
+    byte each unless a t-subset can lie in 256 or more blocks; the first
+    rank whose count differs from lambda is the least witness in lex order.
+    """
+    params = design.params
+    t, v, k = params.t, params.v, params.k
+    width = 1 if min(design.b, comb(v - t, k - t)) < 256 else 4
+    counts = cover_counts(design.blocks, t, v, k, width, cap)
     common = counts[0]
-    if counts.count(common) == total:
+    if counts.count(common) == len(counts):
         witness = None if common == params.lam else (tuple(range(t)), common)
         return VerificationReport(common, witness)
     rank = next(compress(count(), map(params.lam.__ne__, counts)))

@@ -6,23 +6,25 @@ containing the row representative, which is independent of the chosen
 representative.  A design with the prescribed group is a column selection
 whose row sums all equal lambda; the solver enumerates those selections by
 deterministic backtracking and the results are expanded to explicit block
-sets and re-verified exhaustively.
+sets.  Each used column's orbit is proved closed under the group and its
+covers of every t-subset are counted once; a design is proved by summing
+its columns' counts.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .designs import Design, DesignParameters, verify
+from .designs import Design, DesignParameters, cover_counts
 from .errors import CapacityError
 from .perms import (
     DEFAULT_SUBSET_CAP,
     Permutation,
     PermutationGroup,
     _orbit,
-    induced_block_images,
 )
 
 
@@ -225,24 +227,28 @@ def solve(matrix, lam, limit=None):
     neither chosen nor barred whose every entry fits its row's residual;
     choosing j only lowers the residuals of the rows j touches, so the
     child's mask is the parent's minus the barred columns, ANDed with
-    ``fits[i][residual[i]]`` for those rows alone.
+    ``fits[i][residual[i]]`` for those rows alone; ``fits[i]`` stops at
+    lambda or at row i's largest entry, which every column fits.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0:
         return [Selection(columns=(), block_count=0)]
     entries = matrix.entries
+    if any(sum(row) < lam for row in entries):
+        return []  # no choice of columns lifts that row to lambda
     nrows = len(entries)
     rows = range(nrows)
     ncols = len(matrix.col_reps)
     row_cols = [sum(1 << j for j, e in enumerate(row) if e) for row in entries]
-    fits = [[sum(1 << j for j, e in enumerate(row) if e <= r) for r in range(lam + 1)]
-            for row in entries]
+    top = [min(max(row), lam) for row in entries]
+    fits = [[sum(1 << j for j, e in enumerate(row) if e <= r) for r in range(top[i] + 1)]
+            for i, row in enumerate(entries)]
     support = [[(i, entries[i][j]) for i in rows if entries[i][j]] for j in range(ncols)]
     residual = [lam] * nrows
     usable = (1 << ncols) - 1
     for i in rows:
-        usable &= fits[i][lam]
+        usable &= fits[i][-1]
     solutions = []
     chosen = []  # the column taken at each stack frame
     stack = []  # [usable mask, branching row's columns, its untried candidates]
@@ -281,7 +287,8 @@ def solve(matrix, lam, limit=None):
                 for i, e in support[j]:
                     left = residual[i] - e
                     residual[i] = left
-                    usable &= fits[i][left]
+                    if left < top[i]:  # else every column fits row i
+                        usable &= fits[i][left]
                 break
             stack.pop()
         else:
@@ -311,45 +318,41 @@ def expand_selection(group, matrix, selection, lam, orbits):
 
 def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_name="",
                   matrix=None):
-    """Full pipeline: orbit matrix, solve, expand, exhaustive re-verification.
+    """Full pipeline: orbit matrix, solve, expand, and an exhaustive proof.
 
     ``matrix`` is the orbit matrix of (group, t, k) if the caller has built
-    it already; ``cap`` bounds its build and each verification.  Each
-    column's orbit is computed once, the first time a selection uses it.
-    Every returned design passes the cover-count verifier at the requested
-    lambda, and the prescribing group is re-checked as an automorphism
-    group of it.
+    it already; its entries are not trusted.  The first time a selection uses
+    a column, its orbit K_j is checked closed under every generator and
+    its covers of each t-subset are counted (CapacityError when the C(v,t)
+    counters exceed ``cap``) into one int, a fixed-width field per
+    t-subset.  A design's columns' ints must sum to lambda in every field:
+    distinct columns are disjoint orbits (``Design`` refuses duplicate
+    blocks), and no t-subset lies in more than C(v-t,k-t) k-subsets, so no
+    field carries.  So every returned design covers each t-subset exactly
+    lambda times, and its automorphism group contains the group.
     """
     DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
     if matrix is None:
         matrix = build_orbit_matrix(group, t, k, cap=cap, group_name=group_name)
+    t, v, k = matrix.t, matrix.degree, matrix.k  # the parameters of every design
+    width = 1 if max(lam, comb(v - t, k - t)) < 256 else 4  # bytes per field
     orbits = {}
+    covers = {}  # column -> its cover counts, one fixed-width field per t-subset
+    target = None  # built at the first design
     designs = []
     for selection in solve(matrix, lam, limit=limit):
         design = expand_selection(group, matrix, selection, lam, orbits)
-        report = verify(design, cap=cap)
-        if report.covered_lambda != lam:
-            raise AssertionError("expanded selection failed verification (bug)")
-        induced_block_images(group, design)
+        for j in selection.columns:
+            if j not in covers:
+                orbit = orbits[j]
+                members = set(orbit)
+                if not all(members.issuperset(map(g.apply_set, orbit)) for g in group.generators):
+                    raise AssertionError("column %d is not closed under the group (bug)" % j)
+                covers[j] = int.from_bytes(cover_counts(orbit, t, v, k, width, cap), sys.byteorder)
+        if target is None:  # lambda in every field
+            target = lam * int.from_bytes((b"\1" + bytes(width - 1)) * comb(v, t), "little")
+        if sum(map(covers.__getitem__, selection.columns)) != target:
+            raise AssertionError("selection %r does not cover every %d-subset %d times (bug)"
+                                 % (selection.columns, t, lam))
         designs.append(design)
     return designs
-
-
-def solve_brute_force(matrix, lam):
-    """Reference solver: test all 2^cols column subsets (tiny matrices only)."""
-    ncols = len(matrix.col_reps)
-    if ncols > 20:
-        raise ValueError("brute force reference is for small matrices")
-    out = []
-    for mask in range(1 << ncols):
-        cols = [j for j in range(ncols) if (mask >> j) & 1]
-        if all(
-            sum(matrix.entries[i][j] for j in cols) == lam for i in range(len(matrix.entries))
-        ):
-            out.append(
-                Selection(
-                    columns=tuple(cols),
-                    block_count=sum(matrix.col_sizes[j] for j in cols),
-                )
-            )
-    return out

@@ -197,18 +197,28 @@ def test_km_search_verifies_under_its_max_subsets(capsys, monkeypatch):
     from steinerkit import kramer_mesner
 
     caps = []
-    verify = kramer_mesner.verify
+    cover_counts = kramer_mesner.cover_counts
 
-    def recording_verify(design, cap=None):
+    def recording_cover_counts(blocks, t, v, k, width, cap=None):
         caps.append(cap)
-        return verify(design, cap=cap)
+        return cover_counts(blocks, t, v, k, width, cap=cap)
 
-    monkeypatch.setattr(kramer_mesner, "verify", recording_verify)
+    monkeypatch.setattr(kramer_mesner, "cover_counts", recording_cover_counts)
     argv = ["km-search", "--group", "catalog:PSL(2,7)", "--t", "3", "--k", "4",
             "--max-subsets", str(2 * 10**8)]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0 and out.endswith("# 2 design(s) found\n")
-    assert caps == [2 * 10**8] * 2
+    assert caps == [2 * 10**8] * 2  # one column per design, each certified once
+
+
+@pytest.mark.parametrize("lam", ["300", "5000000000"])
+def test_km_search_lambda_above_every_row_sum_finds_nothing_at_once(capsys, lam):
+    # each row of PSL(2,7) at (2, 3) sums to C(6, 1) = 6 < lambda
+    argv = ["km-search", "--group", "catalog:PSL(2,7)", "--t", "2", "--k", "3", "--lambda", lam]
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and out.endswith("# 0 design(s) found\n")
 
 
 def test_km_search_selection_deeper_than_the_recursion_limit(capsys, tmp_path):

@@ -16,10 +16,15 @@ from steinerkit.kramer_mesner import (
     build_orbit_matrix,
     expand_selection,
     solve,
-    solve_brute_force,
     search_design,
 )
-from steinerkit.perms import Permutation, PermutationGroup, induced_block_action
+from steinerkit.errors import CapacityError
+from steinerkit.perms import (
+    Permutation,
+    PermutationGroup,
+    induced_block_action,
+    induced_block_images,
+)
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -131,6 +136,26 @@ def assert_solve_matches_reference(matrix, lam, limits=(None,)):
     for limit in (1, 2, 5):
         assert solve(matrix, lam, limit=limit) == full[:limit], (lam, limit)
     return full
+
+
+def solve_brute_force(matrix, lam):
+    """Reference solver: test all 2^cols column subsets (tiny matrices only)."""
+    ncols = len(matrix.col_reps)
+    if ncols > 20:
+        raise ValueError("brute force reference is for small matrices")
+    out = []
+    for mask in range(1 << ncols):
+        cols = [j for j in range(ncols) if (mask >> j) & 1]
+        if all(
+            sum(matrix.entries[i][j] for j in cols) == lam for i in range(len(matrix.entries))
+        ):
+            out.append(
+                Selection(
+                    columns=tuple(cols),
+                    block_count=sum(matrix.col_sizes[j] for j in cols),
+                )
+            )
+    return out
 
 
 def brute_force_reference(matrix, lam):
@@ -290,6 +315,73 @@ def test_orbit_size_check_survives_the_orbit_cache():
     bad = dataclasses.replace(matrix, col_sizes=tuple(sizes))
     with pytest.raises(AssertionError, match="orbit size drifted for column %d" % j):
         search_design(group, 2, 3, 1, matrix=bad)
+
+
+def assert_designs_pass_oracles(group, designs, lam):
+    """The per-design checks the column certificate replaces, as oracles."""
+    for design in designs:
+        assert verify(design).covered_lambda == lam
+        induced_block_images(group, design)  # raises unless the group acts
+
+
+@pytest.mark.parametrize("group, t, k", small_km_cases())
+def test_search_design_small_km_designs_pass_oracles(group, t, k):
+    group = cyclic_group(group) if isinstance(group, int) else catalog_entry_by_name(group).group()
+    designs = search_design(group, t, k, 1)
+    assert_designs_pass_oracles(group, designs, 1)
+
+
+def test_search_design_all_sts31_under_c31_pass_oracles():
+    group = cyclic_group(31)
+    designs = search_design(group, 2, 3, 1)
+    assert len(designs) == len(set(designs)) == 2048
+    assert_designs_pass_oracles(group, designs, 1)
+
+
+def test_search_design_lambda2_designs_pass_oracles():
+    for group, t, k in ((cyclic_group(7), 2, 3), (cyclic_group(13), 2, 3),
+                        (projective_group("PSL", 7), 3, 4)):
+        designs = search_design(group, t, k, 2)
+        assert designs
+        assert_designs_pass_oracles(group, designs, 2)
+
+
+def test_search_design_refuses_a_tampered_matrix():
+    # under C_7 the column of {0,1,2} reads (2,1,0) on the rows of the
+    # differences 1, 2, 3; claiming (1,1,1) makes it a solution on its own
+    group = cyclic_group(7)
+    matrix = build_orbit_matrix(group, 2, 3)
+    j = matrix.col_reps.index((0, 1, 2))
+    assert [row[j] for row in matrix.entries] == [2, 1, 0]
+    entries = [list(row) for row in matrix.entries]
+    for row in entries:
+        row[j] = 1
+    bad = dataclasses.replace(matrix, entries=tuple(map(tuple, entries)))
+    assert Selection(columns=(j,), block_count=7) in solve(bad, 1)
+    with pytest.raises(AssertionError, match="does not cover every 2-subset 1 times"):
+        search_design(group, 2, 3, 1, matrix=bad)
+
+
+def test_search_design_refuses_an_orbit_not_closed_under_the_group(monkeypatch):
+    from steinerkit import kramer_mesner
+
+    orbit = kramer_mesner._orbit
+
+    def one_block_swapped(seed, maps, parent=None):
+        members = orbit(seed, maps, parent)
+        return members[:-1] + [(0, 1, 2)] if (0, 1, 2) not in members else members
+
+    monkeypatch.setattr(kramer_mesner, "_orbit", one_block_swapped)
+    with pytest.raises(AssertionError, match="not closed under the group"):
+        search_design(cyclic_group(7), 2, 3, 1)
+
+
+def test_search_design_cap_binds_a_passed_matrix():
+    group = cyclic_group(7)
+    matrix = build_orbit_matrix(group, 2, 3)
+    assert search_design(group, 2, 3, 1, cap=21, matrix=matrix)
+    with pytest.raises(CapacityError):  # C(7, 2) = 21 counters
+        search_design(group, 2, 3, 1, cap=20, matrix=matrix)
 
 
 def test_search_design_fano():

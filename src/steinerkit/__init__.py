@@ -14,12 +14,9 @@ from .admissibility import (
     scan,
 )
 from .blocktrans import (
-    BtEquationResult,
     EliminationVerdict,
     ImplicationResult,
-    bt_equation_check,
     eliminate,
-    subgroup_orbit_profile,
     sweep,
     verify_block_lemma,
     verify_flag_implication,
@@ -72,7 +69,6 @@ __all__ = [
     "AdmissibilityReport",
     "ActionReport",
     "BlockActionReport",
-    "BtEquationResult",
     "CapacityError",
     "CatalogEntry",
     "Condition",
@@ -92,7 +88,6 @@ __all__ = [
     "Status",
     "VerificationReport",
     "alternating_group",
-    "bt_equation_check",
     "build_orbit_matrix",
     "candidates_for_degree",
     "catalog_entry_by_name",
@@ -115,7 +110,6 @@ __all__ = [
     "scan",
     "search_design",
     "solve",
-    "subgroup_orbit_profile",
     "sweep",
     "symmetric_group",
     "verify",

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import admissibility
 from .catalog import DEFAULT_DEGREE_CAP, candidates_for_degree
 from .designs import DesignParameters, lambda_s
-from .perms import PermutationGroup, check_membership, induced_block_action
+from .perms import induced_block_action
 
 
 @dataclass(frozen=True)
@@ -101,42 +100,6 @@ class EliminationVerdict:
             "verdict": "eliminated" if self.eliminated else "survives-arithmetic-screen",
             "surviving_k": list(self.surviving_k),
         }
-
-
-@dataclass(frozen=True)
-class BtEquationResult:
-    """Exact evaluation of b = v(v-1)|G_xy| / |G_B| for given orders."""
-
-    b: Fraction
-    required_gb_order: int | None
-    consistent: bool
-    witness: dict
-
-
-def bt_equation_check(group_order, params, gxy_order):
-    """Check that the block count b fits the two-point stabilizer equation.
-
-    For a block-transitive group that is point 2-transitive (the caller
-    asserts this), b = v(v-1)|G_xy| / |G_B|, so b must be a positive
-    integer dividing v(v-1)|G_xy|; the quotient is the forced |G_B|.
-    """
-    v = params.v
-    b = lambda_s(params, 0)
-    numerator = v * (v - 1) * gxy_order
-    witness = {
-        "b": b,
-        "v(v-1)|Gxy|": numerator,
-        "group_order": group_order,
-    }
-    if b.denominator != 1 or b <= 0:
-        return BtEquationResult(b, None, False, dict(witness, reason="b is not a positive integer"))
-    b_int = int(b)
-    if numerator % b_int != 0:
-        return BtEquationResult(
-            b, None, False, dict(witness, reason="b does not divide v(v-1)|Gxy|")
-        )
-    gb = numerator // b_int
-    return BtEquationResult(b, gb, True, dict(witness, required_gb_order=gb))
 
 
 def _parameter_step(t, v, k, lam):
@@ -310,15 +273,3 @@ def verify_flag_implication(group, design):
         is_flag_transitive=action.is_flag_transitive,
         is_point_2_transitive=two_transitive,
     )
-
-
-def subgroup_orbit_profile(group, subgroup_generators):
-    """Sorted point-orbit lengths of a subgroup, with membership enforced.
-
-    Every claimed generator is sift-checked against the ambient group's
-    chain first; a non-member raises MembershipError.
-    """
-    subgroup_generators = list(subgroup_generators)
-    check_membership(group, subgroup_generators)
-    subgroup = PermutationGroup(subgroup_generators, degree=group.degree)
-    return tuple(sorted(len(orbit) for orbit in subgroup.point_orbits()))

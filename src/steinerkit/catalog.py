@@ -143,16 +143,6 @@ def projective_group(kind, q):
     return group
 
 
-def borel_generators(q):
-    """Generators of the Borel subgroup of PSL(2,q): x -> x+1 and x -> c^2*x."""
-    return [projective_translation(q), projective_scaling(q, square=True)]
-
-
-def cyclic_scaling_generators(q):
-    """Generator of the cyclic subgroup x -> c*x of PGL(2,q)."""
-    return [projective_scaling(q)]
-
-
 # -- affine constructions ------------------------------------------------------
 
 

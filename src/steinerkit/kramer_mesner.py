@@ -20,12 +20,7 @@ from math import comb
 
 from .designs import Design, DesignParameters, cover_counts
 from .errors import CapacityError
-from .perms import (
-    DEFAULT_SUBSET_CAP,
-    Permutation,
-    PermutationGroup,
-    _orbit,
-)
+from .perms import DEFAULT_SUBSET_CAP, _orbit
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,8 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
 
     Only the t-subsets are partitioned.  Each k-orbit K is found at the
     least row r whose orbit it meets: the k-supersets of R = R_r that meet
-    no earlier row are split into orbits of the row stabilizer G_R, and
+    no earlier row are split into orbits of the row stabilizer G_R (from
+    ``stabilizer_setwise``, or trivial when |orbit(R)| = |G|), and
     the G_R-orbits lying in one K are joined by a G-invariant label, the
     least G_R-orbit id that the Schreier tree paths of the superset's
     t-subsets in row r carry it to.  Their sizes sum to M[r, K].  The rest
@@ -102,12 +98,8 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
         moved = to_rep(sub, [p for p in superset if p not in sub])
         return tuple(sorted(row_reps[row_of[sub]] + tuple(moved)))
 
-    members = list(row_of)  # each row's orbit, contiguous and breadth-first
-    start = 0
     columns = []  # (representative, least row met, entry there), one per k-orbit
     for r, rep in enumerate(row_reps):
-        row_orbit = members[start:start + row_sizes[r]]
-        start += row_sizes[r]
         maps = None  # G_R, once some superset needs it
         rest = [p for p in range(v) if p not in rep]
         orbit_id = {}
@@ -123,9 +115,9 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
                 if row_of[sub] == r:
                     meets.append(sub)
             else:
-                if maps is None:
-                    stabilizer = _row_stabilizer(group, row_orbit, parent, to_rep)
-                    maps = [g.apply_set for g in stabilizer]
+                if maps is None:  # G_R is trivial when R's orbit is as large as G
+                    maps = [] if group.order == row_sizes[r] else [
+                        g.apply_set for g in group.stabilizer_setwise(rep).generators]
                 orbit = _orbit(superset, maps) if maps else (superset,)
                 for member in orbit:
                     orbit_id[member] = len(orbits)
@@ -166,44 +158,6 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
         col_sizes=tuple(col_sizes),
         entries=tuple(tuple(row) for row in entries),
     )
-
-
-def _row_stabilizer(group, orbit, parent, to_rep):
-    """Generators of the setwise stabilizer G_R of the row representative
-    R = ``orbit[0]``, whose order is |G| / |orbit|.
-
-    Schreier generators (R along the tree to a member S, on by a generator
-    g, back along the tree) are sifted in until the group they generate
-    reaches that order.  Tree edges, where the first generator taking S to
-    g(S) is the one that reached it, give the identity and are skipped.
-    """
-    order = group.order // len(orbit)
-    if order == 1:
-        return ()
-    degree = group.degree
-    found = []
-    known = PermutationGroup.trivial(degree)
-    for subset in orbit:
-        forth = None  # R -> subset, as an image list
-        reached = set()
-        for g in group.generators:
-            image = g.apply_set(subset)
-            if image not in reached and parent.get(image) == subset:
-                reached.add(image)
-                continue
-            reached.add(image)
-            if forth is None:
-                forth = [0] * degree
-                for x, y in enumerate(to_rep(subset, range(degree))):
-                    forth[y] = x
-            back = to_rep(image, g.images)  # subset -> R through g and the tree
-            schreier = Permutation([back[x] for x in forth])
-            if schreier not in known:
-                found.append(schreier)
-                known = PermutationGroup(found, degree)
-                if known.order == order:
-                    return known.generators
-    raise AssertionError("Schreier generators of row %r fell short (bug)" % (orbit[0],))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,18 @@ Permutations act on points 0..degree-1.  Composition is left-to-right:
 deterministic stabilizer chain eagerly at construction (base points chosen
 smallest-moved-point first, optionally behind a caller-supplied base prefix),
 which gives exact orders as products of transversal lengths and exact
-membership tests by sifting.
+membership tests by sifting.  One Schreier-Sims loop closes every chain: a
+first build from generators closes it fully, a rebase of a group whose
+order is already known stops once the transversal lengths multiply to that
+order (Seress, *Permutation Group Algorithms*, 2003, ch. 4), and
+``_extend`` adds one generator and re-closes only the levels it reaches.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .errors import CapacityError, MembershipError, NotAutomorphismError
 
@@ -163,10 +167,13 @@ class PermutationGroup:
     The chain is deterministic: base points come from ``base_prefix`` first,
     then smallest moved points of offending residues; transversals are built
     by breadth-first search in generator order.  ``order`` is the exact
-    product of transversal lengths.
+    product of transversal lengths.  A group built from generators alone is
+    closed fully, so its order is an independent check of any order claimed
+    for it.  Only rebases and subgroups read off a chain level pass the
+    private known ``_order``; they end with the chain a full closure builds.
     """
 
-    def __init__(self, generators, degree=None, base_prefix=()):
+    def __init__(self, generators, degree=None, base_prefix=(), _order=None):
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         if degree is None:
             if not gens:
@@ -201,11 +208,10 @@ class PermutationGroup:
                 self.base.append(mm)
                 self._level_gens.append([h for h in self._level_gens[-1] if h(mm) == mm])
         self._transversals = [None] * len(self.base)
-        self._schreier_sims()
-        order = 1
-        for trans in self._transversals:
-            order *= len(trans)
-        self.order = order
+        for level in range(len(self.base)):
+            self._orbit_transversal(level)
+        self._close_from(len(self.base) - 1, _order)
+        self.order = self._order_from(0)
 
     # -- chain construction -------------------------------------------------
 
@@ -239,18 +245,19 @@ class PermutationGroup:
             g = g * trans[image].inverse()
         return g, len(self.base)
 
-    def _schreier_sims(self):
-        if not self.base:
-            return
-        for level in range(len(self.base)):
-            self._orbit_transversal(level)
-        level = len(self.base) - 1
-        while level >= 0:
+    def _order_from(self, level):
+        """Product of the transversal lengths at ``level`` and below."""
+        return prod(len(trans) for trans in self._transversals[level:])
+
+    def _close_from(self, level, order=None):
+        """Verify the levels from ``level`` up to 0, going deeper again after
+        each new strong generator.  Given the exact ``order``, stop once the
+        transversal lengths multiply to it: the product never exceeds |G| and
+        each new strong generator grows it, so a full closure adds no more.
+        """
+        while level >= 0 and self._order_from(0) != order:
             jump = self._close_level(level)
-            if jump is None:
-                level -= 1
-            else:
-                level = jump
+            level = level - 1 if jump is None else jump
 
     def _close_level(self, level):
         """Sift all Schreier generators of ``level`` through deeper levels.
@@ -258,7 +265,6 @@ class PermutationGroup:
         Returns the level to reprocess when a new strong generator was
         installed, or None when the level verified clean.
         """
-        self._orbit_transversal(level)
         trans = self._transversals[level]
         gens = self._level_gens[level]
         for point in sorted(trans):
@@ -269,18 +275,41 @@ class PermutationGroup:
                 if schreier.is_identity():
                     continue
                 residue, dropout = self._sift_from(schreier, level + 1)
-                if residue.is_identity():
-                    continue
-                if dropout == len(self.base):
-                    new_point = residue.min_moved()
-                    self.base.append(new_point)
-                    self._level_gens.append([])
-                    self._transversals.append(None)
-                for j in range(level + 1, dropout + 1):
-                    self._level_gens[j].append(residue)
-                self._orbit_transversal(dropout)
-                return dropout
+                if not residue.is_identity():
+                    self._install(residue, level + 1, dropout)
+                    return dropout
         return None
+
+    def _install(self, residue, first, dropout):
+        """Add ``residue`` to the strong generators of levels ``first`` to
+        ``dropout`` and rebuild their transversals, so every transversal
+        stays the orbit of its level's generators."""
+        if dropout == len(self.base):
+            self.base.append(residue.min_moved())
+            self._level_gens.append([])
+            self._transversals.append(None)
+        for level in range(first, dropout + 1):
+            self._level_gens[level].append(residue)
+            self._orbit_transversal(level)
+
+    def _extend(self, g):
+        """Add a non-member ``g`` to the generators, re-closing only the
+        levels its sifted residue reaches."""
+        residue, dropout = self._sift_from(g, 0)
+        self.generators += (g,)
+        self._install(residue, 0, dropout)
+        self._close_from(dropout)
+        self.order = self._order_from(0)
+
+    def _rebase(self, prefix):
+        """The same group on a chain with ``prefix`` as its base prefix."""
+        return PermutationGroup(self.generators, self.degree, prefix, _order=self.order)
+
+    def _level_subgroup(self, level):
+        """The pointwise stabilizer of ``base[:level]``, from that level's
+        strong generators; the deeper transversals give its order."""
+        return PermutationGroup(self._level_gens[level], self.degree,
+                                _order=self._order_from(level))
 
     # -- queries ------------------------------------------------------------
 
@@ -335,9 +364,7 @@ class PermutationGroup:
         for p in points:
             if not 0 <= p < self.degree:
                 raise ValueError("point %d out of range" % p)
-        rebased = PermutationGroup(self.generators, self.degree, base_prefix=points)
-        gens = rebased._level_gens[len(points)]
-        return PermutationGroup(gens, self.degree)
+        return self._rebase(points)._level_subgroup(len(points))
 
     def stabilizer_setwise(self, block):
         """Setwise stabilizer of a point set, by backtracking over the chain.
@@ -345,33 +372,33 @@ class PermutationGroup:
         On a chain with the block as base prefix the levels below the block
         hold the pointwise stabilizer G_(B), so the search chooses only the
         images of the block's points: one leaf per coset of G_(B) in G_B.
+        The result starts as G_(B) and each leaf it does not yet hold
+        extends it in place.
         """
         block = tuple(sorted(set(block)))
         for p in block:
             if not 0 <= p < self.degree:
                 raise ValueError("point %d out of range" % p)
         bset = frozenset(block)
-        chain = PermutationGroup(self.generators, self.degree, base_prefix=block)
-        found = list(chain._level_gens[len(block)])
-        known = PermutationGroup(found, self.degree)
-
-        def rec(level, post):
-            # post = composition of the transversal elements chosen at
-            # shallower levels; the final image of block[level] is post(gamma).
-            nonlocal known
+        chain = self._rebase(block)
+        known = chain._level_subgroup(len(block))
+        # depth first; children are pushed in descending gamma order so they
+        # pop in the ascending order a recursion visits.  post composes the
+        # transversal elements chosen at shallower levels, and the final
+        # image of block[level] is post(gamma)
+        stack = [(0, Permutation.identity(self.degree))]
+        while stack:
+            level, post = stack.pop()
             if level == len(block):
                 if post.apply_set(block) != block:
                     raise AssertionError("backtrack leaf does not stabilize the block (bug)")
                 if post not in known:
-                    found.append(post)
-                    known = PermutationGroup(found, self.degree)
-                return
+                    known._extend(post)
+                continue
             trans = chain._transversals[level]
-            for gamma in sorted(trans):
+            for gamma in sorted(trans, reverse=True):
                 if post.images[gamma] in bset:
-                    rec(level + 1, trans[gamma] * post)
-
-        rec(0, Permutation.identity(self.degree))
+                    stack.append((level + 1, trans[gamma] * post))
         return known
 
     def stabilizer_point_in_block(self, x, block):
@@ -431,7 +458,7 @@ class PermutationGroup:
         has the product of the first s lengths as its size.  Length i is at
         most degree - i; the group is s-transitive iff the first s attain it.
         """
-        chain = PermutationGroup(self.generators, self.degree, base_prefix=range(t))
+        chain = self._rebase(range(t))
         s = 0
         while s < t and len(chain._transversals[s]) == self.degree - s:
             s += 1

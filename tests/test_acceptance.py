@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from steinerkit.admissibility import CAMERON_EQUALITY_CASES, scan
-from steinerkit.blocktrans import bt_equation_check, eliminate, sweep, verify_block_lemma
+from steinerkit.blocktrans import eliminate, sweep, verify_block_lemma
 from steinerkit.catalog import (
     candidates_for_degree,
     catalog_entry_by_name,
@@ -30,6 +30,7 @@ from steinerkit.designs import (
 from steinerkit.gf import prime_power_decomposition
 from steinerkit.kramer_mesner import build_orbit_matrix, search_design, solve
 from steinerkit.perms import Permutation, PermutationGroup, induced_block_action
+from test_blocktrans import bt_equation_check
 
 
 def _binom(n, k):

@@ -4,7 +4,7 @@ from itertools import permutations
 from math import comb, perm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from steinerkit.designs import construct_boolean, fano_plane
 from steinerkit.errors import CapacityError, NotAutomorphismError
@@ -590,3 +590,112 @@ def test_setwise_backtrack_has_one_leaf_per_pointwise_coset(monkeypatch):
     monkeypatch.setattr(PermutationGroup, "sift", counting_sift)
     assert m23.stabilizer_setwise(HEPTAD).order == 40320
     assert len(sifts) == 2520
+
+
+def test_setwise_stabilizer_of_a_large_block_needs_no_recursion():
+    # the backtrack walks one level per block point; 1100 levels are past
+    # Python's default recursion limit, so the walk keeps its own stack
+    group = PermutationGroup([Permutation.from_cycles(1200, [range(1100, 1200)])])
+    start = time.perf_counter()
+    assert group.stabilizer_setwise(range(1100)).order == 100
+    assert time.perf_counter() - start < 2
+
+
+def _random_group(data, max_degree=8):
+    degree = data.draw(st.integers(1, max_degree))
+    gens = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return PermutationGroup([Permutation(g) for g in gens], degree=degree)
+
+
+def _sympy_order(perms, degree):
+    """Group order from ``sympy.combinatorics``, or None when it is not importable."""
+    try:
+        from sympy.combinatorics import Permutation as SympyPermutation
+        from sympy.combinatorics import PermutationGroup as SympyGroup
+    except ImportError:
+        return None
+    if not perms:
+        return 1
+    return SympyGroup([SympyPermutation(list(p.images), size=degree) for p in perms]).order()
+
+
+def _chain_state(group):
+    return (
+        group.base,
+        [[g.images for g in gens] for gens in group._level_gens],
+        [sorted((point, u.images) for point, u in trans.items()) for trans in group._transversals],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_known_order_rebase_matches_a_full_closure(data):
+    group = _random_group(data)
+    prefix = data.draw(st.lists(st.integers(0, group.degree - 1), unique=True))
+    rebased = group._rebase(prefix)
+    full = PermutationGroup(group.generators, group.degree, base_prefix=prefix)
+    assert rebased.order == full.order == group.order
+    assert _chain_state(rebased) == _chain_state(full)
+    expected = _sympy_order(group.generators, group.degree)
+    assert expected in (None, rebased.order)
+    for _ in range(5):
+        perm = Permutation(data.draw(st.permutations(range(group.degree))))
+        assert (perm in rebased) == (perm in full)
+    points = prefix[:data.draw(st.integers(0, len(prefix)))]
+    assert rebased.stabilizer_pointwise(points).order == full.stabilizer_pointwise(points).order
+    level = len(prefix)
+    assert _chain_state(rebased._level_subgroup(level)) == _chain_state(
+        PermutationGroup(full._level_gens[level], group.degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extension_matches_a_group_built_with_the_generator(data):
+    degree = data.draw(st.integers(1, 8))
+    *gens, g = [Permutation(p) for p in data.draw(
+        st.lists(st.permutations(range(degree)), min_size=1, max_size=3))]
+    group = PermutationGroup(gens, degree=degree)
+    assume(g not in group)
+    group._extend(g)
+    full = PermutationGroup(gens + [g], degree)
+    assert group.generators == full.generators
+    assert group.order == full.order
+    assert _sympy_order(full.generators, degree) in (None, full.order)
+    for _ in range(5):
+        perm = Permutation(data.draw(st.permutations(range(degree))))
+        assert (perm in group) == (perm in full)
+
+
+def _setwise_generators_by_recursion(group, block):
+    """Reference: the setwise backtrack as a recursion over the block's levels
+    that rebuilds its result from scratch at every new generator."""
+    chain = PermutationGroup(group.generators, group.degree, base_prefix=block)
+    found = list(chain._level_gens[len(block)])
+    known = PermutationGroup(found, group.degree)
+
+    def rec(level, post):
+        nonlocal known
+        if level == len(block):
+            if post not in known:
+                found.append(post)
+                known = PermutationGroup(found, group.degree)
+            return
+        trans = chain._transversals[level]
+        for gamma in sorted(trans):
+            if post(gamma) in block:
+                rec(level + 1, trans[gamma] * post)
+
+    rec(0, Permutation.identity(group.degree))
+    return known.generators
+
+
+@pytest.mark.parametrize("name", ["PSL(2,11)", "M_11", "M_11(deg12)", "AGL(3,2)"])
+def test_setwise_generators_match_the_recursive_backtrack(name):
+    from steinerkit.catalog import catalog_entry_by_name
+
+    group = catalog_entry_by_name(name).group()
+    rng = random.Random(name)
+    for size in range(1, group.degree):
+        block = tuple(sorted(rng.sample(range(group.degree), size)))
+        assert group.stabilizer_setwise(block).generators == (
+            _setwise_generators_by_recursion(group, block)), block

@@ -48,7 +48,6 @@ from .errors import CapacityError, DataIntegrityError, MembershipError, NotAutom
 from .gf import GF, FieldSpec, field
 from .kramer_mesner import (
     OrbitMatrix,
-    Selection,
     build_orbit_matrix,
     search_design,
     solve,
@@ -84,7 +83,6 @@ __all__ = [
     "OrbitMatrix",
     "Permutation",
     "PermutationGroup",
-    "Selection",
     "Status",
     "VerificationReport",
     "alternating_group",

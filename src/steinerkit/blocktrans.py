@@ -31,7 +31,7 @@ class ReasonStep:
 
     test: str  # inadmissible-params | insufficient-homogeneity | b-does-not-divide-order
     #            | bound-violation | orbit-length-obstruction
-    witness: dict
+    witness: dict  # exact values; to_json_dict serializes them
 
     def to_json_dict(self):
         return {"test": self.test, "witness": admissibility.json_witness(self.witness)}
@@ -109,7 +109,7 @@ def _parameter_step(t, v, k, lam):
     if not report.admissible:
         failures = report.failures()
         detail = {"conditions": [out.condition.value for out in failures]}
-        detail.update(admissibility.json_witness(failures[0].witness))
+        detail.update(failures[0].witness)
         return ReasonStep("inadmissible-params", detail), None
     b = lambda_s(params, 0)
     if b.denominator != 1:

@@ -150,6 +150,8 @@ def cmd_construct(args):
 def cmd_group(args):
     if args.action == "homogeneity" and args.t_max < 1:
         raise ValueError("--t-max must be at least 1, got %d" % args.t_max)
+    if args.action == "orbits" and args.m < 0:
+        raise ValueError("--m must be non-negative, got %d" % args.m)
     group, name = _load_group(args.source)
     if args.action == "info":
         payload = {
@@ -247,12 +249,10 @@ def cmd_km_search(args):
         raise ValueError("--limit must be at least 1, got %d" % args.limit)
     group, name = _load_group(args.group)
     DesignParameters(args.t, group.degree, args.k, args.lam)  # before building or writing
-    matrix = kramer_mesner.build_orbit_matrix(
-        group, args.t, args.k, cap=args.max_subsets, group_name=name
-    )
+    matrix = kramer_mesner.build_orbit_matrix(group, args.t, args.k, cap=args.max_subsets)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as handle:
-            json.dump(matrix.to_json_dict(), handle, sort_keys=True)
+            json.dump(dict(matrix.to_json_dict(), group=name), handle, sort_keys=True)
             handle.write("\n")
     designs = kramer_mesner.search_design(
         group, args.t, args.k, args.lam, limit=args.limit, cap=args.max_subsets, matrix=matrix
@@ -355,6 +355,8 @@ def main(argv=None):
     if 0 < sys.get_int_max_str_digits() < MAX_INT_DIGITS:
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:
+        if getattr(args, "max_subsets", 0) < 0:
+            raise ValueError("--max-subsets must be non-negative, got %d" % args.max_subsets)
         return args.func(args)
     except CapacityError as exc:
         print("capacity error: %s" % exc, file=sys.stderr)

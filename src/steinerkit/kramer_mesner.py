@@ -6,9 +6,9 @@ containing the row representative, which is independent of the chosen
 representative.  A design with the prescribed group is a column selection
 whose row sums all equal lambda; the solver enumerates those selections by
 deterministic backtracking and the results are expanded to explicit block
-sets.  Each used column's orbit is proved closed under the group and its
-covers of every t-subset are counted once; a design is proved by summing
-its columns' counts.
+sets.  The first time a solution uses a column, one pass expands its orbit,
+proves it closed under the group and counts its covers of every t-subset; a
+design is proved by summing its columns' counts.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .perms import DEFAULT_SUBSET_CAP, _orbit
 
 @dataclass(frozen=True)
 class OrbitMatrix:
-    group_name: str
     degree: int
     t: int
     k: int
@@ -36,7 +35,6 @@ class OrbitMatrix:
 
     def to_json_dict(self):
         return {
-            "group": self.group_name,
             "degree": self.degree,
             "t": self.t,
             "k": self.k,
@@ -47,7 +45,7 @@ class OrbitMatrix:
         }
 
 
-def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
+def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
     """Count, for each t-orbit representative, its k-supersets per k-orbit.
 
     Only the t-subsets are partitioned.  Each k-orbit K is found at the
@@ -55,14 +53,14 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
     no earlier row are split into orbits of the row stabilizer G_R (from
     ``stabilizer_setwise``, or trivial when |orbit(R)| = |G|), and
     the G_R-orbits lying in one K are joined by a G-invariant label, the
-    least G_R-orbit id that the Schreier tree paths of the superset's
-    t-subsets in row r carry it to.  Their sizes sum to M[r, K].  The rest
-    is double counting over the pairs (T, S) with T a t-subset of S in K:
-    |orbit(R_s)| M[s, K] = |K| n_s for every row s, where n_s counts the
-    t-subsets of any one S in K that lie in row s.  K's lex-least member
-    begins with R_r and each row's supersets are enumerated in lex order,
-    so the first superset found in K is its representative.  Rows and
-    columns are sorted by representative.
+    least G_R-orbit id that the superset's t-subsets in row r carry it to
+    along their Schreier tree paths, each edge labelled by its generator.
+    Their sizes sum to M[r, K].  The rest is double counting over the
+    pairs (T, S) with T a t-subset of S in K: |orbit(R_s)| M[s, K] = |K| n_s
+    for every row s, where n_s counts the t-subsets of any one S in K that
+    lie in row s.  K's lex-least member begins with R_r and each row's
+    supersets are enumerated in lex order, so the first superset found in
+    K is its representative.  Rows and columns are sorted by representative.
     """
     v = group.degree
     if not 1 <= t <= k <= v:
@@ -74,22 +72,16 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
         raise CapacityError(
             "%d-supersets of a %d-subset: %d exceed cap %d" % (k, t, supersets, cap)
         )
-    parent = {}
-    row_reps, row_sizes, row_of = group.subset_orbit_partition(t, cap=cap, parent=parent)
-    steps = [(g.apply_set, g.inverse().images) for g in group.generators]
-    tested, last = steps[:-1], steps[-1][1] if steps else None
+    tree = {}
+    row_reps, row_sizes, row_of = group.subset_orbit_partition(t, cap=cap, tree=tree)
+    inverse = {g.apply_set: g.inverse().images for g in group.generators}
 
     def to_rep(subset, points):
         """Map ``points`` along the tree path from ``subset`` to its orbit's rep."""
-        up = parent.get(subset)
-        while up is not None:
-            for apply, inv in tested:
-                if apply(up) == subset:
-                    break
-            else:  # some generator leads from up to subset; the last needs no test
-                inv = last
+        while subset in tree:
+            subset, f = tree[subset]
+            inv = inverse[f]
             points = [inv[p] for p in points]
-            subset, up = up, parent.get(up)
         return points
 
     def carry(sub, superset):
@@ -149,7 +141,6 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
         if sum(row) != supersets:
             raise AssertionError("row %d sums to %d, expected %d (bug)" % (r, sum(row), supersets))
     return OrbitMatrix(
-        group_name=group_name,
         degree=v,
         t=t,
         k=k,
@@ -160,15 +151,9 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP, group_name=""):
     )
 
 
-@dataclass(frozen=True)
-class Selection:
-    columns: tuple  # chosen column indices, sorted
-    block_count: int  # sum of the chosen orbit sizes
-
-
 def solve(matrix, lam, limit=None):
     """All column selections with every row sum equal to lambda, at most
-    ``limit`` of them if given.
+    ``limit`` of them if given, each a sorted tuple of column indices.
 
     Deterministic depth-first search on an explicit stack: branch on the
     unsatisfied row with the fewest usable columns (ties to the lowest row
@@ -187,7 +172,7 @@ def solve(matrix, lam, limit=None):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0:
-        return [Selection(columns=(), block_count=0)]
+        return [()]
     entries = matrix.entries
     if any(sum(row) < lam for row in entries):
         return []  # no choice of columns lifts that row to lambda
@@ -216,12 +201,7 @@ def solve(matrix, lam, limit=None):
                     if not count:
                         break
         if best_row is None:
-            solutions.append(
-                Selection(
-                    columns=tuple(sorted(chosen)),
-                    block_count=sum(matrix.col_sizes[j] for j in chosen),
-                )
-            )
+            solutions.append(tuple(sorted(chosen)))
         elif best_count:
             stack.append([usable, row_cols[best_row], usable & row_cols[best_row]])
             chosen.append(None)
@@ -250,63 +230,59 @@ def solve(matrix, lam, limit=None):
     return solutions
 
 
-def expand_selection(group, matrix, selection, lam, orbits):
-    """Turn a column selection into an explicit design.
+def expand_selection(matrix, selection, lam, orbits):
+    """The design whose blocks are the orbits of the columns in ``selection``.
 
-    ``orbits`` maps column indices of ``matrix`` to their orbits; a column
-    missing from it is expanded here and added.  Distinct columns are
-    disjoint orbits, so the blocks are the chosen orbits put together.
+    ``orbits`` maps each chosen column index to its orbit, already expanded
+    and checked.  Distinct columns are disjoint orbits, so the blocks are
+    the chosen orbits put together.
     """
     blocks = []
-    for j in selection.columns:
-        orbit = orbits.get(j)
-        if orbit is None:
-            orbit = _orbit(matrix.col_reps[j], [g.apply_set for g in group.generators])
-            if len(orbit) != matrix.col_sizes[j]:
-                raise AssertionError("orbit size drifted for column %d" % j)
-            orbits[j] = orbit
-        blocks += orbit
-    params = DesignParameters(matrix.t, matrix.degree, matrix.k, lam)
-    return Design(params, blocks)
+    for j in selection:
+        blocks += orbits[j]
+    return Design(DesignParameters(matrix.t, matrix.degree, matrix.k, lam), blocks)
 
 
-def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, group_name="",
-                  matrix=None):
+def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, matrix=None):
     """Full pipeline: orbit matrix, solve, expand, and an exhaustive proof.
 
     ``matrix`` is the orbit matrix of (group, t, k) if the caller has built
-    it already; its entries are not trusted.  The first time a selection uses
-    a column, its orbit K_j is checked closed under every generator and
-    its covers of each t-subset are counted (CapacityError when the C(v,t)
-    counters exceed ``cap``) into one int, a fixed-width field per
-    t-subset.  A design's columns' ints must sum to lambda in every field:
-    distinct columns are disjoint orbits (``Design`` refuses duplicate
-    blocks), and no t-subset lies in more than C(v-t,k-t) k-subsets, so no
-    field carries.  So every returned design covers each t-subset exactly
-    lambda times, and its automorphism group contains the group.
+    it already; it is not trusted.  The first time a selection uses column
+    j, one pass expands its orbit K_j, checks |K_j| against ``col_sizes``
+    and K_j closed under every generator, and counts its covers of each
+    t-subset (CapacityError when the C(v,t) counters exceed ``cap``) into
+    one int, a fixed-width field per t-subset.  A design's columns' ints
+    must sum to lambda in every field: distinct columns are disjoint orbits
+    (``Design`` refuses duplicate blocks), and no t-subset lies in more than
+    C(v-t,k-t) k-subsets, so no field carries.  So every returned design
+    covers each t-subset exactly lambda times, and its automorphism group
+    contains the group.
     """
     DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
     if matrix is None:
-        matrix = build_orbit_matrix(group, t, k, cap=cap, group_name=group_name)
+        matrix = build_orbit_matrix(group, t, k, cap=cap)
     t, v, k = matrix.t, matrix.degree, matrix.k  # the parameters of every design
     width = 1 if max(lam, comb(v - t, k - t)) < 256 else 4  # bytes per field
-    orbits = {}
+    maps = [g.apply_set for g in group.generators]
+    orbits = {}  # column -> its orbit, for the columns used so far
     covers = {}  # column -> its cover counts, one fixed-width field per t-subset
     target = None  # built at the first design
     designs = []
     for selection in solve(matrix, lam, limit=limit):
-        design = expand_selection(group, matrix, selection, lam, orbits)
-        for j in selection.columns:
-            if j not in covers:
-                orbit = orbits[j]
+        for j in selection:
+            if j not in orbits:
+                orbit = _orbit(matrix.col_reps[j], maps)
+                if len(orbit) != matrix.col_sizes[j]:
+                    raise AssertionError("orbit size drifted for column %d" % j)
                 members = set(orbit)
-                if not all(members.issuperset(map(g.apply_set, orbit)) for g in group.generators):
+                if not all(members.issuperset(map(f, orbit)) for f in maps):
                     raise AssertionError("column %d is not closed under the group (bug)" % j)
+                orbits[j] = orbit
                 covers[j] = int.from_bytes(cover_counts(orbit, t, v, k, width, cap), sys.byteorder)
         if target is None:  # lambda in every field
             target = lam * int.from_bytes((b"\1" + bytes(width - 1)) * comb(v, t), "little")
-        if sum(map(covers.__getitem__, selection.columns)) != target:
+        if sum(map(covers.__getitem__, selection)) != target:
             raise AssertionError("selection %r does not cover every %d-subset %d times (bug)"
-                                 % (selection.columns, t, lam))
-        designs.append(design)
+                                 % (selection, t, lam))
+        designs.append(expand_selection(matrix, selection, lam, orbits))
     return designs

@@ -50,11 +50,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree, cycles):
-        """Build a permutation from disjoint (or successively applied) cycles."""
+        """Build a permutation from disjoint cycles; a repeated point is refused."""
         images = list(range(degree))
+        seen = set()
         for cycle in cycles:
-            if len(set(cycle)) != len(cycle):
-                raise ValueError("repeated point in cycle %r" % (cycle,))
+            for point in cycle:
+                if point in seen:
+                    raise ValueError("point %d appears twice in the cycles" % point)
+                seen.add(point)
             for a, b in zip(cycle, cycle[1:]):
                 images[a] = b
             if cycle:
@@ -418,13 +421,13 @@ class PermutationGroup:
         reps, sizes, _ = self.subset_orbit_partition(m, cap=cap)
         return list(zip(reps, sizes))
 
-    def subset_orbit_partition(self, m, cap=DEFAULT_SUBSET_CAP, parent=None):
+    def subset_orbit_partition(self, m, cap=DEFAULT_SUBSET_CAP, tree=None):
         """Full orbit partition on m-subsets: (reps, sizes, subset -> index).
 
         The index lists each orbit's subsets together, in breadth-first order
-        from its representative.  A dict ``parent`` receives the Schreier
-        tree of that search: every subset but the representatives maps to the
-        subset a generator first reached it from.
+        from its representative.  A dict ``tree`` receives the labelled
+        Schreier tree of that search (see ``_orbit``), one entry per subset
+        that is not a representative.
         """
         total = comb(self.degree, m)
         if total > cap:
@@ -439,7 +442,7 @@ class PermutationGroup:
             if seed in index_of:
                 continue
             idx = len(reps)
-            orbit = _orbit(seed, maps, parent)
+            orbit = _orbit(seed, maps, tree)
             for sub in orbit:
                 index_of[sub] = idx
             reps.append(seed)
@@ -580,11 +583,11 @@ def induced_block_action(group, design):
     )
 
 
-def _orbit(seed, maps, parent=None):
+def _orbit(seed, maps, tree=None):
     """Orbit of ``seed`` under the functions ``maps``, in breadth-first order.
 
-    A dict ``parent`` receives, for every member but the seed, the member
-    whose image first reached it.
+    A dict ``tree`` receives, for every member but the seed,
+    ``tree[member] = (u, f)``: the map ``f`` first reached it from ``u``.
     """
     seen = {seed}
     queue = [seed]
@@ -594,8 +597,8 @@ def _orbit(seed, maps, parent=None):
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
-                if parent is not None:
-                    parent[image] = item
+                if tree is not None:
+                    tree[image] = (item, f)
     return queue
 
 

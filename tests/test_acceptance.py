@@ -104,7 +104,7 @@ def test_criterion_4_degree_24_elimination():
             for out in verdict.k_outcomes:
                 assert out.reasons[0].test == "inadmissible-params"
                 witnesses[out.k] = out.reasons[0].witness["lambda_s"]
-    assert witnesses == {7: "19/2", 8: "19/3"}
+    assert witnesses == {7: Fraction(19, 2), 8: Fraction(19, 3)}
     _report(4, "t=6 at v=24: no surviving k; witnesses 19/2 and 19/3", started, 1.0)
 
 
@@ -126,13 +126,13 @@ def test_criterion_5_bt_equation_agl32():
 def test_criterion_6_kramer_mesner_designs():
     started = time.time()
     c7 = PermutationGroup([Permutation([(i + 1) % 7 for i in range(7)])])
-    fano_like = search_design(c7, 2, 3, 1, group_name="C7")
+    fano_like = search_design(c7, 2, 3, 1)
     assert fano_like and all(d.b == 7 and verify(d).covered_lambda == 1 for d in fano_like)
     reps = {d.blocks for d in fano_like}
     assert fano_plane().blocks in reps
 
     psl11 = projective_group("PSL", 11)
-    witt = search_design(psl11, 5, 6, 1, group_name="PSL(2,11)")
+    witt = search_design(psl11, 5, 6, 1)
     assert witt
     design = witt[0]
     assert design.b == 132
@@ -243,7 +243,7 @@ def test_criterion_9_property_suites():
     ]
     for matrix, lam in small:
         assert len(matrix.col_reps) <= 12
-        assert sorted(s.columns for s in solve(matrix, lam)) == reference(matrix, lam)
+        assert sorted(solve(matrix, lam)) == reference(matrix, lam)
 
     _report(
         9,

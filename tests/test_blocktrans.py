@@ -119,7 +119,7 @@ def test_eliminate_m24_t6():
         step = out.reasons[0]
         assert step.test == "inadmissible-params"
         witnesses[out.k] = step.witness["lambda_s"]
-    assert witnesses == {7: "19/2", 8: "19/3"}
+    assert witnesses == {7: Fraction(19, 2), 8: Fraction(19, 3)}
 
 
 def test_eliminate_psl211_t5_survives():

@@ -417,8 +417,9 @@ def test_byte_identical_repeat_runs(capsys):
 
 @pytest.mark.parametrize(
     "generators",
-    [["(0 5)"], 5, [[0, 1, "a"]], [[1, 0, 2.0]]],
-    ids=["cycle-point-out-of-range", "generators-not-array", "string-point", "float-point"],
+    [["(0 5)"], 5, [[0, 1, "a"]], [[1, 0, 2.0]], ["(0 1)(1 0)"]],
+    ids=["cycle-point-out-of-range", "generators-not-array", "string-point", "float-point",
+         "cycles-share-a-point"],
 )
 def test_malformed_group_json_exits_2(capsys, tmp_path, generators):
     path = tmp_path / "group.json"
@@ -426,6 +427,24 @@ def test_malformed_group_json_exits_2(capsys, tmp_path, generators):
     code, out, err = run_cli(capsys, ["group", "info", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: group json: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "orbits", "catalog:PSL(2,7)", "--m", "3"],
+    ["verify", "-"],
+    ["construct", "boolean", "3"],
+    ["km-search", "--group", "catalog:PSL(2,7)", "--t", "2", "--k", "3"],
+], ids=["group", "verify", "construct", "km-search"])
+def test_negative_max_subsets_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--max-subsets", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: --max-subsets must be non-negative, got -1\n"
+
+
+def test_group_orbits_negative_m_names_the_option(capsys):
+    code, out, err = run_cli(capsys, ["group", "orbits", "catalog:PSL(2,7)", "--m", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: --m must be non-negative, got -1\n"
 
 
 def test_analyze_bt_prints_orders_beyond_4300_digits(capsys):

@@ -12,7 +12,6 @@ from steinerkit.catalog import catalog_entry_by_name, projective_group, symmetri
 from steinerkit.designs import verify
 from steinerkit.kramer_mesner import (
     OrbitMatrix,
-    Selection,
     build_orbit_matrix,
     expand_selection,
     solve,
@@ -33,7 +32,7 @@ def cyclic_group(n):
     return PermutationGroup([Permutation([(i + 1) % n for i in range(n)])])
 
 
-def reference_orbit_matrix(group, t, k, group_name=""):
+def reference_orbit_matrix(group, t, k):
     """Oracle: partition the t- and the k-subsets in full, then count each
     row representative's k-supersets per column orbit."""
     row_reps, _, _ = group.subset_orbit_partition(t)
@@ -46,7 +45,6 @@ def reference_orbit_matrix(group, t, k, group_name=""):
             entries[i][col_index[tuple(sorted(rep + extra))]] += 1
         assert sum(entries[i]) == comb(v - t, k - t)
     return OrbitMatrix(
-        group_name=group_name,
         degree=v,
         t=t,
         k=k,
@@ -58,8 +56,8 @@ def reference_orbit_matrix(group, t, k, group_name=""):
 
 
 def assert_matches_reference(group, t, k):
-    matrix = build_orbit_matrix(group, t, k, group_name="G")
-    expected = reference_orbit_matrix(group, t, k, group_name="G")
+    matrix = build_orbit_matrix(group, t, k)
+    expected = reference_orbit_matrix(group, t, k)
     assert matrix == expected, (group.degree, t, k)
     assert matrix.to_json_dict() == expected.to_json_dict()
 
@@ -81,7 +79,7 @@ def reference_solve(matrix, lam, limit=None):
     nrows = len(entries)
     ncols = len(matrix.col_reps)
     if lam == 0:
-        return [Selection(columns=(), block_count=0)]
+        return [()]
     solutions = []
     residual = [lam] * nrows
     cols_of_row = [[j for j in range(ncols) if entries[i][j]] for i in range(nrows)]
@@ -96,12 +94,7 @@ def reference_solve(matrix, lam, limit=None):
             return
         open_rows = [i for i in range(nrows) if residual[i] > 0]
         if not open_rows:
-            solutions.append(
-                Selection(
-                    columns=tuple(sorted(chosen)),
-                    block_count=sum(matrix.col_sizes[j] for j in chosen),
-                )
-            )
+            solutions.append(tuple(sorted(chosen)))
             return
         best_row = None
         best_cols = None
@@ -149,12 +142,7 @@ def solve_brute_force(matrix, lam):
         if all(
             sum(matrix.entries[i][j] for j in cols) == lam for i in range(len(matrix.entries))
         ):
-            out.append(
-                Selection(
-                    columns=tuple(cols),
-                    block_count=sum(matrix.col_sizes[j] for j in cols),
-                )
-            )
+            out.append(tuple(cols))
     return out
 
 
@@ -171,7 +159,7 @@ def brute_force_reference(matrix, lam):
 
 
 def test_c7_matrix_shape_and_row_sums():
-    matrix = build_orbit_matrix(cyclic_group(7), 2, 3, group_name="C7")
+    matrix = build_orbit_matrix(cyclic_group(7), 2, 3)
     assert len(matrix.row_reps) == 3
     assert len(matrix.col_reps) == 5
     assert all(sum(row) == comb(5, 1) for row in matrix.entries)
@@ -215,17 +203,17 @@ def test_row_well_defined_under_alternate_representatives():
 
 
 def test_solver_finds_fano_difference_set():
-    matrix = build_orbit_matrix(cyclic_group(7), 2, 3, group_name="C7")
+    matrix = build_orbit_matrix(cyclic_group(7), 2, 3)
     selections = solve(matrix, 1)
-    rep_sets = [tuple(matrix.col_reps[j] for j in s.columns) for s in selections]
+    rep_sets = [tuple(matrix.col_reps[j] for j in s) for s in selections]
     assert ((0, 1, 3),) in rep_sets
     for selection in selections:
-        assert selection.block_count == 7
+        assert sum(matrix.col_sizes[j] for j in selection) == 7
 
 
 def test_solver_lambda_zero():
     matrix = build_orbit_matrix(cyclic_group(7), 2, 3)
-    assert solve(matrix, 0) == [Selection(columns=(), block_count=0)]
+    assert solve(matrix, 0) == [()]
 
 
 def test_solver_matches_brute_force():
@@ -238,10 +226,10 @@ def test_solver_matches_brute_force():
     ]
     for matrix, lam in cases:
         assert len(matrix.col_reps) <= 12
-        got = sorted(s.columns for s in solve(matrix, lam))
+        got = sorted(solve(matrix, lam))
         expected = brute_force_reference(matrix, lam)
         assert got == expected
-        assert got == sorted(s.columns for s in solve_brute_force(matrix, lam))
+        assert got == sorted(solve_brute_force(matrix, lam))
 
 
 def test_solver_limit():
@@ -278,7 +266,6 @@ def test_solver_matches_reference_random(data):
                                  min_size=nrows, max_size=nrows))
     sizes = data.draw(st.lists(st.integers(1, 60), min_size=ncols, max_size=ncols))
     matrix = OrbitMatrix(
-        group_name="",
         degree=1,
         t=1,
         k=1,
@@ -294,22 +281,23 @@ def test_solver_matches_reference_random(data):
 
 def test_expand_and_verify_lambda2():
     group = cyclic_group(7)
-    matrix = build_orbit_matrix(group, 2, 3, group_name="C7")
-    orbits = {}
-    used = set()
-    for selection in solve(matrix, 2):
-        design = expand_selection(group, matrix, selection, 2, orbits)
+    matrix = build_orbit_matrix(group, 2, 3)
+    reps, _, col_index = group.subset_orbit_partition(3)
+    orbits = {j: [s for s, i in col_index.items() if reps[i] == rep]
+              for j, rep in enumerate(matrix.col_reps)}
+    before = {j: list(orbit) for j, orbit in orbits.items()}
+    designs = [expand_selection(matrix, selection, 2, orbits) for selection in solve(matrix, 2)]
+    assert orbits == before  # expand_selection only reads its orbits
+    for design in designs:
         assert verify(design).covered_lambda == 2
-        assert design == expand_selection(group, matrix, selection, 2, {})
-        used.update(selection.columns)
-    assert sorted(orbits) == sorted(used)
+    assert designs == search_design(group, 2, 3, 2)
 
 
 def test_orbit_size_check_survives_the_orbit_cache():
     group = cyclic_group(7)
     matrix = build_orbit_matrix(group, 2, 3)
     first, last = solve(matrix, 1)
-    j = min(set(last.columns) - set(first.columns))  # first met after the cache fills
+    j = min(set(last) - set(first))  # first met after the cache fills
     sizes = list(matrix.col_sizes)
     sizes[j] -= 1
     bad = dataclasses.replace(matrix, col_sizes=tuple(sizes))
@@ -357,7 +345,7 @@ def test_search_design_refuses_a_tampered_matrix():
     for row in entries:
         row[j] = 1
     bad = dataclasses.replace(matrix, entries=tuple(map(tuple, entries)))
-    assert Selection(columns=(j,), block_count=7) in solve(bad, 1)
+    assert (j,) in solve(bad, 1)
     with pytest.raises(AssertionError, match="does not cover every 2-subset 1 times"):
         search_design(group, 2, 3, 1, matrix=bad)
 
@@ -367,8 +355,8 @@ def test_search_design_refuses_an_orbit_not_closed_under_the_group(monkeypatch):
 
     orbit = kramer_mesner._orbit
 
-    def one_block_swapped(seed, maps, parent=None):
-        members = orbit(seed, maps, parent)
+    def one_block_swapped(seed, maps, tree=None):
+        members = orbit(seed, maps, tree)
         return members[:-1] + [(0, 1, 2)] if (0, 1, 2) not in members else members
 
     monkeypatch.setattr(kramer_mesner, "_orbit", one_block_swapped)
@@ -385,7 +373,7 @@ def test_search_design_cap_binds_a_passed_matrix():
 
 
 def test_search_design_fano():
-    designs = search_design(cyclic_group(7), 2, 3, 1, group_name="C7")
+    designs = search_design(cyclic_group(7), 2, 3, 1)
     assert designs
     for design in designs:
         assert design.b == 7
@@ -394,7 +382,7 @@ def test_search_design_fano():
 
 def test_search_design_small_witt():
     group = projective_group("PSL", 11)
-    designs = search_design(group, 5, 6, 1, group_name="PSL(2,11)")
+    designs = search_design(group, 5, 6, 1)
     assert designs
     for design in designs:
         assert design.b == 132
@@ -427,7 +415,7 @@ def test_search_design_parameters_validated():
 
 
 def test_matrix_json_dump_shape():
-    matrix = build_orbit_matrix(cyclic_group(7), 2, 3, group_name="C7")
+    matrix = build_orbit_matrix(cyclic_group(7), 2, 3)
     data = matrix.to_json_dict()
     assert data["t"] == 2 and data["k"] == 3
     assert data["col_sizes"] == [7, 7, 7, 7, 7]

@@ -90,6 +90,14 @@ def test_parse_cycles_variants():
         parse_cycles("(0 0 1)")
 
 
+@pytest.mark.parametrize("text, point", [("(0 1)(1 0)", 1), ("(0 1 2)(0 1 2)", 0),
+                                         ("(0 1)(2 3 1)", 1)])
+def test_parse_cycles_refuses_a_point_in_two_cycles(text, point):
+    # read as a product, these are not the permutation one cycle overwrite gives
+    with pytest.raises(ValueError, match="point %d appears twice" % point):
+        parse_cycles(text, 4)
+
+
 @pytest.mark.parametrize(
     "cycles, degree, order",
     [
@@ -297,6 +305,31 @@ def test_tuple_transitivity_matches_bfs_random(data):
     group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
     for t in range(degree + 2):
         assert group.is_transitive_on_tuples(t) == _transitive_on_tuples_bfs(group, t), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subset_schreier_tree_labels_lead_to_the_least_member(data):
+    degree = data.draw(st.integers(1, 8))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    maps = [g.apply_set for g in group.generators]
+    for m in range(degree + 1):
+        tree = {}
+        reps, sizes, index = group.subset_orbit_partition(m, tree=tree)
+        assert len(tree) == len(index) - len(reps)
+        for subset, (u, f) in tree.items():
+            assert f in maps and f(u) == subset
+        least = {}
+        for subset, i in index.items():
+            least[i] = min(least.get(i, subset), subset)
+            steps = 0
+            while subset in tree:
+                subset = tree[subset][0]
+                steps += 1
+                assert steps < sizes[i]
+            assert subset == reps[i]
+        assert [least[i] for i in range(len(reps))] == reps
 
 
 def _homogeneous_bfs(group, t):

@@ -1,9 +1,11 @@
 """Necessary-condition screening for design parameters, in exact arithmetic.
 
-Each condition is one classical counting or bound argument; a report lists
-every condition with pass / fail / not-applicable and the exact numbers
-that decided it.  "Admissible" means no applicable condition failed; it
-never asserts existence.
+Each condition is one classical counting or bound argument, decided once
+as (passed, witness): passed is True or False, or None ("not applicable")
+when the condition's hypothesis does not hold, and the witness holds the
+exact numbers that decided it.  A report lists every condition with its
+pass / fail / not-applicable status and witness.  "Admissible" means no
+applicable condition failed; it never asserts existence.
 
 Conditions and their hypotheses:
 
@@ -108,12 +110,11 @@ class AdmissibilityReport:
         }
 
 
-def _integrality_outcome(lambdas):
-    """The outcome for lambdas = [lambda_0, ..., lambda_t]; s = 0 is not tested."""
+def _integrality(lambdas):
+    """The decision for lambdas = [lambda_0, ..., lambda_t]; s = 0 is not tested."""
     failing = [(s, value) for s, value in enumerate(lambdas) if s and value.denominator != 1]
     if not failing:
-        witness = {"lambda_s": lambdas[1:], "b": lambdas[0]}
-        return ConditionOutcome(Condition.INTEGRALITY_ALL_S, Status.PASS, witness)
+        return True, {"lambda_s": lambdas[1:], "b": lambdas[0]}
     # headline the deepest failing s: lambda_{t-1} is the first counting
     # obstruction one meets walking down from s = t
     s_max, value_max = failing[-1]
@@ -123,7 +124,7 @@ def _integrality_outcome(lambdas):
         "all_failing_s": [s for s, _ in failing],
         "all_failing_values": [value for _, value in failing],
     }
-    return ConditionOutcome(Condition.INTEGRALITY_ALL_S, Status.FAIL, witness)
+    return False, witness
 
 
 def _tits_min_v(t, k):
@@ -149,139 +150,61 @@ def feasible_k(t, v, lam):
     return ks
 
 
+_STATUS = {True: Status.PASS, False: Status.FAIL, None: Status.NOT_APPLICABLE}
+_CONDITIONS = tuple(Condition)  # iterating the enum class itself is several times slower
+
+
 def check(params):
-    """Evaluate every condition on a parameter quadruple."""
+    """Evaluate every condition on a parameter quadruple.
+
+    Each condition is decided once, as (passed, witness) with passed None
+    when its hypothesis does not hold; ``_STATUS`` turns that into a status.
+    """
     t, v, k, lam = params.t, params.v, params.k, params.lam
     nontrivial = params.nontrivial()
-    steiner = lam == 1
+    steiner = nontrivial and lam == 1
     lambdas = [lambda_s(params, s) for s in range(t + 1)]
     b = lambdas[0]
-    outcomes = []
+    # not applicable unless decided below; each keeps a witness dict of its own
+    tits, cameron, equality, fisher = (None, {}), (None, {}), (None, {}), (None, {})
 
-    if nontrivial:
-        outcomes.append(
-            ConditionOutcome(Condition.NONTRIVIAL_RANGE, Status.PASS, {"t": t, "k": k, "v": v})
-        )
-    else:
-        outcomes.append(
-            ConditionOutcome(
-                Condition.NONTRIVIAL_RANGE,
-                Status.NOT_APPLICABLE,
-                {"t": t, "k": k, "v": v, "note": "trivial parameters; bounds not applicable"},
-            )
-        )
-
-    outcomes.append(_integrality_outcome(lambdas))
-
-    if nontrivial and steiner:
+    range_witness = {"t": t, "k": k, "v": v}
+    if not nontrivial:
+        range_witness["note"] = "trivial parameters; bounds not applicable"
+    if steiner:
         rhs = _tits_min_v(t, k)
-        status = Status.PASS if v >= rhs else Status.FAIL
-        outcomes.append(
-            ConditionOutcome(
-                Condition.TITS_BOUND,
-                status,
-                {"v": v, "bound": rhs, "equality": v == rhs},
-            )
-        )
-    else:
-        outcomes.append(ConditionOutcome(Condition.TITS_BOUND, Status.NOT_APPLICABLE, {}))
-
-    cameron_applicable = nontrivial and steiner and t > 2
-    if cameron_applicable:
-        lhs = v - t + 1
-        rhs = _cameron_rhs(t, k)
-        status = Status.PASS if lhs >= rhs else Status.FAIL
-        outcomes.append(
-            ConditionOutcome(
-                Condition.CAMERON_BOUND,
-                status,
-                {"v_minus_t_plus_1": lhs, "bound": rhs, "equality": lhs == rhs},
-            )
-        )
+        tits = v >= rhs, {"v": v, "bound": rhs, "equality": v == rhs}
+    if steiner and t > 2:
+        lhs, rhs = v - t + 1, _cameron_rhs(t, k)
+        cameron = lhs >= rhs, {"v_minus_t_plus_1": lhs, "bound": rhs, "equality": lhs == rhs}
         if lhs > rhs:
-            outcomes.append(
-                ConditionOutcome(
-                    Condition.CAMERON_EQUALITY_LIST, Status.PASS, {"strict": True}
-                )
-            )
+            equality = True, {"strict": True}
         elif lhs == rhs:
             listed = (t, k, v) in CAMERON_EQUALITY_CASES
-            outcomes.append(
-                ConditionOutcome(
-                    Condition.CAMERON_EQUALITY_LIST,
-                    Status.PASS if listed else Status.FAIL,
-                    {"strict": False, "case": (t, k, v), "listed": listed},
-                )
-            )
+            equality = listed, {"strict": False, "case": (t, k, v), "listed": listed}
         else:
-            outcomes.append(
-                ConditionOutcome(
-                    Condition.CAMERON_EQUALITY_LIST,
-                    Status.NOT_APPLICABLE,
-                    {"note": "bound already failed"},
-                )
-            )
-    else:
-        outcomes.append(ConditionOutcome(Condition.CAMERON_BOUND, Status.NOT_APPLICABLE, {}))
-        outcomes.append(
-            ConditionOutcome(Condition.CAMERON_EQUALITY_LIST, Status.NOT_APPLICABLE, {})
-        )
-
+            equality = None, {"note": "bound already failed"}
     if t >= 2 and nontrivial:
-        status = Status.PASS if b >= v else Status.FAIL
-        outcomes.append(
-            ConditionOutcome(
-                Condition.FISHER_BOUND,
-                status,
-                {"b": b, "v": v, "via": "2-design reduction", "lambda_2": lambdas[2]},
-            )
-        )
+        fisher = b >= v, {"b": b, "v": v, "via": "2-design reduction", "lambda_2": lambdas[2]}
+    # t = 2s + odd: b >= C(v,s) for even t, b >= 2 C(v-1,s) for odd t
+    s, odd = divmod(t, 2)
+    if v - odd >= k + s:
+        bound = (1 + odd) * comb(v - odd, s)
+        rcw = b >= bound, {"b": b, "bound": bound, "s": s, "parity": ("even", "odd")[odd]}
     else:
-        outcomes.append(ConditionOutcome(Condition.FISHER_BOUND, Status.NOT_APPLICABLE, {}))
+        rcw = None, {"note": ("needs v >= k+s", "needs v-1 >= k+s")[odd], "s": s}
 
-    if t % 2 == 0:
-        s = t // 2
-        if v >= k + s:
-            bound = comb(v, s)
-            status = Status.PASS if b >= bound else Status.FAIL
-            outcomes.append(
-                ConditionOutcome(
-                    Condition.RAY_CHAUDHURI_WILSON,
-                    status,
-                    {"b": b, "bound": bound, "s": s, "parity": "even"},
-                )
-            )
-        else:
-            outcomes.append(
-                ConditionOutcome(
-                    Condition.RAY_CHAUDHURI_WILSON,
-                    Status.NOT_APPLICABLE,
-                    {"note": "needs v >= k+s", "s": s},
-                )
-            )
-    else:
-        s = (t - 1) // 2
-        if v - 1 >= k + s:
-            bound = 2 * comb(v - 1, s)
-            status = Status.PASS if b >= bound else Status.FAIL
-            outcomes.append(
-                ConditionOutcome(
-                    Condition.RAY_CHAUDHURI_WILSON,
-                    status,
-                    {"b": b, "bound": bound, "s": s, "parity": "odd"},
-                )
-            )
-        else:
-            outcomes.append(
-                ConditionOutcome(
-                    Condition.RAY_CHAUDHURI_WILSON,
-                    Status.NOT_APPLICABLE,
-                    {"note": "needs v-1 >= k+s", "s": s},
-                )
-            )
-
+    decisions = (
+        (True if nontrivial else None, range_witness),
+        _integrality(lambdas),
+        tits, cameron, equality, fisher, rcw,
+    )
+    outcomes = tuple([
+        ConditionOutcome(condition, _STATUS[passed], witness)
+        for condition, (passed, witness) in zip(_CONDITIONS, decisions, strict=True)
+    ])
     admissible = all(out.status is not Status.FAIL for out in outcomes)
-    return AdmissibilityReport(params=params, outcomes=tuple(outcomes), admissible=admissible)
+    return AdmissibilityReport(params=params, outcomes=outcomes, admissible=admissible)
 
 
 def scan(t, lam, v_max, k_range=None):

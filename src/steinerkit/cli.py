@@ -52,6 +52,13 @@ def _read_design(path):
         return design_from_json(handle.read())
 
 
+def _require_positive(*options):
+    """Refuse a value below 1 with the option's name as typed, e.g. ``--lambda``."""
+    for option, value in options:
+        if value < 1:
+            raise ValueError("%s must be a positive integer, got %d" % (option, value))
+
+
 def _load_group(source):
     """A group from ``catalog:NAME`` or a JSON interchange file."""
     if source.startswith("catalog:"):
@@ -82,9 +89,12 @@ def cmd_admissible(args):
 
 
 def cmd_scan(args):
-    k_range = None
-    if args.k_min is not None or args.k_max is not None:
-        k_range = (args.k_min or args.t + 1, args.k_max or args.v_max - 1)
+    if args.v_max < args.t + 2:
+        raise ValueError("--v-max must be at least t+2 = %d, got %d" % (args.t + 2, args.v_max))
+    k_range = (
+        args.t + 1 if args.k_min is None else args.k_min,
+        args.v_max - 1 if args.k_max is None else args.k_max,
+    )
     found = admissibility.scan(args.t, args.lam, args.v_max, k_range=k_range)
     if args.json:
         payload = {
@@ -210,6 +220,9 @@ def cmd_group(args):
 
 
 def cmd_analyze_bt(args):
+    if args.t < 2:
+        raise ValueError("--t must be at least 2 for the elimination screen, got %d" % args.t)
+    _require_positive(("--lambda", args.lam))
     if args.group:
         group_entry = catalog_entry_by_name(
             args.group[len("catalog:"):] if args.group.startswith("catalog:") else args.group
@@ -247,6 +260,7 @@ def cmd_analyze_bt(args):
 def cmd_km_search(args):
     if args.limit is not None and args.limit < 1:
         raise ValueError("--limit must be at least 1, got %d" % args.limit)
+    _require_positive(("--t", args.t), ("--k", args.k), ("--lambda", args.lam))
     group, name = _load_group(args.group)
     DesignParameters(args.t, group.degree, args.k, args.lam)  # before building or writing
     matrix = kramer_mesner.build_orbit_matrix(group, args.t, args.k, cap=args.max_subsets)

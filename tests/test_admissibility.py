@@ -3,16 +3,28 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinerkit.admissibility import (
     CAMERON_EQUALITY_CASES,
+    AdmissibilityReport,
     Condition,
+    ConditionOutcome,
     Status,
+    _cameron_rhs,
+    _tits_min_v,
     check,
     feasible_k,
     scan,
 )
-from steinerkit.designs import DesignParameters, complete_design, construct_boolean, fano_plane, verify
+from steinerkit.designs import (
+    DesignParameters,
+    complete_design,
+    construct_boolean,
+    fano_plane,
+    lambda_s,
+    verify,
+)
 
 
 def binom(n, k):
@@ -204,3 +216,212 @@ def test_report_json_shape():
     assert "integrality-all-s" in names and "tits-bound" in names
     failing = [entry for entry in data["conditions"] if entry["status"] == "fail"]
     assert failing[0]["witness"]["lambda_s"] == "9/2"
+
+
+def _reference_integrality_outcome(lambdas):
+    failing = [(s, value) for s, value in enumerate(lambdas) if s and value.denominator != 1]
+    if not failing:
+        witness = {"lambda_s": lambdas[1:], "b": lambdas[0]}
+        return ConditionOutcome(Condition.INTEGRALITY_ALL_S, Status.PASS, witness)
+    s_max, value_max = failing[-1]
+    witness = {
+        "s": s_max,
+        "lambda_s": value_max,
+        "all_failing_s": [s for s, _ in failing],
+        "all_failing_values": [value for _, value in failing],
+    }
+    return ConditionOutcome(Condition.INTEGRALITY_ALL_S, Status.FAIL, witness)
+
+
+def reference_check(params):
+    """The earlier ``check``: every branch spelled out, one outcome per branch."""
+    t, v, k, lam = params.t, params.v, params.k, params.lam
+    nontrivial = params.nontrivial()
+    steiner = lam == 1
+    lambdas = [lambda_s(params, s) for s in range(t + 1)]
+    b = lambdas[0]
+    outcomes = []
+
+    if nontrivial:
+        outcomes.append(
+            ConditionOutcome(Condition.NONTRIVIAL_RANGE, Status.PASS, {"t": t, "k": k, "v": v})
+        )
+    else:
+        outcomes.append(
+            ConditionOutcome(
+                Condition.NONTRIVIAL_RANGE,
+                Status.NOT_APPLICABLE,
+                {"t": t, "k": k, "v": v, "note": "trivial parameters; bounds not applicable"},
+            )
+        )
+
+    outcomes.append(_reference_integrality_outcome(lambdas))
+
+    if nontrivial and steiner:
+        rhs = _tits_min_v(t, k)
+        status = Status.PASS if v >= rhs else Status.FAIL
+        outcomes.append(
+            ConditionOutcome(
+                Condition.TITS_BOUND,
+                status,
+                {"v": v, "bound": rhs, "equality": v == rhs},
+            )
+        )
+    else:
+        outcomes.append(ConditionOutcome(Condition.TITS_BOUND, Status.NOT_APPLICABLE, {}))
+
+    cameron_applicable = nontrivial and steiner and t > 2
+    if cameron_applicable:
+        lhs = v - t + 1
+        rhs = _cameron_rhs(t, k)
+        status = Status.PASS if lhs >= rhs else Status.FAIL
+        outcomes.append(
+            ConditionOutcome(
+                Condition.CAMERON_BOUND,
+                status,
+                {"v_minus_t_plus_1": lhs, "bound": rhs, "equality": lhs == rhs},
+            )
+        )
+        if lhs > rhs:
+            outcomes.append(
+                ConditionOutcome(
+                    Condition.CAMERON_EQUALITY_LIST, Status.PASS, {"strict": True}
+                )
+            )
+        elif lhs == rhs:
+            listed = (t, k, v) in CAMERON_EQUALITY_CASES
+            outcomes.append(
+                ConditionOutcome(
+                    Condition.CAMERON_EQUALITY_LIST,
+                    Status.PASS if listed else Status.FAIL,
+                    {"strict": False, "case": (t, k, v), "listed": listed},
+                )
+            )
+        else:
+            outcomes.append(
+                ConditionOutcome(
+                    Condition.CAMERON_EQUALITY_LIST,
+                    Status.NOT_APPLICABLE,
+                    {"note": "bound already failed"},
+                )
+            )
+    else:
+        outcomes.append(ConditionOutcome(Condition.CAMERON_BOUND, Status.NOT_APPLICABLE, {}))
+        outcomes.append(
+            ConditionOutcome(Condition.CAMERON_EQUALITY_LIST, Status.NOT_APPLICABLE, {})
+        )
+
+    if t >= 2 and nontrivial:
+        status = Status.PASS if b >= v else Status.FAIL
+        outcomes.append(
+            ConditionOutcome(
+                Condition.FISHER_BOUND,
+                status,
+                {"b": b, "v": v, "via": "2-design reduction", "lambda_2": lambdas[2]},
+            )
+        )
+    else:
+        outcomes.append(ConditionOutcome(Condition.FISHER_BOUND, Status.NOT_APPLICABLE, {}))
+
+    if t % 2 == 0:
+        s = t // 2
+        if v >= k + s:
+            bound = comb(v, s)
+            status = Status.PASS if b >= bound else Status.FAIL
+            outcomes.append(
+                ConditionOutcome(
+                    Condition.RAY_CHAUDHURI_WILSON,
+                    status,
+                    {"b": b, "bound": bound, "s": s, "parity": "even"},
+                )
+            )
+        else:
+            outcomes.append(
+                ConditionOutcome(
+                    Condition.RAY_CHAUDHURI_WILSON,
+                    Status.NOT_APPLICABLE,
+                    {"note": "needs v >= k+s", "s": s},
+                )
+            )
+    else:
+        s = (t - 1) // 2
+        if v - 1 >= k + s:
+            bound = 2 * comb(v - 1, s)
+            status = Status.PASS if b >= bound else Status.FAIL
+            outcomes.append(
+                ConditionOutcome(
+                    Condition.RAY_CHAUDHURI_WILSON,
+                    status,
+                    {"b": b, "bound": bound, "s": s, "parity": "odd"},
+                )
+            )
+        else:
+            outcomes.append(
+                ConditionOutcome(
+                    Condition.RAY_CHAUDHURI_WILSON,
+                    Status.NOT_APPLICABLE,
+                    {"note": "needs v-1 >= k+s", "s": s},
+                )
+            )
+
+    admissible = all(out.status is not Status.FAIL for out in outcomes)
+    return AdmissibilityReport(params=params, outcomes=tuple(outcomes), admissible=admissible)
+
+
+def assert_matches_reference(params):
+    report, expected = check(params), reference_check(params)
+    # == on the witness dicts compares raw values: Fraction, tuple, bool
+    assert [(o.condition, o.status, o.witness) for o in report.outcomes] == [
+        (o.condition, o.status, o.witness) for o in expected.outcomes
+    ]
+    assert report.admissible is expected.admissible
+    assert report.to_json_dict() == expected.to_json_dict()
+
+
+def test_check_matches_the_reference_on_every_small_quadruple():
+    for t in range(1, 9):
+        for v in range(t, 31):
+            for k in range(t, v + 1):
+                for lam in (1, 2, 3):
+                    assert_matches_reference(DesignParameters(t, v, k, lam))
+
+
+def _off_list_equality(t, k):
+    """The Cameron equality case at (t, k+1), which is on no list."""
+    k += 1
+    return t, k, _cameron_rhs(t, k) + t - 1
+
+
+@pytest.mark.parametrize("t, k, v", CAMERON_EQUALITY_CASES)
+def test_check_matches_the_reference_at_the_cameron_equality_cases(t, k, v):
+    near = _off_list_equality(t, k)
+    assert near not in CAMERON_EQUALITY_CASES
+    for case, listed in (((t, k, v), True), (near, False)):
+        t_, k_, v_ = case
+        params = DesignParameters(t_, v_, k_, 1)
+        assert_matches_reference(params)
+        outcome = check(params).outcome(Condition.CAMERON_EQUALITY_LIST)
+        assert outcome.witness == {"strict": False, "case": case, "listed": listed}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_check_matches_the_reference_for_larger_v(data):
+    t = data.draw(st.integers(1, 12))
+    v = data.draw(st.integers(t, 3000))
+    k = data.draw(st.integers(t, v))
+    lam = data.draw(st.integers(1, 5))
+    assert_matches_reference(DesignParameters(t, v, k, lam))
+
+
+@pytest.mark.parametrize("params", [
+    DesignParameters(3, 8, 4, 1),   # every condition applies
+    DesignParameters(3, 8, 8, 1),   # trivial: every bound is not applicable
+    DesignParameters(4, 9, 7, 2),   # lambda > 1: Tits and Cameron are not applicable
+    DesignParameters(4, 12, 11, 1),  # Cameron fails, so its equality list is not applicable
+])
+def test_each_condition_once_in_enum_order_with_its_own_witness(params):
+    first, second = check(params), check(params)
+    assert [out.condition for out in first.outcomes] == list(Condition)
+    witnesses = [out.witness for out in first.outcomes + second.outcomes]
+    assert len({id(witness) for witness in witnesses}) == 2 * len(Condition)

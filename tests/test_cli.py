@@ -66,6 +66,36 @@ def test_scan_json_roundtrip(capsys):
     assert {"t": 6, "v": 17, "k": 7, "lambda": 1} in payload["admissible"]
 
 
+@pytest.mark.parametrize("bound, expected", [
+    (["--k-max", "0"], 0),  # k <= 0 admits no k
+    (["--k-min", "0"], 6),  # every k of the default range, 3..14
+    (["--k-max", "3"], 5),
+])
+def test_scan_reads_a_k_bound_of_0_as_given(capsys, bound, expected):
+    code, out, _ = run_cli(capsys, ["scan", "2", "1", "--v-max", "15", "--json"] + bound)
+    assert code == 0 and len(json.loads(out)["admissible"]) == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["km-search", "--group", "catalog:PSL(2,7)", "--t", "2", "--k", "3", "--lambda", "-1"],
+     "--lambda must be a positive integer, got -1"),
+    (["km-search", "--group", "catalog:PSL(2,7)", "--t", "0", "--k", "3"],
+     "--t must be a positive integer, got 0"),
+    (["km-search", "--group", "catalog:PSL(2,7)", "--t", "2", "--k", "0"],
+     "--k must be a positive integer, got 0"),
+    (["analyze-bt", "--t", "6", "--lambda", "0", "--v-max", "20"],
+     "--lambda must be a positive integer, got 0"),
+    (["analyze-bt", "--t", "1", "--v-max", "20"],
+     "--t must be at least 2 for the elimination screen, got 1"),
+    (["scan", "2", "1", "--v-max", "3"],
+     "--v-max must be at least t+2 = 4, got 3"),
+], ids=["km-lambda", "km-t", "km-k", "bt-lambda", "bt-t", "scan-v-max"])
+def test_usage_errors_name_the_option_typed(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_group_info_catalog(capsys):
     code, out, _ = run_cli(capsys, ["group", "info", "catalog:PSL(2,7)", "--json"])
     assert code == 0

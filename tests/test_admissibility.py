@@ -370,7 +370,7 @@ def reference_check(params):
 
 def assert_matches_reference(params):
     report, expected = check(params), reference_check(params)
-    # == on the witness dicts compares raw values: Fraction, tuple, bool
+    # raw witnesses first (a tuple is not a list), then the JSON form (True is not 1)
     assert [(o.condition, o.status, o.witness) for o in report.outcomes] == [
         (o.condition, o.status, o.witness) for o in expected.outcomes
     ]
@@ -386,22 +386,16 @@ def test_check_matches_the_reference_on_every_small_quadruple():
                     assert_matches_reference(DesignParameters(t, v, k, lam))
 
 
-def _off_list_equality(t, k):
-    """The Cameron equality case at (t, k+1), which is on no list."""
-    k += 1
-    return t, k, _cameron_rhs(t, k) + t - 1
-
-
 @pytest.mark.parametrize("t, k, v", CAMERON_EQUALITY_CASES)
 def test_check_matches_the_reference_at_the_cameron_equality_cases(t, k, v):
-    near = _off_list_equality(t, k)
+    near = (t, k + 1, _cameron_rhs(t, k + 1) + t - 1)  # the equality case at k+1, on no list
     assert near not in CAMERON_EQUALITY_CASES
-    for case, listed in (((t, k, v), True), (near, False)):
-        t_, k_, v_ = case
-        params = DesignParameters(t_, v_, k_, 1)
+    for case in ((t, k, v), near):
+        case_t, case_k, case_v = case
+        params = DesignParameters(case_t, case_v, case_k, 1)
         assert_matches_reference(params)
         outcome = check(params).outcome(Condition.CAMERON_EQUALITY_LIST)
-        assert outcome.witness == {"strict": False, "case": case, "listed": listed}
+        assert outcome.witness == {"strict": False, "case": case, "listed": case != near}
 
 
 @settings(max_examples=100, deadline=None)

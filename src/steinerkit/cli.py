@@ -53,7 +53,7 @@ def _read_design(path):
 
 
 def _require_positive(*options):
-    """Refuse a value below 1 with the option's name as typed, e.g. ``--lambda``."""
+    """Refuse a value below 1 with the name the usage line gives it, e.g. ``--lambda``."""
     for option, value in options:
         if value < 1:
             raise ValueError("%s must be a positive integer, got %d" % (option, value))
@@ -70,6 +70,7 @@ def _load_group(source):
 
 
 def cmd_admissible(args):
+    _require_positive(("t", args.t), ("v", args.v), ("k", args.k), ("lambda", args.lam))
     params = DesignParameters(args.t, args.v, args.k, args.lam)
     report = admissibility.check(params)
     if args.json:

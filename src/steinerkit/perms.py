@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb, prod
 
@@ -46,7 +47,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree):
-        return cls(range(degree))
+        return cls._trusted(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree, cycles):
@@ -186,6 +187,7 @@ class PermutationGroup:
             if g.degree != degree:
                 raise ValueError("generator degree %d != group degree %d" % (g.degree, degree))
         self.degree = degree
+        self._identity = Permutation.identity(degree)
         seen = set()
         kept = []
         for g in gens:
@@ -211,6 +213,7 @@ class PermutationGroup:
                 self.base.append(mm)
                 self._level_gens.append([h for h in self._level_gens[-1] if h(mm) == mm])
         self._transversals = [None] * len(self.base)
+        self._inverses = [None] * len(self.base)
         for level in range(len(self.base)):
             self._orbit_transversal(level)
         self._close_from(len(self.base) - 1, _order)
@@ -221,7 +224,7 @@ class PermutationGroup:
     def _orbit_transversal(self, level):
         b = self.base[level]
         gens = self._level_gens[level]
-        trans = {b: Permutation.identity(self.degree)}
+        trans = {b: self._identity}
         queue = [b]
         for point in queue:
             u = trans[point]
@@ -231,6 +234,16 @@ class PermutationGroup:
                     trans[image] = u * g
                     queue.append(image)
         self._transversals[level] = trans
+        self._inverses[level] = {}
+
+    def _inverse(self, level, point):
+        """Inverse of the transversal element for ``point``, computed on
+        first use and kept until the level's transversal is rebuilt."""
+        cache = self._inverses[level]
+        inv = cache.get(point)
+        if inv is None:
+            inv = cache[point] = self._transversals[level][point].inverse()
+        return inv
 
     def _sift_from(self, perm, level):
         """Reduce ``perm`` through levels >= ``level``.
@@ -245,7 +258,7 @@ class PermutationGroup:
             trans = self._transversals[lev]
             if image not in trans:
                 return g, lev
-            g = g * trans[image].inverse()
+            g = g * self._inverse(lev, image)
         return g, len(self.base)
 
     def _order_from(self, level):
@@ -274,10 +287,10 @@ class PermutationGroup:
             u = trans[point]
             for s in gens:
                 image = s(point)
-                schreier = u * s * trans[image].inverse()
-                if schreier.is_identity():
+                us = u * s
+                if us.images == trans[image].images:
                     continue
-                residue, dropout = self._sift_from(schreier, level + 1)
+                residue, dropout = self._sift_from(us * self._inverse(level, image), level + 1)
                 if not residue.is_identity():
                     self._install(residue, level + 1, dropout)
                     return dropout
@@ -291,6 +304,7 @@ class PermutationGroup:
             self.base.append(residue.min_moved())
             self._level_gens.append([])
             self._transversals.append(None)
+            self._inverses.append(None)
         for level in range(first, dropout + 1):
             self._level_gens[level].append(residue)
             self._orbit_transversal(level)
@@ -303,6 +317,23 @@ class PermutationGroup:
         self._install(residue, 0, dropout)
         self._close_from(dropout)
         self.order = self._order_from(0)
+
+    def _sift_base_images(self, points):
+        """Sift the images of ``base[:len(points)]`` through the transversals:
+        the transversal elements u_0, u_1, ... (identities left out) whose
+        product ... * u_1 * u_0 maps each base[i] to points[i], or None when
+        no member does.  One lookup per level and no permutation product."""
+        points = list(points)
+        factors = []
+        for level, x in enumerate(points):
+            trans = self._transversals[level]
+            if x not in trans:
+                return None
+            if x != self.base[level]:
+                factors.append(trans[x])
+                inv = self._inverse(level, x).images
+                points[level + 1:] = [inv[p] for p in points[level + 1:]]
+        return factors
 
     def _rebase(self, prefix):
         """The same group on a chain with ``prefix`` as its base prefix."""
@@ -375,34 +406,106 @@ class PermutationGroup:
         On a chain with the block as base prefix the levels below the block
         hold the pointwise stabilizer G_(B), so the search chooses only the
         images of the block's points: one leaf per coset of G_(B) in G_B.
-        The result starts as G_(B) and each leaf it does not yet hold
-        extends it in place.
+        The result K starts as G_(B) and each leaf it does not yet hold
+        extends it in place.  Two exact prunes (Seress, *Permutation Group
+        Algorithms*, 2003, §9.1; Leon, *J. Symb. Comput.* 12, 1991) cut every
+        subtree without a leaf outside K:
+
+        - orbit counts: below a node at depth m the search maps each orbit
+          O of the level-m stabilizer onto post(O), so a node whose block
+          preimages meet some O less often than the block does has no leaf;
+        - the subgroup found so far: the identity subtree at each depth is
+          searched first, so a node whose prefix images lie in the K-orbit
+          of the block's prefix holds only members of K, and a child of the
+          identity path whose image is not least in its orbit under K's
+          stabilizer of the earlier block points repeats a searched sibling.
+
+        Leaves outside K are met in the unpruned order, so the generators
+        are those of the unpruned search.
         """
         block = tuple(sorted(set(block)))
         for p in block:
             if not 0 <= p < self.degree:
                 raise ValueError("point %d out of range" % p)
-        bset = frozenset(block)
         chain = self._rebase(block)
-        known = chain._level_subgroup(len(block))
+        known = PermutationGroup(chain._level_gens[len(block)], self.degree, block,
+                                 _order=chain._order_from(len(block)))
+        pointwise = known.order
+        tables = [chain._orbit_counts(level, block) for level in range(len(block))]
         # depth first; children are pushed in descending gamma order so they
-        # pop in the ascending order a recursion visits.  post composes the
-        # transversal elements chosen at shallower levels, and the final
-        # image of block[level] is post(gamma)
-        stack = [(0, Permutation.identity(self.degree))]
+        # pop in the ascending order a recursion visits.  A node at depth m
+        # stands for the coset G^(m) * post, where post composes the
+        # transversal elements chosen so far; it keeps the preimages of the
+        # block under post and the images of block[:m]
+        stack = [(block, ())]
         while stack:
-            level, post = stack.pop()
+            pre, images = stack.pop()
+            level = len(images)
+            # only the identity path keeps the block itself as its preimages
+            on_path = pre is block
+            if not on_path and known.order > pointwise:
+                # a child of the identity path repeats the subtree of the
+                # least image in its K-orbit; any other node lies in K when
+                # its prefix images lie in the K-orbit of the block's prefix
+                if images[:-1] == block[:level - 1]:
+                    image = images[-1]
+                    maps = [g.images.__getitem__ for g in known._level_gens[level - 1]]
+                    if min(_orbit(image, maps)) < image:
+                        continue
+                elif known._sift_base_images(images) is not None:
+                    continue
             if level == len(block):
-                if post.apply_set(block) != block:
-                    raise AssertionError("backtrack leaf does not stabilize the block (bug)")
-                if post not in known:
+                if not on_path:
+                    post = reduce(Permutation.__mul__, reversed(chain._sift_base_images(images)))
+                    if post.apply_set(block) != block:
+                        raise AssertionError("backtrack leaf does not stabilize the block (bug)")
                     known._extend(post)
                 continue
             trans = chain._transversals[level]
-            for gamma in sorted(trans, reverse=True):
-                if post.images[gamma] in bset:
-                    stack.append((level + 1, trans[gamma] * post))
+            table = tables[level]
+            where = dict(zip(pre, block))
+            children = [(gamma, where[gamma]) for gamma in trans.keys() & where.keys()]
+            for gamma, image in sorted(children, reverse=True):
+                if gamma == block[level]:
+                    child_pre = pre
+                else:
+                    inv = chain._inverse(level, gamma).images
+                    child_pre = tuple([inv[p] for p in pre])
+                if table is not None and child_pre is not block:
+                    label, need = table
+                    counts = [0] * len(need)
+                    for p in child_pre:
+                        if p in label:
+                            counts[label[p]] += 1
+                    if any(map(int.__lt__, counts, need)):
+                        continue
+                stack.append((child_pre, images + (image,)))
         return known
+
+    def _orbit_counts(self, level, block):
+        """The orbit-count table of the setwise backtrack for the children
+        of ``level``: a child can lead to a leaf only if every orbit of level
+        ``level + 1`` that meets the unfixed block points holds at least as
+        many of the child's block preimages as block points.  The table
+        labels the points of these orbits and lists the block counts; it is
+        None where the test cannot cut anything."""
+        rest = block[level + 1:]
+        if len(self._transversals[level]) == 1 or len(rest) < 2:
+            return None
+        # the next transversal is the orbit of rest[0]; where it holds every
+        # unfixed point, the counts are forced
+        first = self._transversals[level + 1]
+        if len(first) == self.degree - level - 1:
+            return None
+        label = dict.fromkeys(first, 0)
+        need = [0]
+        maps = [g.images.__getitem__ for g in self._level_gens[level + 1]]
+        for point in rest:
+            if point not in label:
+                label.update(dict.fromkeys(_orbit(point, maps), len(need)))
+                need.append(0)
+            need[label[point]] += 1
+        return label, need
 
     def stabilizer_point_in_block(self, x, block):
         """Stabilizer of an incident point-and-set pair (G_x intersect G_B)."""

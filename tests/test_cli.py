@@ -89,7 +89,9 @@ def test_scan_reads_a_k_bound_of_0_as_given(capsys, bound, expected):
      "--t must be at least 2 for the elimination screen, got 1"),
     (["scan", "2", "1", "--v-max", "3"],
      "--v-max must be at least t+2 = 4, got 3"),
-], ids=["km-lambda", "km-t", "km-k", "bt-lambda", "bt-t", "scan-v-max"])
+    (["admissible", "2", "5", "3", "0"],
+     "lambda must be a positive integer, got 0"),
+], ids=["km-lambda", "km-t", "km-k", "bt-lambda", "bt-t", "scan-v-max", "admissible-lambda"])
 def test_usage_errors_name_the_option_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""

@@ -593,6 +593,7 @@ def test_setwise_stabilizer_of_steiner_blocks(name, block, order):
     for g in stab.generators:
         assert g.apply_set(block) == block
         assert g in group
+    assert stab.generators == _setwise_generators_by_recursion(group, block)
 
 
 def test_stabilizer_point_in_heptad():
@@ -606,23 +607,35 @@ def test_stabilizer_point_in_heptad():
         assert g in m23
 
 
-def test_setwise_backtrack_has_one_leaf_per_pointwise_coset(monkeypatch):
-    # the search walks only the block's base levels: one sift per coset of
-    # G_(B) in G_B, that is |G_B : G_(B)| = 40320 / 16 for the M_23 heptad
+@pytest.mark.parametrize("name, block, order, pointwise, leaves", [
+    ("M_23", HEPTAD, 40320, 16, 6),
+    ("M_24", tuple(range(12)), 240, 1, 4),
+])
+def test_setwise_backtrack_reaches_only_the_leaves_that_extend(monkeypatch, name, block,
+                                                                order, pointwise, leaves):
+    # pruned by orbit counts and by the subgroup found so far, the walk
+    # reaches the identity leaf and the leaves that extend the result, and
+    # sifts none of them; unpruned it sifted one leaf per coset of G_(B) in
+    # G_B: 40320 / 16 = 2520 for the M_23 heptad, 240 for M_24 {0..11}
     from steinerkit.catalog import catalog_entry_by_name
 
-    m23 = catalog_entry_by_name("M_23").group()
-    assert m23.stabilizer_pointwise(HEPTAD).order == 16
-    sifts = []
-    real_sift = PermutationGroup.sift
+    group = catalog_entry_by_name(name).group()
+    assert group.stabilizer_pointwise(block).order == pointwise
+    extensions, sifts = [], []
+    real_extend, real_sift = PermutationGroup._extend, PermutationGroup.sift
+
+    def counting_extend(self, g):
+        extensions.append(g)
+        return real_extend(self, g)
 
     def counting_sift(self, perm):
         sifts.append(perm)
         return real_sift(self, perm)
 
+    monkeypatch.setattr(PermutationGroup, "_extend", counting_extend)
     monkeypatch.setattr(PermutationGroup, "sift", counting_sift)
-    assert m23.stabilizer_setwise(HEPTAD).order == 40320
-    assert len(sifts) == 2520
+    assert group.stabilizer_setwise(block).order == order
+    assert (len(extensions) + 1, len(sifts)) == (leaves, 0)
 
 
 def test_setwise_stabilizer_of_a_large_block_needs_no_recursion():
@@ -720,6 +733,15 @@ def _setwise_generators_by_recursion(group, block):
 
     rec(0, Permutation.identity(group.degree))
     return known.generators
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_setwise_generators_match_the_recursive_backtrack_random(data):
+    group = _random_group(data)
+    block = data.draw(st.lists(st.integers(0, group.degree - 1), unique=True))
+    assert group.stabilizer_setwise(block).generators == (
+        _setwise_generators_by_recursion(group, tuple(sorted(block))))
 
 
 @pytest.mark.parametrize("name", ["PSL(2,11)", "M_11", "M_11(deg12)", "AGL(3,2)"])

@@ -2,9 +2,12 @@
 
 All arithmetic is exact; block-count formulas return Fractions so that
 non-integrality is visible to the admissibility layer instead of being
-rounded away.  Blocks are strictly increasing tuples and a design's block
-list is duplicate-free and lexicographically sorted, giving deterministic
-equality and diffable serialized output.
+rounded away.  Blocks are strictly increasing and a design's block list is
+duplicate-free and lexicographically sorted, giving deterministic equality
+and diffable serialized output.  A Design holds its points as k columns,
+one list per block position, built once when it is made; validation, cover
+counting, derived designs and serialization read the columns, and
+``Design.blocks`` builds the block tuples only when a caller asks for them.
 """
 from __future__ import annotations
 
@@ -58,57 +61,79 @@ def lambda_s(params, s):
 
 
 class Design:
-    """A block design: parameters plus a sorted, duplicate-free block list."""
+    """A block design: parameters plus a sorted, duplicate-free block list.
 
-    __slots__ = ("params", "blocks")
+    The blocks are held as k columns, one list per block position:
+    ``columns[j][i]`` is point j of block i.  ``blocks`` builds the tuples
+    from them on each call.
+    """
+
+    __slots__ = ("params", "columns")
 
     def __init__(self, params, blocks):
-        k, v = params.k, params.v
-        canon = list(map(tuple, blocks))
-        flat = list(chain.from_iterable(canon))
-        columns = [flat[j::k] for j in range(k)]
-        # whole-list checks; only a failure walks the blocks one by one
-        valid = (
-            all(map(k.__eq__, map(len, canon)))
-            and set(map(type, flat)) <= {int}
-            and all(all(map(lt, columns[j], columns[j + 1])) for j in range(k - 1))
-            and (not canon or (min(columns[0]) >= 0 and max(columns[-1]) < v))
-        )
-        ordered = canon
-        if valid and not all(map(lt, canon, islice(canon, 1, None))):
-            ordered = sorted(canon)
-            valid = all(map(ne, ordered, islice(ordered, 1, None)))
-        if not valid:
-            _raise_block_fault(params, canon)
+        columns, _ = _checked_columns(params, blocks)
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "blocks", tuple(ordered))
+        object.__setattr__(self, "columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError("Design is immutable")
 
     @property
+    def blocks(self):
+        return tuple(zip(*self.columns))
+
+    @property
     def b(self):
-        return len(self.blocks)
+        return len(self.columns[0])
 
     def __eq__(self, other):
         return (
             isinstance(other, Design)
             and self.params == other.params
-            and self.blocks == other.blocks
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.params, self.blocks))
+        return hash((self.params, *map(tuple, self.columns)))
 
     def __repr__(self):
         p = self.params
         return "Design(%d-(%d,%d,%d), %d blocks)" % (p.t, p.v, p.k, p.lam, self.b)
 
 
+def _checked_columns(params, blocks):
+    """The columns of ``blocks`` in lexicographic order, and whether
+    ``blocks`` came in that order.
+
+    Lengths and point types are checked on the rows as given, so that
+    sorting them is safe; the columns are built once, after any sort.
+    Rows that are not all lists or all tuples are read as tuples, so that
+    any two compare.  An invalid block list raises the ValueError naming its
+    first invalid entry.
+    """
+    k, v = params.k, params.v
+    rows = blocks if type(blocks) in (list, tuple) else list(blocks)
+    kinds = set(map(type, rows))
+    if not (kinds <= {list} or kinds <= {tuple}):
+        rows = list(map(tuple, rows))
+    # whole-list checks; only a failure walks the blocks one by one
+    if all(map(k.__eq__, map(len, rows))) and set(map(type, chain.from_iterable(rows))) <= {int}:
+        in_order = all(map(lt, rows, islice(rows, 1, None)))
+        ordered = rows if in_order else sorted(rows)
+        columns = [list(map(itemgetter(j), ordered)) for j in range(k)]
+        if (
+            all(all(map(lt, columns[j], columns[j + 1])) for j in range(k - 1))
+            and (not rows or (min(columns[0]) >= 0 and max(columns[-1]) < v))
+            and (in_order or all(map(ne, ordered, islice(ordered, 1, None))))
+        ):
+            return columns, in_order
+    _raise_block_fault(params, rows)
+
+
 def _raise_block_fault(params, blocks):
     """Raise the ValueError naming the first invalid entry of ``blocks``."""
     seen = set()
-    for i, block in enumerate(blocks):
+    for i, block in enumerate(map(tuple, blocks)):
         if len(block) != params.k:
             raise ValueError(
                 "blocks[%d] has %d points, expected k=%d" % (i, len(block), params.k)
@@ -151,13 +176,14 @@ def _rank_tables(v, t):
     return tables  # lists: list.__getitem__ is the faster bound method
 
 
-def cover_counts(blocks, t, v, k, width, cap=DEFAULT_SUBSET_CAP):
-    """How many of ``blocks`` (k-subsets of [0, v)) contain each t-subset.
+def cover_counts(columns, t, v, k, width, cap=DEFAULT_SUBSET_CAP):
+    """How many blocks (k-subsets of [0, v), given as k columns) contain
+    each t-subset.
 
     Each t-subset has a counter of ``width`` bytes (1 or 4) at its
-    lexicographic rank.  The ranks of every block's C(k,t) sub-subsets are
-    summed from one table per position.  Refuses (CapacityError) when the
-    C(v,t) counters exceed ``cap``.
+    lexicographic rank.  For each choice of t block positions, the ranks
+    are summed from one table per position, streamed down the columns.
+    Refuses (CapacityError) when the C(v,t) counters exceed ``cap``.
     """
     total = comb(v, t)
     if total > cap:
@@ -168,8 +194,7 @@ def cover_counts(blocks, t, v, k, width, cap=DEFAULT_SUBSET_CAP):
     tables = _rank_tables(v, t)
     for positions in combinations(range(k), t):
         terms = [
-            map(table.__getitem__, map(itemgetter(j), blocks))
-            for table, j in zip(tables, positions)
+            map(table.__getitem__, columns[j]) for table, j in zip(tables, positions)
         ]
         for rank in reduce(partial(map, add), terms):
             counts[rank] += 1
@@ -186,7 +211,7 @@ def verify(design, cap=DEFAULT_SUBSET_CAP):
     params = design.params
     t, v, k = params.t, params.v, params.k
     width = 1 if min(design.b, comb(v - t, k - t)) < 256 else 4
-    counts = cover_counts(design.blocks, t, v, k, width, cap)
+    counts = cover_counts(design.columns, t, v, k, width, cap)
     common = counts[0]
     if counts.count(common) == len(counts):
         witness = None if common == params.lam else (tuple(range(t)), common)
@@ -208,11 +233,21 @@ def derived(design, x):
     if not 0 <= x < params.v:
         raise ValueError("point %r out of range [0, %d)" % (x, params.v))
     new_params = DesignParameters(params.t - 1, params.v - 1, params.k - 1, params.lam)
-    new_blocks = []
-    for block in design.blocks:
-        if x in block:
-            new_blocks.append(tuple(p if p < x else p - 1 for p in block if p != x))
-    return Design(new_params, new_blocks)
+    through = []  # the rows through x; x lies at most once in a block
+    for column in design.columns:
+        i = -1
+        for _ in range(column.count(x)):
+            i = column.index(x, i + 1)
+            through.append(i)
+    through.sort()
+    cols = [list(map(column.__getitem__, through)) for column in design.columns]
+    # a block through x keeps its points below x; past x, position j takes
+    # the point at j + 1, shifted down
+    new_columns = [
+        [p if p < x else q - 1 for p, q in zip(cols[j], cols[j + 1])]
+        for j in range(params.k - 1)
+    ]
+    return Design(new_params, zip(*new_columns))
 
 
 def construct_boolean(n, cap=DEFAULT_SUBSET_CAP):
@@ -268,7 +303,7 @@ def design_to_json_dict(design):
         "v": p.v,
         "k": p.k,
         "lambda": p.lam,
-        "blocks": [list(block) for block in design.blocks],
+        "blocks": list(map(list, zip(*design.columns))),
     }
 
 
@@ -293,21 +328,23 @@ def design_from_json_dict(data):
     if not all(map(isinstance, blocks, repeat(list))):
         i = next(i for i, block in enumerate(blocks) if not isinstance(block, list))
         raise ValueError("design json: blocks[%d] must be an array" % i)
-    canon = list(map(tuple, blocks))
     try:
-        design = Design(params, canon)
+        columns, in_order = _checked_columns(params, blocks)
     except ValueError:
         # JSON true/false load as bools, which Design refuses as points;
         # one is named in preference to any other fault
-        for i, block in enumerate(canon):
+        for i, block in enumerate(blocks):
             for j, p in enumerate(block):
                 if type(p) is bool:
                     raise ValueError(
                         "design json: blocks[%d][%d] must be an integer, got %r" % (i, j, p)
                     ) from None
         raise
-    if list(design.blocks) != canon:
+    if not in_order:
         raise ValueError("design json: blocks must be sorted lexicographically")
+    design = object.__new__(Design)
+    object.__setattr__(design, "params", params)
+    object.__setattr__(design, "columns", columns)
     return design
 
 

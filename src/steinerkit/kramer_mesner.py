@@ -278,7 +278,8 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, matrix=N
                 if not all(members.issuperset(map(f, orbit)) for f in maps):
                     raise AssertionError("column %d is not closed under the group (bug)" % j)
                 orbits[j] = orbit
-                covers[j] = int.from_bytes(cover_counts(orbit, t, v, k, width, cap), sys.byteorder)
+                counts = cover_counts(list(zip(*orbit)), t, v, k, width, cap)
+                covers[j] = int.from_bytes(counts, sys.byteorder)
         if target is None:  # lambda in every field
             target = lam * int.from_bytes((b"\1" + bytes(width - 1)) * comb(v, t), "little")
         if sum(map(covers.__getitem__, selection)) != target:

@@ -636,11 +636,12 @@ def induced_block_images(group, design):
         raise ValueError(
             "group degree %d != design point count %d" % (group.degree, design.params.v)
         )
-    block_index = {blk: i for i, blk in enumerate(design.blocks)}
+    blocks = design.blocks
+    block_index = {blk: i for i, blk in enumerate(blocks)}
     induced = []
     for g in group.generators:
         images = []
-        for blk in design.blocks:
+        for blk in blocks:
             image = g.apply_set(blk)
             if image not in block_index:
                 raise NotAutomorphismError(
@@ -657,7 +658,7 @@ def induced_block_images(group, design):
 def induced_block_action(group, design):
     """Check a group acts on a design and report its block/flag/point orbits."""
     induced = induced_block_images(group, design)
-    nblocks = len(design.blocks)
+    nblocks = design.b
     v = design.params.v
     # the flag (point x, block bi) is the int bi * v + x
     flags = [bi * v + x for bi, block in enumerate(design.blocks) for x in block]

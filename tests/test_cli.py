@@ -595,3 +595,17 @@ def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, ["group", "info", "catalog:M_11"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "corrupt bundle" in err
+
+
+@pytest.mark.parametrize(
+    "block", [[0, None, 3], [0, 2.5, 3], [0, "2", 3], [0, [2], 3], [0, True, 3], [0, 3]],
+    ids=["null", "float", "string", "array", "true", "short"],
+)
+def test_verify_of_a_malformed_block_exits_2(capsys, tmp_path, block):
+    data = design_to_json_dict(fano_plane())
+    data["blocks"][0] = block
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

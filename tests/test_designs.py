@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +17,9 @@ from steinerkit.designs import (
     construct_boolean,
     derived,
     design_from_json,
+    design_from_json_dict,
     design_to_json,
+    design_to_json_dict,
     fano_plane,
     lambda_s,
     verify,
@@ -400,3 +403,35 @@ def test_verify_memory_is_the_counters():
     finally:
         tracemalloc.stop()
     assert peak < 2 * comb(64, 3) + 16384
+
+
+def test_design_from_json_dict_builds_no_block_tuples():
+    data = design_to_json_dict(construct_boolean(6))
+    b, k = len(data["blocks"]), data["k"]
+    tracemalloc.start()
+    try:
+        design = design_from_json_dict(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design.b == b
+    # the flat point list plus the k columns; a tuple per block would exceed it
+    assert peak < sys.getsizeof([0] * (b * k)) + k * sys.getsizeof([0] * b) + 16384
+
+
+def test_design_from_lists_tuples_a_mix_or_an_iterator_is_one_design():
+    params = DesignParameters(2, 6, 3, 4)
+    rows = list(combinations(range(6), 3))
+    mixed = [list(row) if i % 2 else row for i, row in enumerate(rows)]
+    forms = [
+        rows,
+        list(map(list, rows)),
+        mixed,
+        mixed[::-1],  # out of order: the sort compares a list with a tuple
+        tuple(rows),
+        combinations(range(6), 3),
+    ]
+    designs = [Design(params, form) for form in forms]
+    assert all(design == designs[0] for design in designs)
+    assert len(set(map(hash, designs))) == 1
+    assert designs[0].blocks == tuple(rows) and designs[0].b == 20

@@ -21,6 +21,13 @@ Everything is derived, not copied from tables:
 Every derived group's order is verified by a stabilizer chain before the
 file is written; the orders land in metadata.json and are re-verified at
 load time by the package.
+
+A file that already holds the group built is left alone: same order, and
+each generator set lies in the other group.  This keeps ``a7_16.json``
+frozen: the stabilizer routines have changed since it was written, and
+the tool now derives other generators for the same 2^4:A7.  Writing them
+would change the output of ``group info catalog:2^4:A7`` and of every task
+that starts from those generators.
 """
 from __future__ import annotations
 
@@ -37,7 +44,11 @@ from steinerkit.catalog import (  # noqa: E402
     projective_scaling,
     projective_translation,
 )
-from steinerkit.perms import Permutation, PermutationGroup  # noqa: E402
+from steinerkit.perms import (  # noqa: E402
+    Permutation,
+    PermutationGroup,
+    group_from_json_dict,
+)
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "steinerkit", "data", "groups")
 
@@ -176,20 +187,38 @@ def restrict(group, kept_points, expected_order):
     return out
 
 
+def holds_group(path, group):
+    """Whether the bundle file at ``path`` holds ``group`` itself."""
+    if not os.path.exists(path):
+        return False
+    with open(path, encoding="utf-8") as handle:
+        held = group_from_json_dict(json.load(handle))
+    return (
+        held.degree == group.degree
+        and held.order == group.order
+        and all(g in held for g in group.generators)
+        and all(g in group for g in held.generators)
+    )
+
+
 def dump(name, group, expected_order, metadata):
     assert group.order == expected_order, (name, group.order, expected_order)
     filename = "%s.json" % name
+    path = os.path.join(OUT_DIR, filename)
+    metadata.append(
+        {"name": name, "degree": group.degree, "expected_order": expected_order, "file": filename}
+    )
+    if holds_group(path, group):
+        print("kept %s: it holds this group already" % filename)
+        return
     payload = {
         "name": name,
         "degree": group.degree,
         "generators": [list(g.images) for g in group.generators],
     }
-    with open(os.path.join(OUT_DIR, filename), "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
         handle.write("\n")
-    metadata.append(
-        {"name": name, "degree": group.degree, "expected_order": expected_order, "file": filename}
-    )
     print("wrote %s (degree %d, order %d, %d generators)" % (
         filename, group.degree, expected_order, len(group.generators)))
 

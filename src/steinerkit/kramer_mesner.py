@@ -3,12 +3,16 @@
 Rows of the orbit matrix are the group's orbits on t-subsets, columns its
 orbits on k-subsets; entry (i, j) counts the column-orbit members
 containing the row representative, which is independent of the chosen
-representative.  A design with the prescribed group is a column selection
-whose row sums all equal lambda; the solver enumerates those selections by
-deterministic backtracking and the results are expanded to explicit block
-sets.  The first time a solution uses a column, one pass expands its orbit,
-proves it closed under the group and counts its covers of every t-subset; a
-design is proved by summing its columns' counts.
+representative.  When the group is t-homogeneous (decided by the index of
+a t-subset's setwise stabilizer) there is one row, and the matrix is read
+from a stabilizer chain without enumerating a t-subset; otherwise the
+t-subsets are partitioned.  A design with the prescribed group is a
+column selection whose row sums all equal lambda; the solver enumerates
+those selections by deterministic backtracking and the results are
+expanded to explicit block sets.  The first time a solution uses a
+column, one pass expands its orbit, proves it closed under the group and
+counts its covers of every t-subset; a design is proved by summing its
+columns' counts.
 """
 from __future__ import annotations
 
@@ -48,19 +52,28 @@ class OrbitMatrix:
 def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
     """Count, for each t-orbit representative, its k-supersets per k-orbit.
 
-    Only the t-subsets are partitioned.  Each k-orbit K is found at the
-    least row r whose orbit it meets: the k-supersets of R = R_r that meet
-    no earlier row are split into orbits of the row stabilizer G_R (from
-    ``stabilizer_setwise``, or trivial when |orbit(R)| = |G|), and
-    the G_R-orbits lying in one K are joined by a G-invariant label, the
-    least G_R-orbit id that the superset's t-subsets in row r carry it to
-    along their Schreier tree paths, each edge labelled by its generator.
-    Their sizes sum to M[r, K].  The rest is double counting over the
-    pairs (T, S) with T a t-subset of S in K: |orbit(R_s)| M[s, K] = |K| n_s
-    for every row s, where n_s counts the t-subsets of any one S in K that
-    lie in row s.  K's lex-least member begins with R_r and each row's
-    supersets are enumerated in lex order, so the first superset found in
-    K is its representative.  Rows and columns are sorted by representative.
+    Each k-orbit K is found at the least row r whose orbit it meets: the
+    k-supersets of R = R_r that meet no earlier row are split into orbits of
+    the row stabilizer G_R (from ``stabilizer_setwise``, or trivial when
+    |orbit(R)| = |G|), and the G_R-orbits lying in one K are joined by a
+    G-invariant label, the least G_R-orbit id that the superset's t-subsets
+    in row r are carried to by elements taking each onto R.  Their sizes
+    sum to M[r, K].  The rest is double counting over the pairs (T, S) with
+    T a t-subset of S in K: |orbit(R_s)| M[s, K] = |K| n_s for every row s,
+    where n_s counts the t-subsets of any one S in K that lie in row s.
+    K's lex-least member begins with R_r and each row's supersets are
+    enumerated in lex order, so the first superset found in K is its
+    representative.  Rows and columns are sorted by representative.
+
+    The rows and the carrying elements come from one of two sources; no
+    k-subset is partitioned in either.  When C(v,t) divides |G| the index
+    test |G| = C(v,t) |G_R| with R = (0..t-1) decides whether G is
+    t-homogeneous.  If it is, R is the only row, no t-subset is enumerated,
+    and the element taking a t-subset onto R is read from a chain with R as
+    its base prefix by sifting the subset's orderings (one succeeds; a
+    t-transitive G takes the first).  Otherwise the t-subsets are
+    partitioned and carried along their labelled Schreier tree paths, each
+    edge labelled by its generator; G_R, if the test built it, is row 0's.
     """
     v = group.degree
     if not 1 <= t <= k <= v:
@@ -72,27 +85,64 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
         raise CapacityError(
             "%d-supersets of a %d-subset: %d exceed cap %d" % (k, t, supersets, cap)
         )
-    tree = {}
-    row_reps, row_sizes, row_of = group.subset_orbit_partition(t, cap=cap, tree=tree)
-    inverse = {g.apply_set: g.inverse().images for g in group.generators}
+    total = comb(v, t)
+    if total > cap:
+        raise CapacityError(
+            "%d-subset enumeration size %d exceeds cap %d" % (t, total, cap)
+        )
+    row0 = None  # G_R for R = (0..t-1), row 0's representative, if the index test built it
+    if group.order % total == 0:
+        row0 = group.stabilizer_setwise(range(t))
+    if row0 is not None and group.order == total * row0.order:
+        row_reps, row_sizes = [tuple(range(t))], [total]
+        # any chain whose first t base points are R's will do
+        chain = group if sorted(group.base[:t]) == list(range(t)) else group._rebase(range(t))
 
-    def to_rep(subset, points):
-        """Map ``points`` along the tree path from ``subset`` to its orbit's rep."""
-        while subset in tree:
-            subset, f = tree[subset]
-            inv = inverse[f]
-            points = [inv[p] for p in points]
-        return points
+        def row_of(sub):
+            return 0
 
-    def carry(sub, superset):
-        """The image of ``superset`` under the tree path taking its t-subset
-        ``sub`` to that row's representative."""
-        moved = to_rep(sub, [p for p in superset if p not in sub])
-        return tuple(sorted(row_reps[row_of[sub]] + tuple(moved)))
+        def carry(sub, superset):
+            """The image of ``superset`` under an element taking ``sub`` onto R.
+
+            A depth-first search over the orderings of ``sub``, sifting one
+            base point per level.  A node keeps the images of the points of
+            ``sub`` not yet sent to R's base points and of the points outside
+            ``sub``, and the point to send to the next base point.  An
+            ordering is cut at the first level whose transversal lacks that
+            point, and a t-transitive G takes the first path."""
+            stack = [(list(sub), [p for p in superset if p not in sub], None)]
+            while True:
+                points, moved, x = stack.pop()
+                level = t - len(points)
+                if x is not None:
+                    inv = chain._inverse(level, x).images
+                    points = [inv[p] for p in points if p != x]
+                    moved = [inv[p] for p in moved]
+                    level += 1
+                if level == t:
+                    return tuple(sorted(row_reps[0] + tuple(moved)))
+                trans = chain._transversals[level]
+                stack += [(points, moved, x) for x in reversed(points) if x in trans]
+    else:
+        tree = {}
+        row_reps, row_sizes, index = group.subset_orbit_partition(t, cap=cap, tree=tree)
+        row_of = index.__getitem__
+        inverse = {g.apply_set: g.inverse().images for g in group.generators}
+
+        def carry(sub, superset):
+            """The image of ``superset`` under the tree path taking its t-subset
+            ``sub`` to that row's representative."""
+            points = [p for p in superset if p not in sub]
+            rep = row_reps[index[sub]]
+            while sub in tree:
+                sub, f = tree[sub]
+                inv = inverse[f]
+                points = [inv[p] for p in points]
+            return tuple(sorted(rep + tuple(points)))
 
     columns = []  # (representative, least row met, entry there), one per k-orbit
     for r, rep in enumerate(row_reps):
-        maps = None  # G_R, once some superset needs it
+        maps = None  # G_R's generators, once some superset needs them
         rest = [p for p in range(v) if p not in rep]
         orbit_id = {}
         orbits = []  # (least member, size, its t-subsets in row r)
@@ -102,21 +152,26 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
                 continue
             meets = []
             for sub in combinations(superset, t):
-                if row_of[sub] < r:  # its k-orbit was found at an earlier row
+                row = row_of(sub)
+                if row < r:  # its k-orbit was found at an earlier row
                     break
-                if row_of[sub] == r:
+                if row == r:
                     meets.append(sub)
             else:
                 if maps is None:  # G_R is trivial when R's orbit is as large as G
-                    maps = [] if group.order == row_sizes[r] else [
-                        g.apply_set for g in group.stabilizer_setwise(rep).generators]
+                    if group.order == row_sizes[r]:
+                        maps = []
+                    elif r == 0 and row0 is not None:  # built by the index test
+                        maps = [g.apply_set for g in row0.generators]
+                    else:
+                        maps = [g.apply_set for g in group.stabilizer_setwise(rep).generators]
                 orbit = _orbit(superset, maps) if maps else (superset,)
                 for member in orbit:
                     orbit_id[member] = len(orbits)
                 orbits.append((superset, len(orbit), meets))
         found = {}  # label -> index into columns
         for i, (superset, size, meets) in enumerate(orbits):
-            if meets == [rep]:  # rep's tree path is empty: carry(rep, superset) is superset
+            if meets == [rep]:  # the identity carries rep: carry(rep, superset) is superset
                 label = i
             else:
                 label = min(orbit_id[carry(sub, superset)] for sub in meets)
@@ -129,7 +184,7 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
     entries = [[0] * len(columns) for _ in row_reps]
     col_sizes = []
     for j, (col_rep, r, entry) in enumerate(columns):
-        counts = Counter(row_of[sub] for sub in combinations(col_rep, t))
+        counts = Counter(map(row_of, combinations(col_rep, t)))
         size, rem = divmod(row_sizes[r] * entry, counts[r])
         for s, n in counts.items():
             entries[s][j], rem_s = divmod(size * n, row_sizes[s])

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -296,6 +297,25 @@ def test_km_search_dump_matrix_is_pinned(capsys, tmp_path):
     assert code == 0 and capped.splitlines()[1:] == out.splitlines()[1:]
 
 
+# sha256 of the orbit matrix dumps of two t-homogeneous groups, as written by
+# the builder that partitioned every t-subset before the one-row path
+HOMOGENEOUS_MATRIX_SHA256 = {
+    ("M_24", "5", "8"): "ece01a5a3d1e71ef03d7db3c8739070f5dd5772453fb68c37719f84658bfb27b",
+    ("PSL(2,128)", "3", "4"): "c37c9470c3f81d25e198d5111f3e41a61ff57ca45cb9ed42fcf1e72d6257f5e0",
+}
+
+
+@pytest.mark.parametrize("name, t, k", sorted(HOMOGENEOUS_MATRIX_SHA256))
+def test_km_search_dump_matrix_of_a_homogeneous_group_is_pinned(capsys, tmp_path, name, t, k):
+    dump = tmp_path / "matrix.json"
+    argv = ["km-search", "--group", "catalog:" + name, "--t", t, "--k", k, "--limit", "1",
+            "--dump-matrix", str(dump)]
+    code, out, _ = run_cli(capsys, argv)
+    found = 1 if name == "M_24" else 0
+    assert code == (0 if found else 1) and out.endswith("# %d design(s) found\n" % found)
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == HOMOGENEOUS_MATRIX_SHA256[name, t, k]
+
+
 @pytest.mark.parametrize("t, cap", [("5", "791"), ("1", "461")])
 def test_km_search_cap_exits_3_before_writing_the_matrix(capsys, tmp_path, t, cap):
     # C(12,5) = 792 5-subsets at t = 5; C(11,5) = 462 supersets of a point at t = 1
@@ -305,6 +325,19 @@ def test_km_search_cap_exits_3_before_writing_the_matrix(capsys, tmp_path, t, ca
     code, out, err = run_cli(capsys, argv)
     assert code == 3 and out == "" and not dump.exists()
     assert err.startswith("capacity error: ") and err.count("\n") == 1
+
+
+def test_km_search_cap_binds_a_homogeneous_group(capsys, tmp_path):
+    # M_12 is 5-homogeneous, so its matrix enumerates no 5-subset; the cap on
+    # the C(12,5) = 792 of them still holds
+    dump = tmp_path / "matrix.json"
+    argv = ["km-search", "--group", "catalog:M_12", "--t", "5", "--k", "6",
+            "--max-subsets", "791", "--dump-matrix", str(dump)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == "" and not dump.exists()
+    assert err == "capacity error: 5-subset enumeration size 792 exceeds cap 791\n"
+    code, out, _ = run_cli(capsys, argv[:-3] + ["792"])
+    assert code == 0 and out.endswith("# 1 design(s) found\n")
 
 
 def test_capacity_error_exit_code(capsys, monkeypatch):
@@ -609,3 +642,21 @@ def test_verify_of_a_malformed_block_exits_2(capsys, tmp_path, block):
     code, out, err = run_cli(capsys, ["verify", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_design_parsing_restores_the_callers_gc_state(capsys, tmp_path, enabled):
+    text = json.dumps(design_to_json_dict(fano_plane()))
+    path = tmp_path / "design.json"
+    path.write_text(text[:-1])  # truncated: a JSONDecodeError
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert design_from_json(text) == fano_plane()
+        assert gc.isenabled() == enabled
+        code, out, err = run_cli(capsys, ["verify", str(path)])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == 2 and out == ""
+    assert err.startswith("error: design json: ") and err.count("\n") == 1

@@ -463,7 +463,35 @@ def test_matrix_partitions_only_t_subsets(monkeypatch):
         return partition(self, m, *args, **kwargs)
 
     monkeypatch.setattr(PermutationGroup, "subset_orbit_partition", counting)
+    # a t-homogeneous group's one row is read from its chain; PSL(2,19) is
+    # 3-homogeneous but not 3-transitive
+    psl19 = catalog_entry_by_name("PSL(2,19)").group()
+    assert psl19.is_homogeneous(3) and not psl19.is_transitive_on_tuples(3)
+    for name, t, k in [("M_24", 5, 8), ("PGL(2,19)", 3, 4), ("PSL(2,19)", 3, 4)]:
+        matrix = build_orbit_matrix(catalog_entry_by_name(name).group(), t, k)
+        assert matrix.row_reps == (tuple(range(t)),)
+    assert sizes == []
+    # |PSL(2,9)| = 360 is a multiple of C(10,3) = 120, but the index test fails
+    build_orbit_matrix(projective_group("PSL", 9), 3, 4)
     build_orbit_matrix(projective_group("PSL", 11), 5, 6)
     build_orbit_matrix(cyclic_group(13), 2, 3)
-    assert sizes == [5, 2]
+    assert sizes == [3, 5, 2]
 
+
+@pytest.mark.parametrize("name, t, k", [
+    ("PSL(2,7)", 3, 4), ("PGL(2,9)", 3, 4), ("PSL(2,19)", 3, 4), ("PGL(2,19)", 3, 4),
+    ("PSL(2,27)", 3, 4), ("M_12", 5, 6), ("AGL(1,8)", 5, 7), ("A_7", 5, 6),
+])
+def test_matrix_of_a_relabelled_homogeneous_group_matches_reference(name, t, k):
+    # AGL(1,8) is 5-homogeneous but only 2-transitive, so the search for an
+    # element taking a 5-subset onto R backtracks
+    group = catalog_entry_by_name(name).group()
+    rng = random.Random(name)
+    for _ in range(2):
+        images = list(range(group.degree))
+        rng.shuffle(images)
+        conj = Permutation(images)
+        relabelled = PermutationGroup([conj.inverse() * g * conj for g in group.generators])
+        assert relabelled.order == comb(group.degree, t) * relabelled.stabilizer_setwise(
+            range(t)).order
+        assert_matches_reference(relabelled, t, k)

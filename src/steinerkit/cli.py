@@ -16,6 +16,7 @@ from . import admissibility, blocktrans, kramer_mesner
 from .catalog import catalog_entry_by_name
 from .designs import (
     DesignParameters,
+    _json_lines,
     construct_boolean,
     derived,
     design_from_json,
@@ -272,14 +273,12 @@ def cmd_km_search(args):
     designs = kramer_mesner.search_design(
         group, args.t, args.k, args.lam, limit=args.limit, cap=args.max_subsets, matrix=matrix
     )
-    if args.json:
-        for design in designs:
-            print(design_to_json(design))
-    else:
+    if not args.json:
         _print_header(args)
         print("# group %s, searching %d-(%d,%d,%d)" % (name, args.t, group.degree, args.k, args.lam))
-        for design in designs:
-            print(design_to_json(design))
+    for line in _json_lines(designs):
+        print(line)
+    if not args.json:
         print("# %d design(s) found" % len(designs))
     return EXIT_OK if designs else EXIT_NEGATIVE
 

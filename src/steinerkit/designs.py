@@ -102,6 +102,15 @@ class Design:
         return "Design(%d-(%d,%d,%d), %d blocks)" % (p.t, p.v, p.k, p.lam, self.b)
 
 
+def _trusted_design(params, columns):
+    """The Design on ``columns``, which the caller has already proved to be
+    k columns of strictly increasing, in-range, sorted and distinct blocks."""
+    design = object.__new__(Design)
+    object.__setattr__(design, "params", params)
+    object.__setattr__(design, "columns", columns)
+    return design
+
+
 def _checked_columns(params, blocks):
     """The columns of ``blocks`` in lexicographic order, and whether
     ``blocks`` came in that order.
@@ -297,19 +306,42 @@ def fano_plane():
 # -- interchange format -------------------------------------------------------
 
 
-def design_to_json_dict(design):
+def _json_dict(design, blocks):
     p = design.params
-    return {
-        "t": p.t,
-        "v": p.v,
-        "k": p.k,
-        "lambda": p.lam,
-        "blocks": list(map(list, zip(*design.columns))),
-    }
+    return {"t": p.t, "v": p.v, "k": p.k, "lambda": p.lam, "blocks": blocks}
+
+
+def design_to_json_dict(design):
+    return _json_dict(design, list(map(list, zip(*design.columns))))
 
 
 def design_to_json(design):
-    return json.dumps(design_to_json_dict(design))
+    # the encoder writes the block tuples as arrays, as it would lists
+    return json.dumps(_json_dict(design, design.blocks))
+
+
+def _json_lines(designs):
+    """``design_to_json`` of each design, each distinct block formatted once.
+
+    The designs of one search share most of their blocks, so a block's text
+    is kept from the first design that holds it.  It is written by one
+    ``%d`` format, which for a block of ints is what the encoder writes.
+    """
+    texts = {}  # block -> its text
+    params = None
+    for design in designs:
+        if design.params != params:
+            params = design.params
+            head = json.dumps(_json_dict(design, []))[:-2]  # up to the blocks' "["
+            form = "[" + ", ".join(["%d"] * params.k) + "]"
+        rows = design.blocks
+        try:
+            text = ", ".join(map(texts.__getitem__, rows))
+        except KeyError:  # a block not met before: format all of this design's
+            new = list(map(form.__mod__, rows))
+            texts.update(zip(rows, new))
+            text = ", ".join(new)
+        yield head + text + "]}"
 
 
 def design_from_json_dict(data):
@@ -343,10 +375,7 @@ def design_from_json_dict(data):
         raise
     if not in_order:
         raise ValueError("design json: blocks must be sorted lexicographically")
-    design = object.__new__(Design)
-    object.__setattr__(design, "params", params)
-    object.__setattr__(design, "columns", columns)
-    return design
+    return _trusted_design(params, columns)
 
 
 def design_from_json(text):

@@ -10,19 +10,21 @@ t-subsets are partitioned.  A design with the prescribed group is a
 column selection whose row sums all equal lambda; the solver enumerates
 those selections by deterministic backtracking and the results are
 expanded to explicit block sets.  The first time a solution uses a
-column, one pass expands its orbit, proves it closed under the group and
-counts its covers of every t-subset; a design is proved by summing its
-columns' counts.
+column, one pass expands its orbit, proves it closed under the group,
+sorts it and checks its blocks, refuses it if an earlier column has the
+same least block (the same orbit), and counts its covers of every
+t-subset.  A design is proved by summing its columns' counts, and made by
+merging its columns' sorted orbits without checking a block again.
 """
 from __future__ import annotations
 
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
-from .designs import Design, DesignParameters, cover_counts
+from .designs import DesignParameters, _checked_columns, _trusted_design, cover_counts
 from .errors import CapacityError
 from .perms import DEFAULT_SUBSET_CAP, _orbit
 
@@ -288,14 +290,15 @@ def solve(matrix, lam, limit=None):
 def expand_selection(matrix, selection, lam, orbits):
     """The design whose blocks are the orbits of the columns in ``selection``.
 
-    ``orbits`` maps each chosen column index to its orbit, already expanded
-    and checked.  Distinct columns are disjoint orbits, so the blocks are
-    the chosen orbits put together.
+    ``orbits`` maps each chosen column index to its orbit, a list of blocks
+    already checked as ``Design`` would check them, and pairwise disjoint.
+    The orbits are merged by one sort, which runs through sorted orbits as
+    a merge of runs, and the design is made without checking its blocks
+    again.
     """
-    blocks = []
-    for j in selection:
-        blocks += orbits[j]
-    return Design(DesignParameters(matrix.t, matrix.degree, matrix.k, lam), blocks)
+    blocks = sorted(chain.from_iterable(map(orbits.__getitem__, selection)))
+    params = DesignParameters(matrix.t, matrix.degree, matrix.k, lam)
+    return _trusted_design(params, list(map(list, zip(*blocks))))
 
 
 def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, matrix=None):
@@ -304,23 +307,29 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, matrix=N
     ``matrix`` is the orbit matrix of (group, t, k) if the caller has built
     it already; it is not trusted.  The first time a selection uses column
     j, one pass expands its orbit K_j, checks |K_j| against ``col_sizes``
-    and K_j closed under every generator, and counts its covers of each
-    t-subset (CapacityError when the C(v,t) counters exceed ``cap``) into
-    one int, a fixed-width field per t-subset.  A design's columns' ints
-    must sum to lambda in every field: distinct columns are disjoint orbits
-    (``Design`` refuses duplicate blocks), and no t-subset lies in more than
-    C(v-t,k-t) k-subsets, so no field carries.  So every returned design
-    covers each t-subset exactly lambda times, and its automorphism group
-    contains the group.
+    and K_j closed under every generator, sorts K_j and checks its blocks
+    as ``Design`` would (k strictly increasing points in range, no block
+    twice), and counts its covers of each t-subset (CapacityError when the
+    C(v,t) counters exceed ``cap``) into one int, a fixed-width field per
+    t-subset.  Each K_j is a whole G-orbit, so two columns' orbits are
+    equal exactly when their least blocks are, and disjoint otherwise; a
+    column whose least block an earlier column has is refused, so the
+    chosen orbits of a design are disjoint.  A design's columns' ints must
+    sum to lambda in every field: no t-subset lies in more than C(v-t,k-t)
+    k-subsets, so no field carries.  So every returned design covers each
+    t-subset exactly lambda times, and its automorphism group contains the
+    group.
     """
     DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
     if matrix is None:
         matrix = build_orbit_matrix(group, t, k, cap=cap)
     t, v, k = matrix.t, matrix.degree, matrix.k  # the parameters of every design
+    params = DesignParameters(t, v, k, lam)
     width = 1 if max(lam, comb(v - t, k - t)) < 256 else 4  # bytes per field
     maps = [g.apply_set for g in group.generators]
-    orbits = {}  # column -> its orbit, for the columns used so far
+    orbits = {}  # column -> its sorted orbit, for the columns used so far
     covers = {}  # column -> its cover counts, one fixed-width field per t-subset
+    column_of = {}  # least block of a used column's orbit -> that column
     target = None  # built at the first design
     designs = []
     for selection in solve(matrix, lam, limit=limit):
@@ -332,8 +341,16 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, matrix=N
                 members = set(orbit)
                 if not all(members.issuperset(map(f, orbit)) for f in maps):
                     raise AssertionError("column %d is not closed under the group (bug)" % j)
+                orbit.sort()
+                try:
+                    columns, _ = _checked_columns(params, orbit)
+                except ValueError as exc:
+                    raise AssertionError("orbit of column %d: %s (bug)" % (j, exc)) from None
+                i = column_of.setdefault(orbit[0], j)
+                if i != j:
+                    raise AssertionError("columns %d and %d have the same orbit (bug)" % (i, j))
                 orbits[j] = orbit
-                counts = cover_counts(list(zip(*orbit)), t, v, k, width, cap)
+                counts = cover_counts(columns, t, v, k, width, cap)
                 covers[j] = int.from_bytes(counts, sys.byteorder)
         if target is None:  # lambda in every field
             target = lam * int.from_bytes((b"\1" + bytes(width - 1)) * comb(v, t), "little")

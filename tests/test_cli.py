@@ -280,6 +280,28 @@ def test_km_search_sqs20_under_c19_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == C19_SQS20_SHA256
 
 
+# sha256 of km-search stdout as printed when every design was made by
+# Design(...) and encoded by design_to_json one at a time
+C31_STS31_SHA256 = "5cddc8ca599f7114963a70849f45dd6a528a4bc82f110855d70a71138795c9a2"
+PSL211_TEXT_SHA256 = "d2869778c396fd27850d30be4f6a864217ad8da70ee318e120af2e1190c66eaa"
+
+
+def test_km_search_all_sts31_under_c31_json_is_pinned(capsys, tmp_path):
+    path = tmp_path / "c31.json"
+    path.write_text(json.dumps({"degree": 31, "generators": [list(range(1, 31)) + [0]]}))
+    argv = ["km-search", "--group", str(path), "--t", "2", "--k", "3", "--json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 2048
+    assert hashlib.sha256(out.encode()).hexdigest() == C31_STS31_SHA256
+
+
+def test_km_search_psl211_text_is_pinned(capsys):
+    argv = ["km-search", "--group", "catalog:PSL(2,11)", "--t", "5", "--k", "6"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.endswith("# 2 design(s) found\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == PSL211_TEXT_SHA256
+
+
 # sha256 of the PSL(2,11) 5-(12,6,1) orbit matrix dump, as written by the
 # full-partition builder that the row-stabilizer builder replaced
 PSL211_MATRIX_SHA256 = "bc3d067e2331c9cb224874957ddb6e9a7fdf127ff1524d1cdea40e3496f3efd4"

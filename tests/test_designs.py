@@ -287,6 +287,31 @@ def test_json_roundtrip():
     assert data["lambda"] == 1 and data["blocks"][0] == [0, 1, 3]
 
 
+@pytest.mark.parametrize("make", [
+    fano_plane,
+    lambda: construct_boolean(6),
+    lambda: derived(construct_boolean(4), 5),
+    lambda: Design(DesignParameters(1, 3, 1, 1), [(0,), (1,), (2,)]),
+])
+def test_design_to_json_encodes_the_blocks_as_the_dict_lists(make):
+    design = make()
+    assert design_to_json(design) == json.dumps(design_to_json_dict(design))
+
+
+def test_json_lines_match_design_to_json_across_designs():
+    # C_7 designs repeat blocks, the Fano plane and the quadruple system change
+    # the parameters mid-stream, and k = 1 formats one point per block
+    from steinerkit.designs import _json_lines
+    from steinerkit.kramer_mesner import search_design
+    from steinerkit.perms import Permutation, PermutationGroup
+
+    c7 = PermutationGroup([Permutation([(i + 1) % 7 for i in range(7)])])
+    designs = search_design(c7, 2, 3, 2) + [fano_plane(), construct_boolean(3)]
+    designs += [fano_plane(), complete_design(4, 1, 1)]
+    assert list(_json_lines(designs)) == list(map(design_to_json, designs))
+    assert list(_json_lines([])) == []
+
+
 def test_json_errors_carry_positions():
     with pytest.raises(ValueError, match="missing key"):
         design_from_json('{"t":2,"v":7,"k":3,"blocks":[]}')

@@ -293,6 +293,21 @@ def test_expand_and_verify_lambda2():
     assert designs == search_design(group, 2, 3, 2)
 
 
+def test_expand_selection_ignores_the_order_of_orbits_and_blocks():
+    group = cyclic_group(13)
+    matrix = build_orbit_matrix(group, 2, 3)
+    reps, _, col_index = group.subset_orbit_partition(3)
+    orbits = {j: sorted(s for s, i in col_index.items() if reps[i] == rep)
+              for j, rep in enumerate(matrix.col_reps)}
+    rng = random.Random(13)
+    for selection in solve(matrix, 2):
+        design = expand_selection(matrix, selection, 2, orbits)
+        assert verify(design).covered_lambda == 2
+        shuffled = {j: rng.sample(orbit, len(orbit)) for j, orbit in orbits.items()}
+        backwards = selection[::-1]
+        assert expand_selection(matrix, backwards, 2, shuffled) == design
+
+
 def test_orbit_size_check_survives_the_orbit_cache():
     group = cyclic_group(7)
     matrix = build_orbit_matrix(group, 2, 3)
@@ -348,6 +363,40 @@ def test_search_design_refuses_a_tampered_matrix():
     assert (j,) in solve(bad, 1)
     with pytest.raises(AssertionError, match="does not cover every 2-subset 1 times"):
         search_design(group, 2, 3, 1, matrix=bad)
+
+
+def test_search_design_refuses_a_column_repeating_an_orbit():
+    # at lambda = 2 a copy of the Fano column under another representative
+    # pairs with the original; the design would hold each block twice
+    group = cyclic_group(7)
+    matrix = build_orbit_matrix(group, 2, 3)
+    j, extra = matrix.col_reps.index((0, 1, 3)), len(matrix.col_reps)
+    bad = dataclasses.replace(
+        matrix,
+        col_reps=matrix.col_reps + ((1, 2, 4),),
+        col_sizes=matrix.col_sizes + (matrix.col_sizes[j],),
+        entries=tuple(row + (row[j],) for row in matrix.entries),
+    )
+    assert tuple(sorted((j, extra))) in solve(bad, 2)
+    with pytest.raises(AssertionError, match="columns %d and %d have the same orbit" % (j, extra)):
+        search_design(group, 2, 3, 2, matrix=bad)
+
+
+def test_search_design_refuses_a_column_with_a_repeated_point(monkeypatch):
+    from steinerkit import kramer_mesner
+
+    group = cyclic_group(7)
+    matrix = build_orbit_matrix(group, 2, 3)
+    j = matrix.col_reps.index((0, 1, 3))
+    bad = dataclasses.replace(
+        matrix, col_reps=matrix.col_reps[:j] + ((0, 0, 1),) + matrix.col_reps[j + 1:])
+    assert (j,) in solve(bad, 1)
+    expanded = []
+    monkeypatch.setattr(kramer_mesner, "expand_selection",
+                        lambda *args: expanded.append(args) or expand_selection(*args))
+    with pytest.raises(AssertionError, match="orbit of column %d: .* not strictly increasing" % j):
+        search_design(group, 2, 3, 1, matrix=bad)
+    assert not expanded  # refused before any design is made
 
 
 def test_search_design_refuses_an_orbit_not_closed_under_the_group(monkeypatch):

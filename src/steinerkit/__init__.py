@@ -15,11 +15,8 @@ from .admissibility import (
 )
 from .blocktrans import (
     EliminationVerdict,
-    ImplicationResult,
     eliminate,
     sweep,
-    verify_block_lemma,
-    verify_flag_implication,
 )
 from .catalog import (
     CatalogEntry,
@@ -29,7 +26,6 @@ from .catalog import (
     mathieu,
     mathieu_m11_degree12,
     projective_group,
-    symmetric_group,
 )
 from .designs import (
     Design,
@@ -77,7 +73,6 @@ __all__ = [
     "EliminationVerdict",
     "FieldSpec",
     "GF",
-    "ImplicationResult",
     "MembershipError",
     "NotAutomorphismError",
     "OrbitMatrix",
@@ -109,8 +104,5 @@ __all__ = [
     "search_design",
     "solve",
     "sweep",
-    "symmetric_group",
     "verify",
-    "verify_block_lemma",
-    "verify_flag_implication",
 ]

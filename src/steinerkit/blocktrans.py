@@ -1,6 +1,5 @@
 """Arithmetic screening of (group, parameter) pairs for block-transitive
-Steiner designs, plus named verifiers for the classical transitivity
-implications.
+Steiner designs.
 
 The screen runs in two steps.  The parameter step depends only on
 (t, v, k, lambda): the k allowed by the Tits and Cameron bounds, the
@@ -15,14 +14,12 @@ screen; nothing here asserts that a design exists.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from math import comb
 
 from . import admissibility
 from .catalog import DEFAULT_DEGREE_CAP, candidates_for_degree
 from .designs import DesignParameters, lambda_s
-from .perms import induced_block_action
 
 
 @dataclass(frozen=True)
@@ -209,67 +206,3 @@ def sweep(t, lam, v_max):
     verdicts.sort(key=lambda verdict: (verdict.degree, verdict.family, verdict.entry_name))
     return verdicts
 
-
-class ImplicationResult(enum.Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    NOT_APPLICABLE = "not-applicable"
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    result: ImplicationResult
-    is_block_transitive: bool
-    is_point_transitive: bool
-    block_orbit_count: int
-    point_orbit_count: int
-    witness: dict
-
-
-def verify_block_lemma(group, design):
-    """Block-transitive implies point-transitive, checked exactly.
-
-    A failure would contradict a published counting argument, so it is
-    surfaced with complete orbit evidence.
-    """
-    action = induced_block_action(group, design)
-    passed = (not action.is_block_transitive) or action.is_point_transitive
-    witness = {}
-    if not passed:
-        witness = {
-            "block_orbit_count": action.block_orbit_count,
-            "point_orbits": [list(o) for o in group.point_orbits()],
-        }
-    return LemmaReport(
-        result=ImplicationResult.PASS if passed else ImplicationResult.FAIL,
-        is_block_transitive=action.is_block_transitive,
-        is_point_transitive=action.is_point_transitive,
-        block_orbit_count=action.block_orbit_count,
-        point_orbit_count=action.point_orbit_count,
-        witness=witness,
-    )
-
-
-@dataclass(frozen=True)
-class FlagImplicationReport:
-    result: ImplicationResult
-    is_flag_transitive: bool
-    is_point_2_transitive: bool
-
-
-def verify_flag_implication(group, design):
-    """Flag-transitive implies point 2-transitive, for designs with t >= 3.
-
-    Designs with t < 3 are outside the hypothesis: the result is
-    not-applicable, which is distinct from a pass.
-    """
-    if design.params.t < 3:
-        return FlagImplicationReport(ImplicationResult.NOT_APPLICABLE, False, False)
-    action = induced_block_action(group, design)
-    two_transitive = group.is_transitive_on_tuples(2)
-    passed = (not action.is_flag_transitive) or two_transitive
-    return FlagImplicationReport(
-        result=ImplicationResult.PASS if passed else ImplicationResult.FAIL,
-        is_flag_transitive=action.is_flag_transitive,
-        is_point_2_transitive=two_transitive,
-    )

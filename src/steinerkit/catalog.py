@@ -189,13 +189,6 @@ def alternating_group(v):
     return group
 
 
-def symmetric_group(v):
-    if v < 2:
-        raise ValueError("symmetric group needs v >= 2")
-    gens = [Permutation.from_cycles(v, [[0, 1]]), Permutation.from_cycles(v, [list(range(v))])]
-    return PermutationGroup(gens, degree=v)
-
-
 # -- bundled generator data ------------------------------------------------------
 
 

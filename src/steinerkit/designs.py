@@ -311,10 +311,6 @@ def _json_dict(design, blocks):
     return {"t": p.t, "v": p.v, "k": p.k, "lambda": p.lam, "blocks": blocks}
 
 
-def design_to_json_dict(design):
-    return _json_dict(design, list(map(list, zip(*design.columns))))
-
-
 def design_to_json(design):
     # the encoder writes the block tuples as arrays, as it would lists
     return json.dumps(_json_dict(design, design.blocks))

@@ -134,8 +134,6 @@ class GF:
         else:
             modulus = find_irreducible(self.p, self.e)
         self.spec = FieldSpec(self.p, self.e, modulus)
-        self.zero = 0
-        self.one = 1
         self._build_tables()
 
     # -- index <-> coefficient vector ---------------------------------------
@@ -204,9 +202,6 @@ class GF:
             return a
         return self.from_digits([(-x) % self.p for x in self.digits(a)])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -228,16 +223,6 @@ class GF:
 
     def frobenius(self, a):
         return self.pow(a, self.p)
-
-    def element_order(self, a):
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        order = self.q - 1
-        for ell in factorize(self.q - 1):
-            while order % ell == 0 and self.pow(a, order // ell) == 1:
-                order //= ell
-        return order
 
 
 @lru_cache(maxsize=None)

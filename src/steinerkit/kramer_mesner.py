@@ -94,11 +94,10 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
         )
     row0 = None  # G_R for R = (0..t-1), row 0's representative, if the index test built it
     if group.order % total == 0:
-        row0 = group.stabilizer_setwise(range(t))
+        chain = group._rebase(range(t))  # R as base prefix, for G_R and the carries
+        row0 = chain.stabilizer_setwise(range(t))
     if row0 is not None and group.order == total * row0.order:
         row_reps, row_sizes = [tuple(range(t))], [total]
-        # any chain whose first t base points are R's will do
-        chain = group if sorted(group.base[:t]) == list(range(t)) else group._rebase(range(t))
 
         def row_of(sub):
             return 0

@@ -175,6 +175,7 @@ class PermutationGroup:
     closed fully, so its order is an independent check of any order claimed
     for it.  Only rebases and subgroups read off a chain level pass the
     private known ``_order``; they end with the chain a full closure builds.
+    A rebase onto a prefix the base already starts with builds nothing.
     """
 
     def __init__(self, generators, degree=None, base_prefix=(), _order=None):
@@ -336,7 +337,11 @@ class PermutationGroup:
         return factors
 
     def _rebase(self, prefix):
-        """The same group on a chain with ``prefix`` as its base prefix."""
+        """The same group on a chain with ``prefix`` as its base prefix: this
+        group itself when its base already starts with ``prefix``."""
+        prefix = list(prefix)
+        if self.base[:len(prefix)] == prefix:
+            return self
         return PermutationGroup(self.generators, self.degree, prefix, _order=self.order)
 
     def _level_subgroup(self, level):
@@ -346,10 +351,6 @@ class PermutationGroup:
                                 _order=self._order_from(level))
 
     # -- queries ------------------------------------------------------------
-
-    @classmethod
-    def trivial(cls, degree):
-        return cls([], degree=degree)
 
     def sift(self, perm):
         """Full sift from the top; identity residue means membership."""
@@ -377,20 +378,11 @@ class PermutationGroup:
                 out.append(orb)
         return out
 
-    def is_transitive(self):
-        return self.degree > 0 and len(self.orbit(0)) == self.degree
-
     # -- stabilizers ----------------------------------------------------------
 
     def stabilizer_point(self, x):
         """Stabilizer of a point (exact, via a chain based at x)."""
         return self.stabilizer_pointwise([x])
-
-    def stabilizer_pair(self, x, y):
-        """Stabilizer of an ordered point pair (fixes both points)."""
-        if x == y:
-            raise ValueError("pair stabilizer needs two distinct points")
-        return self.stabilizer_pointwise([x, y])
 
     def stabilizer_pointwise(self, points):
         """Subgroup fixing every listed point."""
@@ -596,15 +588,17 @@ class ActionReport:
 def homogeneity(group, t_max):
     """Exact transitivity and homogeneity degrees up to ``t_max``.
 
-    Transitivity is read from one stabilizer chain.  A t-transitive group
+    Both are read from one stabilizer chain, with base prefix 0..t_max-1.
+    Transitivity comes from its transversal lengths.  A t-transitive group
     is t-homogeneous, so only larger t are decided, each by the index of
-    a setwise stabilizer.
+    a setwise stabilizer of {0..m-1}, m <= t_max, searched on that chain.
     """
     t_max = min(t_max, group.degree)
     orbits = group.point_orbits()
-    trans_degree = group._transitivity_up_to(t_max)
+    chain = group._rebase(range(t_max))
+    trans_degree = chain._transitivity_up_to(t_max)
     homog_degree = trans_degree
-    while homog_degree < t_max and group.is_homogeneous(homog_degree + 1):
+    while homog_degree < t_max and chain.is_homogeneous(homog_degree + 1):
         homog_degree += 1
     return ActionReport(
         orbit_count_points=len(orbits),
@@ -704,14 +698,6 @@ def _orbit(seed, maps, tree=None):
                 if tree is not None:
                     tree[image] = (item, f)
     return queue
-
-
-def group_to_json_dict(group):
-    """Interchange form: degree plus generator image arrays."""
-    return {
-        "degree": group.degree,
-        "generators": [list(g.images) for g in group.generators],
-    }
 
 
 def group_from_json_dict(data):

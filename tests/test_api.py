@@ -37,7 +37,6 @@ def test_public_api_inventory():
                                "lam", "feasible_k", "k_outcomes", "group_reasons"],
         "FieldSpec": ["p", "e", "modulus"],
         "GF": ["q"],
-        "ImplicationResult": "enum",
         "MembershipError": "exception",
         "NotAutomorphismError": ["message", "generator", "block"],
         "OrbitMatrix": ["degree", "t", "k", "row_reps", "col_reps", "col_sizes", "entries"],
@@ -69,10 +68,7 @@ def test_public_api_inventory():
         "search_design": ["group", "t", "k", "lam", "limit", "cap", "matrix"],
         "solve": ["matrix", "lam", "limit"],
         "sweep": ["t", "lam", "v_max"],
-        "symmetric_group": ["v"],
         "verify": ["design", "cap"],
-        "verify_block_lemma": ["group", "design"],
-        "verify_flag_implication": ["group", "design"],
     }
     # solve returns plain tuples of column indices, and a matrix or search
     # carries no group name: the CLI adds the name where it prints one

@@ -6,13 +6,7 @@ import random
 import pytest
 
 from steinerkit import admissibility
-from steinerkit.blocktrans import (
-    ImplicationResult,
-    eliminate,
-    sweep,
-    verify_block_lemma,
-    verify_flag_implication,
-)
+from steinerkit.blocktrans import eliminate, sweep
 from steinerkit.catalog import (
     candidates_for_degree,
     catalog_entry_by_name,
@@ -23,12 +17,16 @@ from steinerkit.catalog import (
 from steinerkit.designs import (
     DesignParameters,
     complete_design,
-    construct_boolean,
-    fano_plane,
     lambda_s,
 )
-from steinerkit.errors import MembershipError, NotAutomorphismError
-from steinerkit.perms import Permutation, PermutationGroup, check_membership, parse_cycles
+from steinerkit.errors import MembershipError
+from steinerkit.perms import (
+    Permutation,
+    PermutationGroup,
+    check_membership,
+    induced_block_action,
+    parse_cycles,
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ def test_bt_equation_conjugation_invariant():
     relabeled = PermutationGroup([conj.inverse() * g * conj for g in agl.generators])
     assert relabeled.order == agl.order
     x, y = conj(0), conj(1)
-    assert relabeled.stabilizer_pair(x, y).order == agl.stabilizer_pair(0, 1).order
+    assert relabeled.stabilizer_pointwise([x, y]).order == agl.stabilizer_pointwise([0, 1]).order
     block = (0, 1, 2, 3)
     assert relabeled.stabilizer_setwise(conj.apply_set(block)).order == agl.stabilizer_setwise(block).order
 
@@ -227,47 +225,6 @@ def test_sweep_t5_has_projective_survivor():
     assert survivors.get("PSL(2,11)") == (6,)
 
 
-def test_verify_block_lemma_corpus():
-    c7 = PermutationGroup([parse_cycles("(0 1 2 3 4 5 6)", 7)])
-    fano = fano_plane()
-    report = verify_block_lemma(c7, fano)
-    assert report.result is ImplicationResult.PASS
-    assert report.is_block_transitive and report.is_point_transitive
-
-    identity = PermutationGroup.trivial(7)
-    report = verify_block_lemma(identity, fano)
-    assert report.result is ImplicationResult.PASS  # vacuous
-    assert not report.is_block_transitive
-
-    agl = catalog_entry_by_name("AGL(3,2)").group()
-    report = verify_block_lemma(agl, construct_boolean(3))
-    assert report.result is ImplicationResult.PASS
-    assert report.is_block_transitive and report.is_point_transitive
-
-
-def test_verify_block_lemma_requires_automorphism_group():
-    bad = PermutationGroup([parse_cycles("(0 1)", 7)])
-    with pytest.raises(NotAutomorphismError):
-        verify_block_lemma(bad, fano_plane())
-
-
-def test_verify_flag_implication():
-    agl = catalog_entry_by_name("AGL(3,2)").group()
-    report = verify_flag_implication(agl, construct_boolean(3))
-    assert report.result is ImplicationResult.PASS
-    assert report.is_flag_transitive and report.is_point_2_transitive
-
-    c7 = PermutationGroup([parse_cycles("(0 1 2 3 4 5 6)", 7)])
-    report = verify_flag_implication(c7, fano_plane())
-    assert report.result is ImplicationResult.NOT_APPLICABLE  # t=2 outside hypothesis
-
-    # vacuous pass: identity group on a t=3 design is not flag-transitive
-    identity = PermutationGroup.trivial(8)
-    report = verify_flag_implication(identity, construct_boolean(3))
-    assert report.result is ImplicationResult.PASS
-    assert not report.is_flag_transitive
-
-
 def subgroup_orbit_profile(group, subgroup_generators):
     """Sorted point-orbit lengths of a subgroup, with membership enforced.
 
@@ -314,10 +271,7 @@ def test_borel_orbits_across_q():
 
 
 def test_complete_design_under_symmetric_group_is_block_transitive():
-    from steinerkit.catalog import symmetric_group
-
     design = complete_design(5, 3, 2)
-    s5 = symmetric_group(5)
-    report = verify_block_lemma(s5, design)
-    assert report.result is ImplicationResult.PASS
+    s5 = PermutationGroup([parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)])
+    report = induced_block_action(s5, design)
     assert report.is_block_transitive and report.is_point_transitive

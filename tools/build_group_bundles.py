@@ -27,7 +27,9 @@ each generator set lies in the other group.  This keeps ``a7_16.json``
 frozen: the stabilizer routines have changed since it was written, and
 the tool now derives other generators for the same 2^4:A7.  Writing them
 would change the output of ``group info catalog:2^4:A7`` and of every task
-that starts from those generators.
+that starts from those generators.  With the bundle files removed, the
+tool writes the six Mathieu files and metadata.json byte for byte as
+committed; only ``a7_16.json`` comes out different.
 """
 from __future__ import annotations
 

@@ -41,7 +41,7 @@ from .designs import (
     verify,
 )
 from .errors import CapacityError, DataIntegrityError, MembershipError, NotAutomorphismError
-from .gf import GF, FieldSpec, field
+from .gf import GF, field
 from .kramer_mesner import (
     OrbitMatrix,
     build_orbit_matrix,
@@ -71,7 +71,6 @@ __all__ = [
     "Design",
     "DesignParameters",
     "EliminationVerdict",
-    "FieldSpec",
     "GF",
     "MembershipError",
     "NotAutomorphismError",

@@ -59,15 +59,6 @@ def psigmal_order(q):
     return e * psl_order(q)
 
 
-def agl1_order(q):
-    return q * (q - 1)
-
-
-def agammal1_order(q):
-    _, e = prime_power_decomposition(q)
-    return q * (q - 1) * e
-
-
 def agl_d2_order(d):
     order = 2**d
     for i in range(d):
@@ -107,38 +98,35 @@ def projective_frobenius(q):
     return Permutation(images)
 
 
-PROJECTIVE_KINDS = ("PSL", "PGL", "PSigmaL", "PGammaL")
+# kind: (closed-form order, scaling by a square, Frobenius among the generators)
+PROJECTIVE_KINDS = {
+    "PSL": (psl_order, True, False),
+    "PGL": (pgl_order, False, False),
+    "PSigmaL": (psigmal_order, True, True),
+    "PGammaL": (pgammal_order, False, True),
+}
 
 
 def projective_group(kind, q):
     """PSL/PGL/PSigmaL/PGammaL(2,q) on the q+1 points of the projective line.
 
-    Generated by x -> x+1, a scaling (primitive square for PSL/PSigmaL,
-    primitive for PGL/PGammaL), x -> -1/x, plus the Frobenius x -> x^p for
-    the semilinear kinds.  The stabilizer chain order is checked against
-    the closed form at construction.
+    Generated by x -> x+1, x -> c*x for a primitive c (or its square),
+    x -> -1/x and, for the semilinear kinds, the Frobenius x -> x^p, as
+    ``PROJECTIVE_KINDS`` says per kind.  The stabilizer chain order is
+    checked against the kind's closed form at construction.
     """
     if kind not in PROJECTIVE_KINDS:
         raise ValueError("unknown projective kind %r" % (kind,))
     if prime_power_decomposition(q) is None or q <= 3:
         raise ValueError("q must be a prime power > 3, got %r" % (q,))
-    gens = [
-        projective_translation(q),
-        projective_scaling(q, square=kind in ("PSL", "PSigmaL")),
-        projective_inversion(q),
-    ]
-    if kind in ("PSigmaL", "PGammaL"):
+    order, square, semilinear = PROJECTIVE_KINDS[kind]
+    gens = [projective_translation(q), projective_scaling(q, square), projective_inversion(q)]
+    if semilinear:
         gens.append(projective_frobenius(q))
-    expected = {
-        "PSL": psl_order,
-        "PGL": pgl_order,
-        "PSigmaL": psigmal_order,
-        "PGammaL": pgammal_order,
-    }[kind](q)
     group = PermutationGroup(gens, degree=q + 1)
-    if group.order != expected:
+    if group.order != order(q):
         raise DataIntegrityError(
-            "%s(2,%d): chain order %d != closed form %d" % (kind, q, group.order, expected)
+            "%s(2,%d): chain order %d != closed form %d" % (kind, q, group.order, order(q))
         )
     return group
 
@@ -309,170 +297,79 @@ def _projective_entries(v):
     if decomp is None or q <= 3:
         return []
     p, e = decomp
-    buildable = v <= PROJECTIVE_CONSTRUCT_CAP
     psl_3hom = (q % 2 == 0) or (q % 4 == 3)
-    psl_note = "3-homogeneous" if psl_3hom else "not 3-homogeneous (q = 1 mod 4)"
-    entries = [
-        CatalogEntry(
-            name="PSL(2,%d)" % q,
-            family="projective",
-            degree=v,
-            order=psl_order(q),
-            char=p,
-            three_homogeneous=psl_3hom,
-            notes=psl_note,
-            _builder=(lambda q=q: projective_group("PSL", q)) if buildable else None,
-        )
+    rows = [  # kind, listed at this q, 3-homogeneous, notes
+        ("PSL", True, psl_3hom,
+         "3-homogeneous" if psl_3hom else "not 3-homogeneous (q = 1 mod 4)"),
+        ("PGL", q % 2 == 1, True, "sharply 3-transitive"),
+        ("PSigmaL", q % 2 == 1 and e > 1, q % 4 == 3, "PSL extended by the field automorphisms"),
+        ("PGammaL", e > 1, True, "contains sharply 3-transitive PGL(2,%d)" % q),
     ]
-    if q % 2 == 1:
-        entries.append(
-            CatalogEntry(
-                name="PGL(2,%d)" % q,
-                family="projective",
-                degree=v,
-                order=pgl_order(q),
-                char=p,
-                three_homogeneous=True,
-                notes="sharply 3-transitive",
-                _builder=(lambda q=q: projective_group("PGL", q)) if buildable else None,
-            )
-        )
-        if e > 1:
-            entries.append(
-                CatalogEntry(
-                    name="PSigmaL(2,%d)" % q,
-                    family="projective",
-                    degree=v,
-                    order=psigmal_order(q),
-                    char=p,
-                    three_homogeneous=q % 4 == 3,
-                    notes="PSL extended by the field automorphisms",
-                    _builder=(lambda q=q: projective_group("PSigmaL", q)) if buildable else None,
-                )
-            )
-    if e > 1:
-        entries.append(
-            CatalogEntry(
-                name="PGammaL(2,%d)" % q,
-                family="projective",
-                degree=v,
-                order=pgammal_order(q),
-                char=p,
-                three_homogeneous=True,
-                notes="contains sharply 3-transitive PGL(2,%d)" % q,
-                _builder=(lambda q=q: projective_group("PGammaL", q)) if buildable else None,
-            )
-        )
-    return entries
+    buildable = v <= PROJECTIVE_CONSTRUCT_CAP
+    return [
+        CatalogEntry(name="%s(2,%d)" % (kind, q), family="projective", degree=v,
+                     order=PROJECTIVE_KINDS[kind][0](q), char=p,
+                     three_homogeneous=three_homogeneous, notes=notes,
+                     _builder=(lambda kind=kind: projective_group(kind, q)) if buildable else None)
+        for kind, listed, three_homogeneous, notes in rows
+        if listed
+    ]
+
+
+# The printed list's affine groups besides the AGL(d,2) series, by degree:
+# (name, order, builder, notes).  AGL(1,q) has order q(q-1), AGammaL(1,p^e)
+# e times that.  Builders look their functions up when they run, so a
+# tracer that later replaces a module name still sees the call.
+_AFFINE_EXTRAS = {
+    8: [
+        ("AGL(1,8)", 8 * 7, lambda: _affine_1dim_group(8, semilinear=False),
+         "sharply 1-dimensional affine"),
+        ("AGammaL(1,8)", 8 * 7 * 3, lambda: _affine_1dim_group(8, semilinear=True), ""),
+    ],
+    16: [
+        ("2^4:A7", 40320, lambda: load_bundled_group("a7_16"),
+         "translations extended by the exceptional A_7 < GL(4,2)"),
+    ],
+    32: [
+        ("AGammaL(1,32)", 32 * 31 * 5, lambda: _affine_1dim_group(32, semilinear=True),
+         "sharply 3-homogeneous"),
+    ],
+}
 
 
 def _affine_entries(v):
     if v < 4 or v & (v - 1):
         return []
     d = v.bit_length() - 1
-    entries = [
-        CatalogEntry(
-            name="AGL(%d,2)" % d,
-            family="affine",
-            degree=v,
-            order=agl_d2_order(d),
-            char=2,
-            three_homogeneous=True,
-            notes="3-transitive (no three collinear points over GF(2))",
-            _builder=(lambda d=d: _agl_d2_group(d)) if v <= AFFINE_CONSTRUCT_CAP else None,
-        )
+    rows = [
+        ("AGL(%d,2)" % d, agl_d2_order(d),
+         (lambda: _agl_d2_group(d)) if v <= AFFINE_CONSTRUCT_CAP else None,
+         "3-transitive (no three collinear points over GF(2))"),
+    ] + _AFFINE_EXTRAS.get(v, [])
+    return [
+        CatalogEntry(name=name, family="affine", degree=v, order=order, char=2,
+                     three_homogeneous=True, notes=notes, _builder=builder)
+        for name, order, builder, notes in rows
     ]
-    if v == 8:
-        entries.append(
-            CatalogEntry(
-                name="AGL(1,8)",
-                family="affine",
-                degree=8,
-                order=agl1_order(8),
-                char=2,
-                three_homogeneous=True,
-                notes="sharply 1-dimensional affine",
-                _builder=lambda: _affine_1dim_group(8, semilinear=False),
-            )
-        )
-        entries.append(
-            CatalogEntry(
-                name="AGammaL(1,8)",
-                family="affine",
-                degree=8,
-                order=agammal1_order(8),
-                char=2,
-                three_homogeneous=True,
-                _builder=lambda: _affine_1dim_group(8, semilinear=True),
-            )
-        )
-    if v == 16:
-        entries.append(
-            CatalogEntry(
-                name="2^4:A7",
-                family="affine",
-                degree=16,
-                order=40320,
-                char=2,
-                three_homogeneous=True,
-                notes="translations extended by the exceptional A_7 < GL(4,2)",
-                _builder=lambda: load_bundled_group("a7_16"),
-            )
-        )
-    if v == 32:
-        entries.append(
-            CatalogEntry(
-                name="AGammaL(1,32)",
-                family="affine",
-                degree=32,
-                order=agammal1_order(32),
-                char=2,
-                three_homogeneous=True,
-                notes="sharply 3-homogeneous",
-                _builder=lambda: _affine_1dim_group(32, semilinear=True),
-            )
-        )
-    return entries
 
 
 def _mathieu_entries(v):
-    entries = []
+    rows = []  # name, order, builder (None: symbolic), notes
     if v in MATHIEU_ORDERS:
-        entries.append(
-            CatalogEntry(
-                name="M_%d" % v,
-                family="mathieu",
-                degree=v,
-                order=MATHIEU_ORDERS[v],
-                three_homogeneous=True,
-                notes="%d-transitive" % (5 if v in (12, 24) else 4 if v in (11, 23) else 3),
-                _builder=lambda v=v: mathieu(v),
-            )
-        )
+        transitivity = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}[v]
+        rows.append(("M_%d" % v, MATHIEU_ORDERS[v], lambda: mathieu(v),
+                     "%d-transitive" % transitivity))
     if v == 12:
-        entries.append(
-            CatalogEntry(
-                name="M_11(deg12)",
-                family="mathieu",
-                degree=12,
-                order=MATHIEU_ORDERS[11],
-                three_homogeneous=True,
-                notes="M_11 in its 3-transitive action on 12 points",
-                _builder=mathieu_m11_degree12,
-            )
-        )
+        rows.append(("M_11(deg12)", MATHIEU_ORDERS[11], mathieu_m11_degree12,
+                     "M_11 in its 3-transitive action on 12 points"))
     if v == 22:
-        entries.append(
-            CatalogEntry(
-                name="M_22:2",
-                family="mathieu",
-                degree=22,
-                order=2 * MATHIEU_ORDERS[22],
-                three_homogeneous=True,
-                notes="automorphism extension of M_22 (symbolic)",
-            )
-        )
-    return entries
+        rows.append(("M_22:2", 2 * MATHIEU_ORDERS[22], None,
+                     "automorphism extension of M_22 (symbolic)"))
+    return [
+        CatalogEntry(name=name, family="mathieu", degree=v, order=order,
+                     three_homogeneous=True, notes=notes, _builder=builder)
+        for name, order, builder, notes in rows
+    ]
 
 
 def _alternating_entries(v):

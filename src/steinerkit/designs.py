@@ -38,7 +38,7 @@ class DesignParameters:
     def __post_init__(self):
         for name in ("t", "v", "k", "lam"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError("%s must be a positive integer, got %r" % (name, value))
         if not self.t <= self.k <= self.v:
             raise ValueError(

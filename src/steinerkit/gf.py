@@ -9,7 +9,6 @@ by trial division against every monic polynomial of degree <= e/2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -107,19 +106,6 @@ def find_irreducible(p, e):
     raise AssertionError("no irreducible polynomial found (unreachable)")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Defining data of GF(p^e): characteristic, extension degree, modulus."""
-
-    p: int
-    e: int
-    modulus: tuple
-
-    def __post_init__(self):
-        if self.e >= 2 and not is_irreducible(list(self.modulus), self.p):
-            raise ValueError("modulus %r is not irreducible over GF(%d)" % (self.modulus, self.p))
-
-
 class GF:
     """GF(p^e) with index-encoded elements and log/exp multiplication tables."""
 
@@ -130,10 +116,9 @@ class GF:
         self.p, self.e = decomp
         self.q = q
         if self.e == 1:
-            modulus = (0, 1)  # the identity map; prime fields need no extension
+            self.modulus = (0, 1)  # the identity map; prime fields need no extension
         else:
-            modulus = find_irreducible(self.p, self.e)
-        self.spec = FieldSpec(self.p, self.e, modulus)
+            self.modulus = find_irreducible(self.p, self.e)
         self._build_tables()
 
     # -- index <-> coefficient vector ---------------------------------------
@@ -157,7 +142,7 @@ class GF:
         if self.e == 1:
             return (a * b) % self.p
         prod = _poly_mul(_poly_trim(self.digits(a)), _poly_trim(self.digits(b)), self.p)
-        rem = _poly_mod(prod, list(self.spec.modulus), self.p)
+        rem = _poly_mod(prod, list(self.modulus), self.p)
         rem += [0] * (self.e - len(rem))
         return self.from_digits(rem)
 

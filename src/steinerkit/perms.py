@@ -141,10 +141,6 @@ def parse_cycles(text, degree=None):
     more than the largest point mentioned.
     """
     stripped = text.strip()
-    if stripped in ("", "()"):
-        if degree is None:
-            raise ValueError("cannot infer degree from identity cycle text")
-        return Permutation.identity(degree)
     leftover = _CYCLE_RE.sub("", stripped).strip()
     if leftover:
         raise ValueError("could not parse cycle text %r (unexpected %r)" % (text, leftover))

@@ -35,7 +35,6 @@ def test_public_api_inventory():
         "DesignParameters": ["t", "v", "k", "lam"],
         "EliminationVerdict": ["entry_name", "family", "degree", "char", "group_order", "t",
                                "lam", "feasible_k", "k_outcomes", "group_reasons"],
-        "FieldSpec": ["p", "e", "modulus"],
         "GF": ["q"],
         "MembershipError": "exception",
         "NotAutomorphismError": ["message", "generator", "block"],

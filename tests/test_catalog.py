@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from steinerkit.catalog import (
+    DEFAULT_DEGREE_CAP,
     agl_d2_order,
     alternating_group,
     candidates_for_degree,
@@ -18,7 +20,7 @@ from steinerkit.catalog import (
     psl_order,
 )
 from steinerkit.errors import DataIntegrityError
-from steinerkit.gf import field
+from steinerkit.gf import field, prime_power_decomposition
 from steinerkit.perms import PermutationGroup, homogeneity, parse_cycles
 
 
@@ -255,6 +257,24 @@ def test_name_index_matches_candidate_listing():
             assert (found.name, found.family, found.degree, found.order, found.constructible) == (
                 listed.name, listed.family, listed.degree, listed.order, listed.constructible
             )
+
+
+def test_catalog_listing_is_pinned():
+    # every field of every entry at v <= 300, at each power of 2 and at each
+    # q + 1 up to the cap; orders as hex, which needs no int-digit limit
+    degrees = [v for v in range(4, DEFAULT_DEGREE_CAP + 1)
+               if v <= 300 or v & (v - 1) == 0 or prime_power_decomposition(v - 1)]
+    digest = hashlib.sha256()
+    entries = 0
+    for v in degrees:
+        for e in candidates_for_degree(v):
+            digest.update(repr((e.name, e.family, e.degree, hex(e.order), e.char,
+                                e.three_homogeneous, e.k_homogeneous_all, e.notes,
+                                e.constructible)).encode())
+            entries += 1
+    assert (len(degrees), entries) == (825, 2106)
+    assert digest.hexdigest() == (
+        "754becd4d40ca98f298b634ea7628ad6dae47d103ef89fae6b47917b086fe9ba")
 
 
 def test_m22_2_resolves_to_symbolic_entry():

@@ -100,6 +100,15 @@ def test_parameter_validation():
     assert not DesignParameters(3, 8, 8, 1).nontrivial()
 
 
+def test_parameters_refuse_bools():
+    # bool is an int subclass: a True here would serialize as JSON true,
+    # which design_from_json refuses
+    for name in ("t", "v", "k", "lam"):
+        values = {"t": 2, "v": 7, "k": 3, "lam": 1, name: True}
+        with pytest.raises(ValueError, match="%s must be a positive integer" % name):
+            DesignParameters(**values)
+
+
 def test_lambda_s_examples():
     params = DesignParameters(5, 24, 8, 1)
     assert lambda_s(params, 1) == 253

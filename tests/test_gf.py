@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from steinerkit.gf import GF, FieldSpec, field, find_irreducible, is_irreducible, prime_power_decomposition
+from steinerkit.gf import GF, field, find_irreducible, is_irreducible, prime_power_decomposition
 
 
 def test_prime_power_decomposition():
@@ -24,6 +24,8 @@ def test_modulus_choices_low_degree_first():
     assert find_irreducible(2, 3) == (1, 0, 1, 1)  # 1 + x^2 + x^3
     assert find_irreducible(3, 2) == (1, 0, 1)  # 1 + x^2
     assert find_irreducible(5, 1) == (0, 1)
+    # GF keeps the certified modulus; a prime field keeps the identity map
+    assert field(8).modulus == (1, 0, 1, 1) and field(5).modulus == (0, 1)
 
 
 def test_irreducibility_trial_division():
@@ -31,11 +33,6 @@ def test_irreducibility_trial_division():
     assert not is_irreducible([1, 0, 1], 2)  # (1+x)^2
     assert not is_irreducible([0, 1, 1], 2)  # x(1+x)
     assert is_irreducible([1, 2, 0, 1], 3)
-
-
-def test_fieldspec_rejects_reducible():
-    with pytest.raises(ValueError):
-        FieldSpec(2, 2, (1, 0, 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 64, 81])

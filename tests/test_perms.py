@@ -82,7 +82,10 @@ def test_cycle_roundtrip():
 
 def test_parse_cycles_variants():
     assert parse_cycles("(0 1 2)(3 4)") == parse_cycles("(0,1,2) (3,4)")
-    assert parse_cycles("()", 4).is_identity()
+    for text in ("", "()", " () ", "()()"):
+        assert parse_cycles(text, 4).is_identity()
+        with pytest.raises(ValueError, match="cannot infer degree"):
+            parse_cycles(text)
     with pytest.raises(ValueError):
         parse_cycles("(0 1) junk")
     with pytest.raises(ValueError):

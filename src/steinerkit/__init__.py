@@ -47,6 +47,7 @@ from .kramer_mesner import (
     build_orbit_matrix,
     search_design,
     solve,
+    subset_orbits,
 )
 from .perms import (
     ActionReport,
@@ -102,6 +103,7 @@ __all__ = [
     "scan",
     "search_design",
     "solve",
+    "subset_orbits",
     "sweep",
     "verify",
 ]

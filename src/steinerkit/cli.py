@@ -9,6 +9,7 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,7 +186,7 @@ def cmd_group(args):
                 print("  gen %s" % g)
         return EXIT_OK
     if args.action == "orbits":
-        orbits = group.subset_orbits(args.m, cap=args.max_subsets)
+        orbits = kramer_mesner.subset_orbits(group, args.m, cap=args.max_subsets)
         if args.json:
             payload = {
                 "caps": _caps_dict(args),
@@ -290,19 +291,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json=True, max_subsets=True):
+    def common(p, json=True, max_subsets="cap on exact enumerations"):
         if json:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         if max_subsets:
             p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_CAP,
-                           help="cap on exact enumerations (default %(default)s)")
+                           help=max_subsets + " (default %(default)s)")
 
     p = sub.add_parser("admissible", help="evaluate the necessary conditions on (t, v, k, lambda)")
     p.add_argument("t", type=int)
     p.add_argument("v", type=int)
     p.add_argument("k", type=int)
     p.add_argument("lam", type=int, metavar="lambda")
-    common(p, max_subsets=False)
+    common(p, max_subsets=None)
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("scan", help="list admissible nontrivial parameter sets up to v-max")
@@ -311,7 +312,7 @@ def build_parser():
     p.add_argument("--v-max", type=int, required=True)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    common(p, max_subsets=False)
+    common(p, max_subsets=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="exhaustively verify a design file ('-' for stdin)")
@@ -335,7 +336,9 @@ def build_parser():
     p.add_argument("source")
     p.add_argument("--m", type=int, default=2, help="subset size for 'orbits'")
     p.add_argument("--t-max", type=int, default=3, help="degree bound for 'homogeneity'")
-    common(p)
+    common(p, max_subsets="cap for 'orbits': on C(v,m), or, where the orbits are read as "
+           "orbit-matrix columns at the group's homogeneity degree t0, on C(v,t0) and "
+           "C(v-t0,m-t0)")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("analyze-bt", help="block-transitivity arithmetic screen")
@@ -346,7 +349,7 @@ def build_parser():
     # (a cached small int) pass alongside --group
     scope.add_argument("--v-max", type=int, help="sweep every degree up to this (default 64)")
     scope.add_argument("--group", default=None, help="screen a single catalog entry instead")
-    common(p, max_subsets=False)
+    common(p, max_subsets=None)
     p.set_defaults(func=cmd_analyze_bt)
 
     p = sub.add_parser("km-search", help="prescribed-group design search")
@@ -363,9 +366,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every ``main`` call reuses, built at the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if 0 < sys.get_int_max_str_digits() < MAX_INT_DIGITS:
         sys.set_int_max_str_digits(MAX_INT_DIGITS)
     try:

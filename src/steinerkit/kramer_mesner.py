@@ -26,7 +26,7 @@ from math import comb
 
 from .designs import DesignParameters, _checked_columns, _trusted_design, cover_counts
 from .errors import CapacityError
-from .perms import DEFAULT_SUBSET_CAP, _orbit
+from .perms import DEFAULT_SUBSET_CAP, _orbit, homogeneity
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,45 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
         col_sizes=tuple(col_sizes),
         entries=tuple(tuple(row) for row in entries),
     )
+
+
+def subset_orbits(group, m, cap=DEFAULT_SUBSET_CAP):
+    """Orbit representatives and sizes of the action on m-subsets.
+
+    Representatives are the lexicographically least members of their
+    orbits, listed in lexicographic order; sizes sum to C(degree, m).
+    m- and (v-m)-homogeneity agree, and for t <= v/2 a t-homogeneous group
+    is (t-1)-homogeneous (Livingstone and Wagner, *Math. Z.* 90, 1965), so
+    t0, the largest t <= h = min(m, v-m) at which G is t-homogeneous, is
+    found by counting up.  Transitivity is read from the group's own chain;
+    a group that is not h-transitive is rebased once onto 0..h-1, where
+    ``homogeneity`` runs the index tests and the matrix finds R = 0..t0-1.
+    At t0 = h there is one orbit.  Otherwise the orbits are the columns of
+    the one-row matrix ``build_orbit_matrix(G, t0, m)`` when its at most
+    C(v-t0, m-t0) C(m, t0) = C(v, m) C(m, t0)^2 / C(v, t0) carries are no
+    more than the C(v, m) subsets a partition enumerates, i.e. when
+    C(m, t0)^2 <= C(v, t0); else the m-subsets are partitioned.  ``cap``
+    bounds C(v, t0) and C(v-t0, m-t0) on the matrix route and C(v, m) on
+    the other two.
+    """
+    v = group.degree
+    total = comb(v, m)
+    if not total:
+        return []
+    h = min(m, v - m)
+    t0 = group._transitivity_up_to(min(h, len(group.base)))  # on the group's own chain
+    if t0 < h:
+        chain = group._rebase(range(h))
+        t0 = homogeneity(chain, h).homogeneity_degree
+    if t0 == h:
+        if total > cap:
+            raise CapacityError("%d-subset enumeration size %d exceeds cap %d" % (m, total, cap))
+        return [(tuple(range(m)), total)]
+    if t0 and comb(m, t0) ** 2 <= comb(v, t0):
+        matrix = build_orbit_matrix(chain, t0, m, cap)
+        return list(zip(matrix.col_reps, matrix.col_sizes))
+    reps, sizes, _ = group.subset_orbit_partition(m, cap=cap)
+    return list(zip(reps, sizes))
 
 
 def solve(matrix, lam, limit=None):

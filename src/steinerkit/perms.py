@@ -503,15 +503,6 @@ class PermutationGroup:
 
     # -- subset actions, tuple transitivity ------------------------------------
 
-    def subset_orbits(self, m, cap=DEFAULT_SUBSET_CAP):
-        """Orbit representatives and sizes of the action on m-subsets.
-
-        Representatives are the lexicographically least members of their
-        orbits, listed in lexicographic order; sizes sum to C(degree, m).
-        """
-        reps, sizes, _ = self.subset_orbit_partition(m, cap=cap)
-        return list(zip(reps, sizes))
-
     def subset_orbit_partition(self, m, cap=DEFAULT_SUBSET_CAP, tree=None):
         """Full orbit partition on m-subsets: (reps, sizes, subset -> index).
 
@@ -547,12 +538,14 @@ class PermutationGroup:
     def _transitivity_up_to(self, t):
         """The largest s <= t such that the group is s-transitive (t <= degree).
 
-        With base prefix 0..t-1, transversal i is the orbit of point i under
-        the pointwise stabilizer of 0..i-1, so the orbit on distinct s-tuples
-        has the product of the first s lengths as its size.  Length i is at
-        most degree - i; the group is s-transitive iff the first s attain it.
+        Transversal i is the orbit of base point b_i under the pointwise
+        stabilizer of b_0..b_{i-1}, so the orbit of (b_0..b_{s-1}) on distinct
+        s-tuples has the product of the first s lengths as its size.  Length
+        i is at most degree - i; the group is s-transitive iff the first s
+        attain it.  Any base of at least t points will do; a shorter one is
+        first extended by a rebase onto 0..t-1.
         """
-        chain = self._rebase(range(t))
+        chain = self if len(self.base) >= t else self._rebase(range(t))
         s = 0
         while s < t and len(chain._transversals[s]) == self.degree - s:
             s += 1
@@ -562,9 +555,11 @@ class PermutationGroup:
         """Exact m-homogeneity test: |G : G_S| = C(degree, m), S = {0..m-1}.
 
         m- and (degree-m)-homogeneity agree, so S needs at most degree/2 points.
+        The orbit of S has C(degree, m) members only if that divides |G|, so
+        no stabilizer is searched otherwise.
         """
         total = comb(self.degree, m)
-        if total == 0:
+        if total == 0 or self.order % total:
             return False
         m = min(m, self.degree - m)
         return self.order == total * self.stabilizer_setwise(range(m)).order

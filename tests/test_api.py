@@ -66,6 +66,7 @@ def test_public_api_inventory():
         "scan": ["t", "lam", "v_max", "k_range"],
         "search_design": ["group", "t", "k", "lam", "limit", "cap", "matrix"],
         "solve": ["matrix", "lam", "limit"],
+        "subset_orbits": ["group", "m", "cap"],
         "sweep": ["t", "lam", "v_max"],
         "verify": ["design", "cap"],
     }

@@ -21,6 +21,7 @@ from steinerkit.catalog import (
 )
 from steinerkit.errors import DataIntegrityError
 from steinerkit.gf import field, prime_power_decomposition
+from steinerkit.kramer_mesner import subset_orbits
 from steinerkit.perms import PermutationGroup, homogeneity, parse_cycles
 
 
@@ -56,7 +57,7 @@ def test_psl_three_homogeneity_dichotomy_small():
 
 def test_psl5_has_two_orbits_on_triples():
     group = projective_group("PSL", 5)
-    orbits = group.subset_orbits(3)
+    orbits = subset_orbits(group, 3)
     assert len(orbits) == 2
     assert sorted(size for _, size in orbits) == [10, 10]
 

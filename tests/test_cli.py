@@ -534,6 +534,70 @@ def test_group_orbits_negative_m_names_the_option(capsys):
     assert err == "error: --m must be non-negative, got -1\n"
 
 
+def test_group_orbits_cap_bounds_the_matrix_not_every_m_subset(capsys):
+    # PSL(2,49) is 2- but not 3-homogeneous, so its orbits on 3-subsets are
+    # the columns of the one-row matrix at t = 2: the cap bounds C(50,2) =
+    # 1225 and C(48,1) = 48, not the C(50,3) = 19600 3-subsets
+    argv = ["group", "orbits", "catalog:PSL(2,49)", "--m", "3", "--json", "--max-subsets"]
+    code, out, _ = run_cli(capsys, argv + ["2000"])
+    assert code == 0
+    assert [orbit["size"] for orbit in json.loads(out)["orbits"]] == [9800, 9800]
+    code, out, err = run_cli(capsys, argv + ["1224"])
+    assert code == 3 and out == ""
+    assert err == "capacity error: 2-subset enumeration size 1225 exceeds cap 1224\n"
+
+
+def test_group_orbits_refuses_a_large_partition_before_enumerating(capsys, monkeypatch):
+    # PSL(2,27) is 3-homogeneous, but at m = 14 the matrix at t = 3 would
+    # carry C(14,3) = 364 times per column member, more than the partition
+    # enumerates; C(28,14) = 40116600 exceeds the default cap
+    from steinerkit import kramer_mesner, perms
+
+    def refuse(*args):
+        raise AssertionError("a subset was enumerated")
+
+    monkeypatch.setattr(perms, "combinations", refuse)
+    monkeypatch.setattr(kramer_mesner, "combinations", refuse)
+    code, out, err = run_cli(capsys, ["group", "orbits", "catalog:PSL(2,27)", "--m", "14"])
+    assert code == 3 and out == ""
+    assert err == "capacity error: 14-subset enumeration size 40116600 exceeds cap 10000000\n"
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(capsys):
+    from steinerkit import cli
+
+    argvs = [
+        ["group", "orbits", "catalog:PSL(2,5)", "--m", "3"],
+        ["admissible", "3", "8", "4", "1", "--json"],
+        ["scan", "3", "1"],  # --v-max is required
+        ["km-search", "--group", "catalog:PSL(2,7)", "--t", "3", "--k", "4", "--json"],
+        ["no-such-command"],
+        ["group", "homogeneity", "catalog:M_11", "--t-max", "4"],
+        ["group", "orbits", "catalog:PSL(2,7)", "--m", "-1"],
+        ["analyze-bt", "--t", "4", "--v-max", "30", "--json"],
+    ]
+
+    def run(fresh):
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cli._parser.cache_clear()
+    shared = run(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert shared == run(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 2, 0]
+    assert all(out for code, out, _ in shared if code == 0)
+
+
 def test_analyze_bt_prints_orders_beyond_4300_digits(capsys):
     from math import factorial
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinerkit.catalog import catalog_entry_by_name, projective_group
+from steinerkit import kramer_mesner
+from steinerkit.catalog import candidates_for_degree, catalog_entry_by_name, projective_group
 from steinerkit.designs import verify
 from steinerkit.kramer_mesner import (
     OrbitMatrix,
@@ -16,6 +18,7 @@ from steinerkit.kramer_mesner import (
     expand_selection,
     solve,
     search_design,
+    subset_orbits,
 )
 from steinerkit.errors import CapacityError
 from steinerkit.perms import (
@@ -546,3 +549,138 @@ def test_matrix_of_a_relabelled_homogeneous_group_matches_reference(name, t, k):
         assert relabelled.order == comb(group.degree, t) * relabelled.stabilizer_setwise(
             range(t)).order
         assert_matches_reference(relabelled, t, k)
+
+
+@pytest.fixture
+def orbit_routes(monkeypatch):
+    """``route(group, m)`` is (orbits, the route ``subset_orbits`` took):
+    "matrix", "partition", or "one" for a single orbit built from neither."""
+    taken = []
+    matrix, partition = build_orbit_matrix, PermutationGroup.subset_orbit_partition
+
+    def counting_matrix(*args, **kwargs):
+        taken.append("matrix")
+        return matrix(*args, **kwargs)
+
+    def counting_partition(*args, **kwargs):
+        taken.append("partition")
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(kramer_mesner, "build_orbit_matrix", counting_matrix)
+    monkeypatch.setattr(PermutationGroup, "subset_orbit_partition", counting_partition)
+
+    def route(group, m):
+        taken.clear()
+        orbits = subset_orbits(group, m)
+        assert len(taken) <= 1
+        return orbits, taken[0] if taken else "one"
+
+    return route
+
+
+def reference_subset_orbits(group, m):
+    reps, sizes, _ = group.subset_orbit_partition(m)
+    return list(zip(reps, sizes))
+
+
+def relabelled(group, rng):
+    """``group`` conjugated by a random relabelling; a conjugate has the same
+    order, which is passed to keep the chain build short."""
+    images = list(range(group.degree))
+    rng.shuffle(images)
+    conj = Permutation(images)
+    return PermutationGroup([conj.inverse() * g * conj for g in group.generators],
+                            _order=group.order)
+
+
+def test_subset_orbits_match_the_partition_on_the_catalog(orbit_routes):
+    """Every constructible catalog group of degree <= 28, as given and
+    relabelled, at m = 0..3 and v-2..v+1, at m = 4 and v-3 up to degree 16,
+    and at m = 5 up to degree 12: the partitions of larger m would take
+    seconds.  A conjugate of an m-homogeneous group is m-homogeneous, so the
+    relabelled copy is partitioned only where the given one has several
+    orbits; and so is the given one at m > v/2 (complements carry the
+    orbits on (v-m)-subsets onto those on m-subsets).  sympy recounts the
+    orbits read from matrices up to degree 12."""
+    sympy = importlib.util.find_spec("sympy") is not None
+    rng = random.Random(28)
+    routes = Counter()
+    for v in range(5, 29):
+        low = 3 if v > 16 else 4 if v > 12 else 5
+        ms = sorted(set(range(low + 1)) | set(range(v - (2 if v > 16 else 3), v + 2)))
+        for entry in candidates_for_degree(v):
+            if not entry.constructible:
+                continue
+            given = entry.group()
+            copy = relabelled(given, rng)
+            counts = {}  # m -> number of orbits of the given group
+            for m in ms:
+                if counts.get(v - m) == 1:
+                    expected = [(tuple(range(m)), comb(v, m))]
+                else:
+                    expected = reference_subset_orbits(given, m)
+                counts[m] = len(expected)
+                for group in (given, copy):
+                    if group is copy and len(expected) > 1:
+                        expected = reference_subset_orbits(copy, m)
+                    orbits, route = orbit_routes(group, m)
+                    routes[route] += 1
+                    assert orbits == expected, (entry.name, m, group is copy)
+                    if sympy and route == "matrix" and v <= 12:
+                        assert_sympy_set_orbits(group, orbits)
+    assert routes == {"one": 954, "matrix": 58, "partition": 10}
+
+
+def assert_sympy_set_orbits(group, orbits):
+    """Each representative's orbit in sympy has the reported size and the
+    representative as its least member, so the orbits are distinct, and
+    with sizes summing to C(v, m) they are all of them."""
+    from sympy.combinatorics import Permutation as SympyPermutation
+    from sympy.combinatorics import PermutationGroup as SympyGroup
+
+    oracle = SympyGroup([SympyPermutation(list(g.images)) for g in group.generators])
+    for rep, size in orbits:
+        orbit = oracle.orbit(list(rep), action="sets")
+        assert len(orbit) == size and min(tuple(sorted(s)) for s in orbit) == rep
+
+
+@pytest.mark.parametrize("name, m, route", [
+    # one orbit by homogeneity at h = min(m, v - m); the columns at the
+    # largest homogeneous t <= m would be slow: on a 2-CPU host
+    # build_orbit_matrix takes 7.5 s for (PSL(2,23), 3, 21) and 2.3 s for
+    # (M_24, 5, 20)
+    ("PSL(2,23)", 21, "one"), ("M_24", 20, "one"),
+    # C(m, t0)^2 <= C(v, t0) selects the matrix, and fails for these
+    ("PSL(2,49)", 3, "matrix"), ("M_22", 4, "matrix"),
+    ("PSL(2,9)", 5, "partition"), ("PSL(2,13)", 11, "partition"),
+])
+def test_subset_orbit_routes(orbit_routes, name, m, route):
+    group = catalog_entry_by_name(name).group()
+    orbits, taken = orbit_routes(group, m)
+    assert taken == route
+    if name == "M_24":  # 5-transitive, so 20-homogeneous; its partition takes 0.1 s
+        assert orbits == [(tuple(range(20)), comb(24, 20))]
+    else:
+        assert orbits == reference_subset_orbits(group, m)
+
+
+def test_subset_orbits_edge_cases(orbit_routes):
+    c7 = cyclic_group(7)
+    assert orbit_routes(c7, 0) == ([((), 1)], "one")
+    assert orbit_routes(c7, 7) == ([(tuple(range(7)), 1)], "one")
+    assert orbit_routes(c7, 8) == ([], "one")
+    # C_7's only homogeneous t0 is 1: its matrix pays at m = 2 (C(2,1)^2 <= 7),
+    # not at m = 3, 4 or 5
+    for m, route in [(1, "one"), (2, "matrix"), (3, "partition"), (4, "partition"),
+                     (5, "partition"), (6, "one")]:
+        orbits, taken = orbit_routes(c7, m)
+        assert (taken, orbits) == (route, reference_subset_orbits(c7, m)), m
+    trivial = PermutationGroup([], degree=5)
+    intransitive = PermutationGroup([parse_cycles("(0 1 2)(3 4)", 7), parse_cycles("(0 1)", 7)])
+    for group in (trivial, intransitive):
+        for m in range(group.degree + 2):
+            orbits, taken = orbit_routes(group, m)
+            assert orbits == reference_subset_orbits(group, m), m
+            assert taken == ("one" if m in (0, group.degree, group.degree + 1) else "partition")
+    with pytest.raises(ValueError):
+        subset_orbits(c7, -1)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from steinerkit.designs import construct_boolean, fano_plane
 from steinerkit.errors import CapacityError, NotAutomorphismError
+from steinerkit.kramer_mesner import subset_orbits
 from steinerkit.perms import (
     Permutation,
     PermutationGroup,
@@ -200,9 +201,9 @@ def test_stabilizer_of_fixed_point_is_whole_group():
 
 def test_subset_orbits_c7():
     c7 = PermutationGroup([parse_cycles("(0 1 2 3 4 5 6)", 7)])
-    orbits2 = c7.subset_orbits(2)
+    orbits2 = subset_orbits(c7, 2)
     assert [size for _, size in orbits2] == [7, 7, 7]
-    orbits3 = c7.subset_orbits(3)
+    orbits3 = subset_orbits(c7, 3)
     assert len(orbits3) == 5 and all(size == 7 for _, size in orbits3)
     for rep, _ in orbits3:
         assert rep == min(_orbit_of(c7, rep, Permutation.apply_set))
@@ -234,14 +235,14 @@ def _apply_tuple(g, points):
 
 def test_subset_orbits_trivial_group():
     group = PermutationGroup([], degree=4)
-    orbits = group.subset_orbits(2)
+    orbits = subset_orbits(group, 2)
     assert len(orbits) == 6 and all(size == 1 for _, size in orbits)
 
 
 def test_subset_orbit_sizes_divide_group_order():
     group = PermutationGroup([parse_cycles("(0 1 2)", 6), parse_cycles("(0 1)(2 3)(4 5)", 6)])
     for m in (1, 2, 3):
-        for _, size in group.subset_orbits(m):
+        for _, size in subset_orbits(group, m):
             assert group.order % size == 0
 
 
@@ -255,13 +256,18 @@ def test_homogeneity_symmetric_group():
 def test_one_chain_per_base_prefix(monkeypatch):
     # homogeneity rebases once, to 0..t_max-1, and build_orbit_matrix once,
     # to R; the setwise stabilizers of {0..m-1} search those chains, so the
-    # only other group built is each search's result
+    # only other group built is each search's result.  No stabilizer is
+    # searched where C(v,m) does not divide |G|, as C(22,4) = 7315 and |M_22|.
+    # subset_orbits reads M_24's 4-transitivity from its own chain, and
+    # rebases PSL(2,27) once, to 0..3, for homogeneity and the matrix at t = 3
+    # (which searches G_R again)
     from steinerkit.catalog import catalog_entry_by_name
     from steinerkit.kramer_mesner import build_orbit_matrix
 
-    psl27, m22, m23, m24 = (catalog_entry_by_name(name).group()
-                            for name in ("PSL(2,27)", "M_22", "M_23", "M_24"))
+    psl8, psl27, m22, m23, m24 = (catalog_entry_by_name(name).group()
+                                  for name in ("PSL(2,8)", "PSL(2,27)", "M_22", "M_23", "M_24"))
     assert psl27.base[:3] == [0, 1, 2] and m22.base[:4] != [0, 1, 2, 3]
+    assert psl8.base == [0, 1, 2]
     built = []
     init = PermutationGroup.__init__
 
@@ -272,9 +278,12 @@ def test_one_chain_per_base_prefix(monkeypatch):
     monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
     cases = [
         (lambda: homogeneity(psl27, 3).homogeneity_degree, 3, 1),
-        (lambda: homogeneity(m22, 4).homogeneity_degree, 3, 2),
+        (lambda: homogeneity(m22, 4).homogeneity_degree, 3, 1),
+        (lambda: homogeneity(psl8, 4).homogeneity_degree, 4, 2),
         (lambda: len(build_orbit_matrix(m24, 5, 8).col_reps), 3, 2),
         (lambda: len(build_orbit_matrix(m23, 4, 7).col_reps), 4, 2),
+        (lambda: len(subset_orbits(m24, 4)), 1, 0),
+        (lambda: len(subset_orbits(psl27, 4)), 6, 3),
     ]
     for run, result, chains in cases:
         built.clear()
@@ -460,7 +469,7 @@ def test_transitivity_degree_matches_sympy_on_catalog():
 def test_capacity_errors():
     group = PermutationGroup([parse_cycles("(0 1 2 3 4 5 6 7 8 9)", 10)])
     with pytest.raises(CapacityError):
-        group.subset_orbits(5, cap=10)
+        subset_orbits(group, 5, cap=10)
     # homogeneity enumerates no subsets, so it takes no cap
     report = homogeneity(group, 5)
     assert (report.transitivity_degree, report.homogeneity_degree) == (1, 1)

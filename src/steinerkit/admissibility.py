@@ -10,10 +10,12 @@ applicable condition failed; it never asserts existence.
 Conditions and their hypotheses:
 
 * integrality-all-s: lambda * C(v-s, t-s) must be divisible by
-  C(k-s, t-s) for every s in 1..t.  Always applicable.  The block count
-  b = lambda_0 (s = 0) is not tested, so parameters with a fractional b
-  can be admissible: 2-(11,3,1) passes with b = 55/3.  The block-transitive
-  screen in ``blocktrans`` rejects such b itself.
+  C(k-s, t-s) for every s in 1..t.  Always applicable.  It is decided on
+  integers, by one remainder per s, and ``scan`` runs the same test before
+  it builds any report, so most quadruples it meets cost no report.  The
+  block count b = lambda_0 (s = 0) is not tested, so parameters with a
+  fractional b can be admissible: 2-(11,3,1) passes with b = 55/3.  The
+  block-transitive screen in ``blocktrans`` rejects such b itself.
 * tits-bound: v >= (t+1)(k-t+1) for nontrivial Steiner parameters.
 * cameron-bound: v-t+1 >= (k-t+2)(k-t+1) for nontrivial Steiner
   parameters with t > 2.
@@ -110,19 +112,25 @@ class AdmissibilityReport:
         }
 
 
-def _integrality(lambdas):
-    """The decision for lambdas = [lambda_0, ..., lambda_t]; s = 0 is not tested."""
-    failing = [(s, value) for s, value in enumerate(lambdas) if s and value.denominator != 1]
+def _failing_s(t, v, k, lam):
+    """The s in 1..t, in increasing order, at which lambda * C(v-s, t-s) is
+    not divisible by C(k-s, t-s); s = 0 is not tested."""
+    return [s for s in range(1, t + 1) if lam * comb(v - s, t - s) % comb(k - s, t - s)]
+
+
+def _integrality(failing, lambdas):
+    """The decision for the ``_failing_s`` list, with lambdas = [lambda_0,
+    ..., lambda_t] as the witness values."""
     if not failing:
         return True, {"lambda_s": lambdas[1:], "b": lambdas[0]}
     # headline the deepest failing s: lambda_{t-1} is the first counting
     # obstruction one meets walking down from s = t
-    s_max, value_max = failing[-1]
+    s_max = failing[-1]
     witness = {
         "s": s_max,
-        "lambda_s": value_max,
-        "all_failing_s": [s for s, _ in failing],
-        "all_failing_values": [value for _, value in failing],
+        "lambda_s": lambdas[s_max],
+        "all_failing_s": failing,
+        "all_failing_values": [lambdas[s] for s in failing],
     }
     return False, witness
 
@@ -196,7 +204,7 @@ def check(params):
 
     decisions = (
         (True if nontrivial else None, range_witness),
-        _integrality(lambdas),
+        _integrality(_failing_s(t, v, k, lam), lambdas),
         tits, cameron, equality, fisher, rcw,
     )
     outcomes = tuple([
@@ -210,7 +218,9 @@ def check(params):
 def scan(t, lam, v_max, k_range=None):
     """All admissible nontrivial quadruples with v <= v_max, sorted by (v, k).
 
-    Only the k that ``feasible_k`` lists for each v are checked.
+    Only the k that ``feasible_k`` lists for each v are considered, and
+    integrality is decided on integers first: a report is built only for
+    the quadruples at which ``_failing_s`` finds no failing s in 1..t.
     """
     if t < 1 or lam < 1:
         raise ValueError("need t >= 1 and lambda >= 1")
@@ -220,7 +230,8 @@ def scan(t, lam, v_max, k_range=None):
     found = []
     for v in range(t + 2, v_max + 1):
         for k in feasible_k(t, v, lam):
-            params = DesignParameters(t, v, k, lam)
-            if k_lo <= k <= k_hi and check(params).admissible:
-                found.append(params)
+            if k_lo <= k <= k_hi and not _failing_s(t, v, k, lam):
+                params = DesignParameters(t, v, k, lam)
+                if check(params).admissible:
+                    found.append(params)
     return found

@@ -19,7 +19,7 @@ from math import comb
 
 from . import admissibility
 from .catalog import DEFAULT_DEGREE_CAP, candidates_for_degree
-from .designs import DesignParameters, lambda_s
+from .designs import DesignParameters
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _parameter_step(t, v, k, lam):
         detail = {"conditions": [out.condition.value for out in failures]}
         detail.update(failures[0].witness)
         return ReasonStep("inadmissible-params", detail), None
-    b = lambda_s(params, 0)
+    b = report.outcome(admissibility.Condition.INTEGRALITY_ALL_S).witness["b"]
     if b.denominator != 1:
         # the counting conditions range over s >= 1; the block count
         # itself must also be an integer for a design to exist

@@ -311,25 +311,31 @@ def _json_dict(design, blocks):
     return {"t": p.t, "v": p.v, "k": p.k, "lambda": p.lam, "blocks": blocks}
 
 
+def _json_form(design):
+    """The JSON text of ``design`` up to its blocks' "[", and the ``%d``
+    format that writes one of its blocks, a tuple of ints, as the encoder
+    would."""
+    head = json.dumps(_json_dict(design, []))[:-2]
+    return head, "[" + ", ".join(["%d"] * design.params.k) + "]"
+
+
 def design_to_json(design):
-    # the encoder writes the block tuples as arrays, as it would lists
-    return json.dumps(_json_dict(design, design.blocks))
+    head, form = _json_form(design)
+    return head + ", ".join(map(form.__mod__, zip(*design.columns))) + "]}"
 
 
 def _json_lines(designs):
     """``design_to_json`` of each design, each distinct block formatted once.
 
     The designs of one search share most of their blocks, so a block's text
-    is kept from the first design that holds it.  It is written by one
-    ``%d`` format, which for a block of ints is what the encoder writes.
+    is kept from the first design that holds it.
     """
     texts = {}  # block -> its text
     params = None
     for design in designs:
         if design.params != params:
             params = design.params
-            head = json.dumps(_json_dict(design, []))[:-2]  # up to the blocks' "["
-            form = "[" + ", ".join(["%d"] * params.k) + "]"
+            head, form = _json_form(design)
         rows = design.blocks
         try:
             text = ", ".join(map(texts.__getitem__, rows))

@@ -579,18 +579,21 @@ class ActionReport:
 def homogeneity(group, t_max):
     """Exact transitivity and homogeneity degrees up to ``t_max``.
 
-    Both are read from one stabilizer chain, with base prefix 0..t_max-1.
-    Transitivity comes from its transversal lengths.  A t-transitive group
-    is t-homogeneous, so only larger t are decided, each by the index of
-    a setwise stabilizer of {0..m-1}, m <= t_max, searched on that chain.
+    Transitivity comes from the transversal lengths of a stabilizer chain,
+    first the group's own.  A t-transitive group is t-homogeneous, so only
+    larger t are decided, each by the index of a setwise stabilizer of
+    {0..m-1}, m <= t_max.  Those searches run on a chain with base prefix
+    0..t_max-1, so the group is rebased only when its own chain does not
+    show it t_max-transitive.
     """
     t_max = min(t_max, group.degree)
     orbits = group.point_orbits()
-    chain = group._rebase(range(t_max))
-    trans_degree = chain._transitivity_up_to(t_max)
-    homog_degree = trans_degree
-    while homog_degree < t_max and chain.is_homogeneous(homog_degree + 1):
-        homog_degree += 1
+    trans_degree = homog_degree = group._transitivity_up_to(min(t_max, len(group.base)))
+    if trans_degree < t_max:
+        chain = group._rebase(range(t_max))
+        trans_degree = homog_degree = chain._transitivity_up_to(t_max)
+        while homog_degree < t_max and chain.is_homogeneous(homog_degree + 1):
+            homog_degree += 1
     return ActionReport(
         orbit_count_points=len(orbits),
         orbit_lengths=tuple(sorted(len(o) for o in orbits)),

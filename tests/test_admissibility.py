@@ -12,6 +12,7 @@ from steinerkit.admissibility import (
     ConditionOutcome,
     Status,
     _cameron_rhs,
+    _failing_s,
     _tits_min_v,
     check,
     feasible_k,
@@ -207,6 +208,45 @@ def test_scan_and_feasible_k_match_a_brute_force_filter_of_check(monkeypatch):
             assert scan(t, lam, v_max, k_range=(k_lo, k_hi)) == [
                 p for p in brute if k_lo <= p.k <= k_hi
             ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_failing_s_is_the_s_with_a_fractional_lambda_s(data):
+    t = data.draw(st.integers(1, 8))
+    v = data.draw(st.integers(t + 2, 300))
+    k = data.draw(st.integers(t + 1, v - 1))
+    lam = data.draw(st.integers(1, 4))
+    params = DesignParameters(t, v, k, lam)
+    assert _failing_s(t, v, k, lam) == [
+        s for s in range(1, t + 1) if lambda_s(params, s).denominator != 1
+    ]
+
+
+def test_scan_checks_only_the_sets_with_integral_lambda_s(monkeypatch):
+    # the prefilter builds one report per feasible (v, k) in range whose
+    # lambda_s, s = 1..t, are all integers, and none for any other
+    checked = []
+
+    def spy(params):
+        checked.append(params)
+        return check(params)
+
+    monkeypatch.setattr("steinerkit.admissibility.check", spy)
+    for lam in (1, 2):
+        for t in range(2, 7):
+            for k_lo, k_hi in ((t + 1, 59), (t + 2, t + 5)):
+                checked.clear()
+                scan(t, lam, 60, k_range=(k_lo, k_hi))
+                integral = []
+                for v in range(t + 2, 61):
+                    for k in feasible_k(t, v, lam):
+                        params = DesignParameters(t, v, k, lam)
+                        if k_lo <= k <= k_hi and all(
+                            lambda_s(params, s).denominator == 1 for s in range(1, t + 1)
+                        ):
+                            integral.append(params)
+                assert checked == integral
 
 
 def test_report_json_shape():

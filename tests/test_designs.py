@@ -300,13 +300,23 @@ def test_json_roundtrip():
     lambda: construct_boolean(6),
     lambda: derived(construct_boolean(4), 5),
     lambda: Design(DesignParameters(1, 3, 1, 1), [(0,), (1,), (2,)]),
+    lambda: construct_boolean(3),
+    lambda: construct_boolean(4),
+    lambda: construct_boolean(5),
+    lambda: complete_design(7, 3, 2),
+    lambda: Design(DesignParameters(2, 5, 3, 1), []),
 ])
 def test_design_to_json_encodes_the_blocks_as_the_dict_lists(make):
+    # design_to_json writes each block by a %d format; the encoder, given
+    # the block tuples or lists, is the oracle
+    from steinerkit.designs import _json_dict
+
     design = make()
     p = design.params
     lists = {"t": p.t, "v": p.v, "k": p.k, "lambda": p.lam,
              "blocks": [list(block) for block in design.blocks]}
     assert design_to_json(design) == json.dumps(lists)
+    assert design_to_json(design) == json.dumps(_json_dict(design, design.blocks))
 
 
 def test_json_lines_match_design_to_json_across_designs():

@@ -260,7 +260,8 @@ def test_one_chain_per_base_prefix(monkeypatch):
     # searched where C(v,m) does not divide |G|, as C(22,4) = 7315 and |M_22|.
     # subset_orbits reads M_24's 4-transitivity from its own chain, and
     # rebases PSL(2,27) once, to 0..3, for homogeneity and the matrix at t = 3
-    # (which searches G_R again)
+    # (which searches G_R again).  homogeneity reads a relabelled M_24's
+    # 4-transitivity from its own chain, whose base starts 0, 1, 2, 4
     from steinerkit.catalog import catalog_entry_by_name
     from steinerkit.kramer_mesner import build_orbit_matrix
 
@@ -268,6 +269,11 @@ def test_one_chain_per_base_prefix(monkeypatch):
                                   for name in ("PSL(2,8)", "PSL(2,27)", "M_22", "M_23", "M_24"))
     assert psl27.base[:3] == [0, 1, 2] and m22.base[:4] != [0, 1, 2, 3]
     assert psl8.base == [0, 1, 2]
+    images = list(range(24))
+    random.Random(3).shuffle(images)
+    conj = Permutation(images)
+    m24_relabelled = PermutationGroup([conj.inverse() * g * conj for g in m24.generators])
+    assert m24_relabelled.base[:4] != [0, 1, 2, 3]
     built = []
     init = PermutationGroup.__init__
 
@@ -280,6 +286,7 @@ def test_one_chain_per_base_prefix(monkeypatch):
         (lambda: homogeneity(psl27, 3).homogeneity_degree, 3, 1),
         (lambda: homogeneity(m22, 4).homogeneity_degree, 3, 1),
         (lambda: homogeneity(psl8, 4).homogeneity_degree, 4, 2),
+        (lambda: homogeneity(m24_relabelled, 4).transitivity_degree, 4, 0),
         (lambda: len(build_orbit_matrix(m24, 5, 8).col_reps), 3, 2),
         (lambda: len(build_orbit_matrix(m23, 4, 7).col_reps), 4, 2),
         (lambda: len(subset_orbits(m24, 4)), 1, 0),

@@ -5,6 +5,11 @@ byte-identical across repeated invocations.  Exit codes:
 0 success / affirmative, 1 definite negative (inadmissible, verification
 failure, eliminated, nothing found), 2 usage or input error, 3 capacity
 cap exceeded.
+
+Output, printed by ``_emit`` except the one design of ``derive`` and
+``construct``: text starts with the header ``# caps: max_subsets=N``.  Under
+``--json``, ``analyze-bt`` and ``km-search`` print one object per line and
+no caps; the other subcommands print one sorted object with a ``caps`` key.
 """
 from __future__ import annotations
 
@@ -38,13 +43,19 @@ EXIT_CAPACITY = 3
 MAX_INT_DIGITS = 13020
 
 
-def _caps_dict(args):
-    return {"max_subsets": getattr(args, "max_subsets", DEFAULT_SUBSET_CAP)}
-
-
-def _print_header(args):
-    caps = _caps_dict(args)
-    print("# caps: " + " ".join("%s=%s" % item for item in sorted(caps.items())))
+def _emit(args, payload, lines):
+    """Print the ``# caps:`` header and ``lines``; under ``--json``, ``payload``
+    with its caps as one sorted line, or ``lines`` alone where ``payload`` is
+    None.  Pass ``lines`` as a generator, so no text is built under ``--json``.
+    """
+    max_subsets = getattr(args, "max_subsets", DEFAULT_SUBSET_CAP)
+    if not args.json:
+        print("# caps: max_subsets=%s" % max_subsets)
+    elif payload is not None:
+        payload["caps"] = {"max_subsets": max_subsets}
+        lines = [json.dumps(payload, sort_keys=True)]
+    for line in lines:
+        print(line)
 
 
 def _read_design(path):
@@ -64,7 +75,7 @@ def _require_positive(*options):
 def _load_group(source):
     """A group from ``catalog:NAME`` or a JSON interchange file."""
     if source.startswith("catalog:"):
-        entry = catalog_entry_by_name(source[len("catalog:"):])
+        entry = catalog_entry_by_name(source.removeprefix("catalog:"))
         return entry.group(), entry.name
     with open(source, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -75,19 +86,17 @@ def cmd_admissible(args):
     _require_positive(("t", args.t), ("v", args.v), ("k", args.k), ("lambda", args.lam))
     params = DesignParameters(args.t, args.v, args.k, args.lam)
     report = admissibility.check(params)
-    if args.json:
-        payload = report.to_json_dict()
-        payload["caps"] = _caps_dict(args)
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        _print_header(args)
-        print("parameters: %d-(%d,%d,%d)" % (params.t, params.v, params.k, params.lam))
+
+    def lines():
+        yield "parameters: %d-(%d,%d,%d)" % (params.t, params.v, params.k, params.lam)
         for out in report.outcomes:
             line = "  %-24s %s" % (out.condition.value, out.status.value)
             if out.witness:
                 line += "  " + json.dumps(admissibility.json_witness(out.witness), sort_keys=True)
-            print(line)
-        print("admissible: %s" % ("yes" if report.admissible else "no"))
+            yield line
+        yield "admissible: %s" % ("yes" if report.admissible else "no")
+
+    _emit(args, report.to_json_dict(), lines())
     return EXIT_OK if report.admissible else EXIT_NEGATIVE
 
 
@@ -99,22 +108,21 @@ def cmd_scan(args):
         args.v_max - 1 if args.k_max is None else args.k_max,
     )
     found = admissibility.scan(args.t, args.lam, args.v_max, k_range=k_range)
-    if args.json:
-        payload = {
-            "caps": _caps_dict(args),
-            "t": args.t,
-            "lambda": args.lam,
-            "v_max": args.v_max,
-            "admissible": [
-                {"t": p.t, "v": p.v, "k": p.k, "lambda": p.lam} for p in found
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        _print_header(args)
+    payload = {
+        "t": args.t,
+        "lambda": args.lam,
+        "v_max": args.v_max,
+        "admissible": [
+            {"t": p.t, "v": p.v, "k": p.k, "lambda": p.lam} for p in found
+        ],
+    }
+
+    def lines():
         for p in found:
-            print("%d-(%d,%d,%d)  b=%s r=%s" % (p.t, p.v, p.k, p.lam, lambda_s(p, 0), lambda_s(p, 1)))
-        print("# %d admissible parameter sets" % len(found))
+            yield "%d-(%d,%d,%d)  b=%s r=%s" % (p.t, p.v, p.k, p.lam, lambda_s(p, 0), lambda_s(p, 1))
+        yield "# %d admissible parameter sets" % len(found)
+
+    _emit(args, payload, lines())
     return EXIT_OK
 
 
@@ -122,26 +130,25 @@ def cmd_verify(args):
     design = _read_design(args.design)
     report = verify(design, cap=args.max_subsets)
     ok = report.covered_lambda == design.params.lam
-    if args.json:
-        payload = {
-            "caps": _caps_dict(args),
-            "covered_lambda": report.covered_lambda,
-            "failing_witness": (
-                {"subset": list(report.failing_witness[0]), "count": report.failing_witness[1]}
-                if report.failing_witness
-                else None
-            ),
-            "is_design": ok,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        _print_header(args)
+    payload = {
+        "covered_lambda": report.covered_lambda,
+        "failing_witness": (
+            {"subset": list(report.failing_witness[0]), "count": report.failing_witness[1]}
+            if report.failing_witness
+            else None
+        ),
+        "is_design": ok,
+    }
+
+    def lines():
         p = design.params
-        print("declared: %d-(%d,%d,%d) with %d blocks" % (p.t, p.v, p.k, p.lam, design.b))
-        print("covered_lambda: %s" % (report.covered_lambda,))
+        yield "declared: %d-(%d,%d,%d) with %d blocks" % (p.t, p.v, p.k, p.lam, design.b)
+        yield "covered_lambda: %s" % (report.covered_lambda,)
         if report.failing_witness:
-            print("failing witness: %s covered %d times" % report.failing_witness)
-        print("verified: %s" % ("yes" if ok else "no"))
+            yield "failing witness: %s covered %d times" % report.failing_witness
+        yield "verified: %s" % ("yes" if ok else "no")
+
+    _emit(args, payload, lines())
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -153,8 +160,6 @@ def cmd_derive(args):
 
 
 def cmd_construct(args):
-    if args.kind != "boolean":
-        raise ValueError("unknown construction %r" % (args.kind,))
     design = construct_boolean(args.n, cap=args.max_subsets)
     print(design_to_json(design))
     return EXIT_OK
@@ -175,33 +180,25 @@ def cmd_group(args):
             "generators": [g.cycle_string() for g in group.generators],
             "point_orbit_lengths": sorted(len(o) for o in group.point_orbits()),
         }
-        if args.json:
-            payload["caps"] = _caps_dict(args)
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            _print_header(args)
+
+        def lines():
             for key in ("name", "degree", "order", "base", "point_orbit_lengths"):
-                print("%s: %s" % (key, payload[key]))
+                yield "%s: %s" % (key, payload[key])
             for g in payload["generators"]:
-                print("  gen %s" % g)
-        return EXIT_OK
-    if args.action == "orbits":
+                yield "  gen %s" % g
+    elif args.action == "orbits":
         orbits = kramer_mesner.subset_orbits(group, args.m, cap=args.max_subsets)
-        if args.json:
-            payload = {
-                "caps": _caps_dict(args),
-                "name": name,
-                "m": args.m,
-                "orbits": [{"representative": list(rep), "size": size} for rep, size in orbits],
-            }
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            _print_header(args)
+        payload = {
+            "name": name,
+            "m": args.m,
+            "orbits": [{"representative": list(rep), "size": size} for rep, size in orbits],
+        }
+
+        def lines():
             for rep, size in orbits:
-                print("rep %s size %d" % (list(rep), size))
-            print("# %d orbits on %d-subsets" % (len(orbits), args.m))
-        return EXIT_OK
-    if args.action == "homogeneity":
+                yield "rep %s size %d" % (list(rep), size)
+            yield "# %d orbits on %d-subsets" % (len(orbits), args.m)
+    else:
         report = homogeneity(group, args.t_max)
         payload = {
             "name": name,
@@ -211,15 +208,13 @@ def cmd_group(args):
             "homogeneity_degree": report.homogeneity_degree,
             "tested_t_max": report.tested_t_max,
         }
-        if args.json:
-            payload["caps"] = _caps_dict(args)
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            _print_header(args)
+
+        def lines():
             for key, value in payload.items():
-                print("%s: %s" % (key, value))
-        return EXIT_OK
-    raise ValueError("unknown group action %r" % (args.action,))
+                yield "%s: %s" % (key, value)
+
+    _emit(args, payload, lines())
+    return EXIT_OK
 
 
 def cmd_analyze_bt(args):
@@ -227,18 +222,13 @@ def cmd_analyze_bt(args):
         raise ValueError("--t must be at least 2 for the elimination screen, got %d" % args.t)
     _require_positive(("--lambda", args.lam))
     if args.group:
-        group_entry = catalog_entry_by_name(
-            args.group[len("catalog:"):] if args.group.startswith("catalog:") else args.group
-        )
-        verdicts = [blocktrans.eliminate(group_entry, args.t, args.lam)]
+        entry = catalog_entry_by_name(args.group.removeprefix("catalog:"))
+        verdicts = [blocktrans.eliminate(entry, args.t, args.lam)]
     else:
         v_max = 64 if args.v_max is None else args.v_max
         verdicts = blocktrans.sweep(args.t, args.lam, v_max)
-    if args.json:
-        for verdict in verdicts:
-            print(json.dumps(verdict.to_json_dict(), sort_keys=True))
-    else:
-        _print_header(args)
+
+    def lines():
         for verdict in verdicts:
             if verdict.survives:
                 summary = "SURVIVES arithmetic screen at k in %s" % (list(verdict.surviving_k),)
@@ -249,12 +239,15 @@ def cmd_analyze_bt(args):
                 for step in verdict.group_reasons:
                     reasons.append(step.test)
                 summary = "eliminated (%s)" % "; ".join(reasons)
-            print(
+            yield (
                 "v=%-4d %-14s |G|=%-18s %s"
                 % (verdict.degree, verdict.entry_name, verdict.group_order, summary)
             )
         survivors = [verdict for verdict in verdicts if verdict.survives]
-        print("# %d verdicts, %d survive the arithmetic screen" % (len(verdicts), len(survivors)))
+        yield "# %d verdicts, %d survive the arithmetic screen" % (len(verdicts), len(survivors))
+
+    json_lines = (json.dumps(verdict.to_json_dict(), sort_keys=True) for verdict in verdicts)
+    _emit(args, None, json_lines if args.json else lines())
     if args.group:
         return EXIT_NEGATIVE if verdicts[0].eliminated else EXIT_OK
     return EXIT_OK
@@ -274,13 +267,11 @@ def cmd_km_search(args):
     designs = kramer_mesner.search_design(
         group, args.t, args.k, args.lam, limit=args.limit, cap=args.max_subsets, matrix=matrix
     )
+    lines = _json_lines(designs)
     if not args.json:
-        _print_header(args)
-        print("# group %s, searching %d-(%d,%d,%d)" % (name, args.t, group.degree, args.k, args.lam))
-    for line in _json_lines(designs):
-        print(line)
-    if not args.json:
-        print("# %d design(s) found" % len(designs))
+        head = "# group %s, searching %d-(%d,%d,%d)" % (name, args.t, group.degree, args.k, args.lam)
+        lines = [head, *lines, "# %d design(s) found" % len(designs)]
+    _emit(args, None, lines)
     return EXIT_OK if designs else EXIT_NEGATIVE
 
 

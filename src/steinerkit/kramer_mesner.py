@@ -356,13 +356,15 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, matrix=N
     sum to lambda in every field: no t-subset lies in more than C(v-t,k-t)
     k-subsets, so no field carries.  So every returned design covers each
     t-subset exactly lambda times, and its automorphism group contains the
-    group.
+    group.  A matrix of another v, t or k is refused (ValueError).
     """
-    DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
+    params = DesignParameters(t, group.degree, k, lam)  # rejects bad input before enumerating
+    v = params.v
     if matrix is None:
         matrix = build_orbit_matrix(group, t, k, cap=cap)
-    t, v, k = matrix.t, matrix.degree, matrix.k  # the parameters of every design
-    params = DesignParameters(t, v, k, lam)
+    elif (matrix.degree, matrix.t, matrix.k) != (v, t, k):
+        raise ValueError("the orbit matrix is of (v, t, k) = %r, not %r"
+                         % ((matrix.degree, matrix.t, matrix.k), (v, t, k)))
     width = 1 if max(lam, comb(v - t, k - t)) < 256 else 4  # bytes per field
     maps = [g.apply_set for g in group.generators]
     orbits = {}  # column -> its sorted orbit, for the columns used so far

@@ -703,6 +703,8 @@ def group_from_json_dict(data):
     degree = data["degree"]
     if not _is_int(degree) or degree <= 0:
         raise ValueError("group json: degree must be a positive integer")
+    if degree > DEFAULT_SUBSET_CAP:  # before a list of that length is built
+        raise CapacityError("group json: degree %d exceeds cap %d" % (degree, DEFAULT_SUBSET_CAP))
     if not isinstance(data["generators"], list):
         raise ValueError("group json: 'generators' must be an array")
     gens = []

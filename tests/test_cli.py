@@ -528,6 +528,18 @@ def test_negative_max_subsets_is_a_usage_error(capsys, argv):
     assert err == "error: --max-subsets must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "info"],
+    ["km-search", "--t", "2", "--k", "3", "--group"],
+], ids=["group", "km-search"])
+def test_group_file_of_a_huge_degree_exits_3(capsys, tmp_path, argv):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": 2**40, "generators": ["(0 1)"]}))
+    code, out, err = run_cli(capsys, argv + [str(path)])
+    assert code == 3 and out == ""
+    assert err == "capacity error: group json: degree %d exceeds cap 10000000\n" % 2**40
+
+
 def test_group_orbits_negative_m_names_the_option(capsys):
     code, out, err = run_cli(capsys, ["group", "orbits", "catalog:PSL(2,7)", "--m", "-1"])
     assert code == 2 and out == ""
@@ -746,3 +758,76 @@ def test_design_parsing_restores_the_callers_gc_state(capsys, tmp_path, enabled)
         (gc.enable if was else gc.disable)()
     assert code == 2 and out == ""
     assert err.startswith("error: design json: ") and err.count("\n") == 1
+
+
+def test_every_subcommand_prints_its_pinned_output(capsys, tmp_path):
+    """One sha256 over (argv, exit, stdout, stderr) of every subcommand, text and --json.
+
+    Temporary paths read as ``<tmp>``.  Where argparse itself refuses the
+    argv (exit 2), its stderr is left out: its wording is the interpreter's.
+    """
+    fano = tmp_path / "fano.json"
+    fano.write_text(design_to_json(fano_plane()))
+    short = tmp_path / "short.json"
+    short.write_text('{"t":2,"v":7,"k":3,"lambda":1,"blocks":[[0,1,2]]}')
+    c7 = tmp_path / "c7.json"
+    c7.write_text('{"degree": 7, "generators": ["(0 1 2 3 4 5 6)"]}')
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"degree": 3, "generators": ["(0 5)"]}')
+    dump = tmp_path / "matrix.json"
+    km = ["km-search", "--group"]
+    cases = [
+        ["admissible", "6", "14", "7", "1"],
+        ["admissible", "5", "24", "8", "1"],
+        ["admissible", "2", "5", "3", "0"],
+        ["scan", "3", "1", "--v-max", "30"],
+        ["scan", "6", "1", "--v-max", "3"],
+        ["verify", str(fano)],
+        ["verify", str(fano), "--max-subsets", "100"],
+        ["verify", str(short)],
+        ["verify", str(fano), "--max-subsets", "5"],
+        ["verify", str(tmp_path / "missing.json")],
+        ["group", "info", "catalog:PSL(2,7)", "--max-subsets", "500"],
+        ["group", "info", str(c7)],
+        ["group", "info", str(bad)],
+        ["group", "info", "catalog:NoSuchGroup"],
+        ["group", "orbits", "catalog:PSL(2,5)", "--m", "3"],
+        ["group", "orbits", "catalog:PSL(2,27)", "--m", "14"],
+        ["group", "orbits", "catalog:PSL(2,7)", "--m", "-1"],
+        ["group", "homogeneity", "catalog:PSL(2,7)", "--t-max", "3"],
+        ["group", "homogeneity", "catalog:PSL(2,7)", "--t-max", "0"],
+        ["analyze-bt", "--t", "5", "--v-max", "20"],
+        ["analyze-bt", "--t", "6", "--group", "catalog:M_24"],
+        ["analyze-bt", "--t", "5", "--group", "PSL(2,11)"],
+        ["analyze-bt", "--t", "1", "--v-max", "20"],
+        km + ["catalog:PSL(2,7)", "--t", "3", "--k", "4"],
+        km + ["catalog:A_5", "--t", "2", "--k", "3"],
+        km + [str(c7), "--t", "2", "--k", "3", "--limit", "2", "--dump-matrix", str(dump)],
+        km + ["catalog:M_12", "--t", "5", "--k", "6", "--max-subsets", "791"],
+        km + ["catalog:PSL(2,7)", "--t", "0", "--k", "3"],
+    ]
+    cases = [argv + form for argv in cases for form in ([], ["--json"])]
+    cases += [
+        ["derive", str(fano), "0"],
+        ["construct", "boolean", "3"],
+        ["construct", "boolean", "4", "--max-subsets", "559"],
+        ["construct", "octads", "3"],
+        ["group", "degree", "catalog:PSL(2,7)"],
+    ]
+    digest = hashlib.sha256()
+    for argv in cases:
+        try:
+            code = main(argv)
+            refused = False
+        except SystemExit as exc:
+            code, refused = exc.code, True
+        out, err = capsys.readouterr()
+        if refused:
+            err = None
+        if dump.exists():
+            out += dump.read_text()
+            dump.unlink()
+        record = json.dumps([argv, code, out, err]).replace(str(tmp_path), "<tmp>")
+        digest.update(record.encode() + b"\n")
+    assert len(cases) == 61
+    assert digest.hexdigest() == "c15ae9d403831d0c63edec6defd01d9e94fe1760b2d1bae1ed669526b3022cdd"

@@ -425,6 +425,19 @@ def test_search_design_cap_binds_a_passed_matrix():
         search_design(group, 2, 3, 1, cap=20, matrix=matrix)
 
 
+@pytest.mark.parametrize("matrix_group, t, k", [("PSL(2,7)", 3, 4), ("C_7", 2, 3)],
+                         ids=["other-t-and-k", "other-degree"])
+def test_search_design_refuses_a_matrix_of_other_parameters(matrix_group, t, k):
+    # PSL(2,7) on 8 points has two 3-(8,4,1) designs; neither their matrix
+    # nor one of C_7 on 7 points may stand in for the 2-(8,3,1) search
+    group = projective_group("PSL", 7)
+    other = group if matrix_group == "PSL(2,7)" else cyclic_group(7)
+    matrix = build_orbit_matrix(other, t, k)
+    with pytest.raises(ValueError, match=r"orbit matrix is of \(v, t, k\) = \(%d, %d, %d\), "
+                                         r"not \(8, 2, 3\)" % (other.degree, t, k)):
+        search_design(group, 2, 3, 1, matrix=matrix)
+
+
 def test_search_design_fano():
     designs = search_design(cyclic_group(7), 2, 3, 1)
     assert designs

@@ -10,6 +10,7 @@ from steinerkit.designs import construct_boolean, fano_plane
 from steinerkit.errors import CapacityError, NotAutomorphismError
 from steinerkit.kramer_mesner import subset_orbits
 from steinerkit.perms import (
+    DEFAULT_SUBSET_CAP,
     Permutation,
     PermutationGroup,
     group_from_json_dict,
@@ -556,6 +557,22 @@ def test_group_json_errors():
         group_from_json_dict({"degree": 5, "generators": [[0, 1]]})
     with pytest.raises(ValueError):
         group_from_json_dict({"degree": 5, "generators": [[0, 0, 1, 2, 3]]})
+
+
+@pytest.mark.parametrize("degree", [2**40, DEFAULT_SUBSET_CAP + 1])
+@pytest.mark.parametrize("generators", [[], ["(0 1)"], [[1, 0]]], ids=["none", "cycles", "images"])
+def test_group_json_refuses_a_degree_above_the_cap_before_allocating(degree, generators):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="group json: degree %d exceeds cap %d"
+                           % (degree, DEFAULT_SUBSET_CAP)):
+            group_from_json_dict({"degree": degree, "generators": generators})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_base_prefix_kept():

@@ -30,7 +30,7 @@ from .designs import (
     lambda_s,
     verify,
 )
-from .errors import CapacityError, DataIntegrityError, NotAutomorphismError
+from .errors import CapacityError, DataIntegrityError
 from .perms import DEFAULT_SUBSET_CAP, group_from_json_dict, homogeneity
 
 EXIT_OK = 0
@@ -77,8 +77,15 @@ def _load_group(source):
     if source.startswith("catalog:"):
         entry = catalog_entry_by_name(source.removeprefix("catalog:"))
         return entry.group(), entry.name
-    with open(source, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except FileNotFoundError as exc:
+        try:
+            name = catalog_entry_by_name(source).name
+        except ValueError:
+            raise exc from None
+        raise ValueError("%s (catalog groups are given as catalog:%s)" % (exc, name)) from None
     return group_from_json_dict(data), source
 
 
@@ -374,7 +381,7 @@ def main(argv=None):
     except CapacityError as exc:
         print("capacity error: %s" % exc, file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, DataIntegrityError, NotAutomorphismError, OSError) as exc:
+    except (ValueError, DataIntegrityError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

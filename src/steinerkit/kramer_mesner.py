@@ -3,8 +3,7 @@
 Rows of the orbit matrix are the group's orbits on t-subsets, columns its
 orbits on k-subsets; entry (i, j) counts the column-orbit members
 containing the row representative, which is independent of the chosen
-representative.  When the group is t-homogeneous (decided by the index of
-a t-subset's setwise stabilizer) there is one row, and the matrix is read
+representative.  When the group is t-homogeneous there is one row, read
 from a stabilizer chain without enumerating a t-subset; otherwise the
 t-subsets are partitioned.  A design with the prescribed group is a
 column selection whose row sums all equal lambda; the solver enumerates
@@ -26,7 +25,7 @@ from math import comb
 
 from .designs import DesignParameters, _checked_columns, _trusted_design, cover_counts
 from .errors import CapacityError
-from .perms import DEFAULT_SUBSET_CAP, _orbit, homogeneity
+from .perms import DEFAULT_SUBSET_CAP, _climb, _orbit, _subset_count
 
 
 @dataclass(frozen=True)
@@ -68,14 +67,11 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
     representative.  Rows and columns are sorted by representative.
 
     The rows and the carrying elements come from one of two sources; no
-    k-subset is partitioned in either.  When C(v,t) divides |G| the index
-    test |G| = C(v,t) |G_R| with R = (0..t-1) decides whether G is
-    t-homogeneous.  If it is, R is the only row, no t-subset is enumerated,
-    and the element taking a t-subset onto R is read from a chain with R as
-    its base prefix by sifting the subset's orderings (one succeeds; a
-    t-transitive G takes the first).  Otherwise the t-subsets are
-    partitioned and carried along their labelled Schreier tree paths, each
-    edge labelled by its generator; G_R, if the test built it, is row 0's.
+    k-subset is partitioned in either.  If G is t-homogeneous (the index
+    test of ``_set_stabilizer`` on R = (0..t-1)), R is the only row, no
+    t-subset is enumerated, and ``carry`` searches a chain with R as its
+    base prefix.  Otherwise the t-subsets are partitioned and carried along
+    their labelled Schreier tree paths; G_R, if the test built it, is row 0's.
     """
     v = group.degree
     if not 1 <= t <= k <= v:
@@ -87,16 +83,9 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
         raise CapacityError(
             "%d-supersets of a %d-subset: %d exceed cap %d" % (k, t, supersets, cap)
         )
-    total = comb(v, t)
-    if total > cap:
-        raise CapacityError(
-            "%d-subset enumeration size %d exceeds cap %d" % (t, total, cap)
-        )
-    row0 = None  # G_R for R = (0..t-1), row 0's representative, if the index test built it
-    if group.order % total == 0:
-        chain = group._rebase(range(t))  # R as base prefix, for G_R and the carries
-        row0 = chain.stabilizer_setwise(range(t))
-    if row0 is not None and group.order == total * row0.order:
+    total = _subset_count(v, t, cap)
+    chain, stab = group._set_stabilizer(t) or (None, None)  # R as base prefix, G_R
+    if stab is not None and group.order == total * stab.order:
         row_reps, row_sizes = [tuple(range(t))], [total]
 
         def row_of(sub):
@@ -162,8 +151,8 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
                 if maps is None:  # G_R is trivial when R's orbit is as large as G
                     if group.order == row_sizes[r]:
                         maps = []
-                    elif r == 0 and row0 is not None:  # built by the index test
-                        maps = [g.apply_set for g in row0.generators]
+                    elif r == 0 and stab is not None:  # built by the index test
+                        maps = [g.apply_set for g in stab.generators]
                     else:
                         maps = [g.apply_set for g in group.stabilizer_setwise(rep).generators]
                 orbit = _orbit(superset, maps) if maps else (superset,)
@@ -212,33 +201,23 @@ def subset_orbits(group, m, cap=DEFAULT_SUBSET_CAP):
 
     Representatives are the lexicographically least members of their
     orbits, listed in lexicographic order; sizes sum to C(degree, m).
-    m- and (v-m)-homogeneity agree, and for t <= v/2 a t-homogeneous group
-    is (t-1)-homogeneous (Livingstone and Wagner, *Math. Z.* 90, 1965), so
-    t0, the largest t <= h = min(m, v-m) at which G is t-homogeneous, is
-    found by counting up.  Transitivity is read from the group's own chain;
-    a group that is not h-transitive is rebased once onto 0..h-1, where
-    ``homogeneity`` runs the index tests and the matrix finds R = 0..t0-1.
-    At t0 = h there is one orbit.  Otherwise the orbits are the columns of
-    the one-row matrix ``build_orbit_matrix(G, t0, m)`` when its at most
-    C(v-t0, m-t0) C(m, t0) = C(v, m) C(m, t0)^2 / C(v, t0) carries are no
-    more than the C(v, m) subsets a partition enumerates, i.e. when
-    C(m, t0)^2 <= C(v, t0); else the m-subsets are partitioned.  ``cap``
-    bounds C(v, t0) and C(v-t0, m-t0) on the matrix route and C(v, m) on
-    the other two.
+    m- and (v-m)-homogeneity agree, so ``_climb`` finds t0, the largest
+    t <= h = min(m, v-m) at which G is t-homogeneous, on a chain that keeps
+    G_R for R = 0..t0-1.  At t0 = h there is one orbit.  Otherwise, when
+    C(m, t0)^2 <= C(v, t0), the orbits are the columns of the one-row matrix
+    ``build_orbit_matrix(G, t0, m)``, whose C(v-t0, m-t0) C(m, t0) =
+    C(v, m) C(m, t0)^2 / C(v, t0) carries are then at most the C(v, m)
+    subsets a partition enumerates; else the m-subsets are partitioned.
+    ``cap`` bounds C(v, t0) and C(v-t0, m-t0) on the matrix route and
+    C(v, m) on the other two.
     """
     v = group.degree
-    total = comb(v, m)
-    if not total:
+    if not comb(v, m):
         return []
     h = min(m, v - m)
-    t0 = group._transitivity_up_to(min(h, len(group.base)))  # on the group's own chain
-    if t0 < h:
-        chain = group._rebase(range(h))
-        t0 = homogeneity(chain, h).homogeneity_degree
+    chain, _, t0 = _climb(group, h)
     if t0 == h:
-        if total > cap:
-            raise CapacityError("%d-subset enumeration size %d exceeds cap %d" % (m, total, cap))
-        return [(tuple(range(m)), total)]
+        return [(tuple(range(m)), _subset_count(v, m, cap))]
     if t0 and comb(m, t0) ** 2 <= comb(v, t0):
         matrix = build_orbit_matrix(chain, t0, m, cap)
         return list(zip(matrix.col_reps, matrix.col_sizes))

@@ -211,6 +211,9 @@ class PermutationGroup:
                 self._level_gens.append([h for h in self._level_gens[-1] if h(mm) == mm])
         self._transversals = [None] * len(self.base)
         self._inverses = [None] * len(self.base)
+        # m -> G_S, S = {0..m-1} (_set_stabilizer).  _extend, the one in-place
+        # mutator, runs only on a stabilizer_setwise result, with this empty
+        self._set_stabilizers = {}
         for level in range(len(self.base)):
             self._orbit_transversal(level)
         self._close_from(len(self.base) - 1, _order)
@@ -511,11 +514,7 @@ class PermutationGroup:
         Schreier tree of that search (see ``_orbit``), one entry per subset
         that is not a representative.
         """
-        total = comb(self.degree, m)
-        if total > cap:
-            raise CapacityError(
-                "%d-subset enumeration size %d exceeds cap %d" % (m, total, cap)
-            )
+        _subset_count(self.degree, m, cap)
         maps = [g.apply_set for g in self.generators]
         index_of = {}
         reps = []
@@ -552,17 +551,30 @@ class PermutationGroup:
         return s
 
     def is_homogeneous(self, m):
-        """Exact m-homogeneity test: |G : G_S| = C(degree, m), S = {0..m-1}.
-
-        m- and (degree-m)-homogeneity agree, so S needs at most degree/2 points.
-        The orbit of S has C(degree, m) members only if that divides |G|, so
-        no stabilizer is searched otherwise.
-        """
+        """Exact m-homogeneity test |G : G_S| = C(degree, m), S = {0..m-1}, with
+        S on at most degree/2 points, as m- and (degree-m)-homogeneity agree."""
         total = comb(self.degree, m)
-        if total == 0 or self.order % total:
-            return False
-        m = min(m, self.degree - m)
-        return self.order == total * self.stabilizer_setwise(range(m)).order
+        found = self._set_stabilizer(min(m, self.degree - m)) if total else None
+        return found is not None and self.order == total * found[1].order
+
+    def _set_stabilizer(self, m):
+        """The index test's (chain with S = {0..m-1} as base prefix, G_S), G_S
+        kept on that chain; None, with nothing searched, when C(degree, m) does
+        not divide |G|, as then no orbit on m-subsets has C(degree, m) members."""
+        if self.order % comb(self.degree, m):
+            return None
+        chain = self._rebase(range(m))
+        if m not in chain._set_stabilizers:
+            chain._set_stabilizers[m] = chain.stabilizer_setwise(range(m))
+        return chain, chain._set_stabilizers[m]
+
+
+def _subset_count(v, m, cap):
+    """C(v, m); CapacityError when it exceeds ``cap``."""
+    total = comb(v, m)
+    if total > cap:
+        raise CapacityError("%d-subset enumeration size %d exceeds cap %d" % (m, total, cap))
+    return total
 
 
 @dataclass(frozen=True)
@@ -577,23 +589,10 @@ class ActionReport:
 
 
 def homogeneity(group, t_max):
-    """Exact transitivity and homogeneity degrees up to ``t_max``.
-
-    Transitivity comes from the transversal lengths of a stabilizer chain,
-    first the group's own.  A t-transitive group is t-homogeneous, so only
-    larger t are decided, each by the index of a setwise stabilizer of
-    {0..m-1}, m <= t_max.  Those searches run on a chain with base prefix
-    0..t_max-1, so the group is rebased only when its own chain does not
-    show it t_max-transitive.
-    """
+    """Exact transitivity and homogeneity degrees up to ``t_max``, by ``_climb``."""
     t_max = min(t_max, group.degree)
     orbits = group.point_orbits()
-    trans_degree = homog_degree = group._transitivity_up_to(min(t_max, len(group.base)))
-    if trans_degree < t_max:
-        chain = group._rebase(range(t_max))
-        trans_degree = homog_degree = chain._transitivity_up_to(t_max)
-        while homog_degree < t_max and chain.is_homogeneous(homog_degree + 1):
-            homog_degree += 1
+    _, trans_degree, homog_degree = _climb(group, t_max)
     return ActionReport(
         orbit_count_points=len(orbits),
         orbit_lengths=tuple(sorted(len(o) for o in orbits)),
@@ -601,6 +600,21 @@ def homogeneity(group, t_max):
         homogeneity_degree=homog_degree,
         tested_t_max=t_max,
     )
+
+
+def _climb(group, t_max):
+    """(chain, s, h): s is G's transitivity degree up to t_max <= degree, from
+    its own chain or else from ``chain``, its rebase onto 0..t_max-1; h counts
+    up from s while ``is_homogeneous`` holds on ``chain``: for t_max <= v/2 the
+    homogeneity degree (Livingstone and Wagner, *Math. Z.* 90, 1965)."""
+    chain = group
+    s = h = group._transitivity_up_to(min(t_max, len(group.base)))
+    if s < t_max:
+        chain = group._rebase(range(t_max))
+        s = h = chain._transitivity_up_to(t_max)
+        while h < t_max and chain.is_homogeneous(h + 1):
+            h += 1
+    return chain, s, h
 
 
 @dataclass(frozen=True)

@@ -540,6 +540,33 @@ def test_group_file_of_a_huge_degree_exits_3(capsys, tmp_path, argv):
     assert err == "capacity error: group json: degree %d exceeds cap 10000000\n" % 2**40
 
 
+@pytest.mark.parametrize("argv", [
+    ["km-search", "--t", "3", "--k", "4", "--group", "PSL(2,7)"],
+    ["group", "info", "M_11"],
+], ids=["km-search", "group"])
+def test_a_missing_file_named_like_a_catalog_entry_names_the_prefix(capsys, monkeypatch,
+                                                                     tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == ("error: [Errno 2] No such file or directory: '%s' (catalog groups are "
+                   "given as catalog:%s)\n" % (argv[-1], argv[-1]))
+
+
+def test_a_group_file_is_read_before_a_catalog_name(capsys, monkeypatch, tmp_path):
+    # a file wins over the catalog entry of its name, and a missing path that
+    # names no entry keeps the plain message
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "PSL(2,7)").write_text(json.dumps({"degree": 5, "generators": ["(0 1 2 3 4)"]}))
+    code, out, _ = run_cli(capsys, ["group", "info", "PSL(2,7)", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and (payload["name"], payload["order"]) == ("PSL(2,7)", "5")
+    for missing in ("PSL(2,6)", "group.json"):
+        code, out, err = run_cli(capsys, ["group", "info", missing])
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 2] No such file or directory: '%s'\n" % missing
+
+
 def test_group_orbits_negative_m_names_the_option(capsys):
     code, out, err = run_cli(capsys, ["group", "orbits", "catalog:PSL(2,7)", "--m", "-1"])
     assert code == 2 and out == ""

@@ -260,9 +260,10 @@ def test_one_chain_per_base_prefix(monkeypatch):
     # only other group built is each search's result.  No stabilizer is
     # searched where C(v,m) does not divide |G|, as C(22,4) = 7315 and |M_22|.
     # subset_orbits reads M_24's 4-transitivity from its own chain, and
-    # rebases PSL(2,27) once, to 0..3, for homogeneity and the matrix at t = 3
-    # (which searches G_R again).  homogeneity reads a relabelled M_24's
-    # 4-transitivity from its own chain, whose base starts 0, 1, 2, 4
+    # rebases PSL(2,27) once, to 0..3, for the climb and the matrix at t = 3,
+    # which reads the G_R the climb's index test searched.  homogeneity reads
+    # a relabelled M_24's 4-transitivity from its own chain, whose base
+    # starts 0, 1, 2, 4
     from steinerkit.catalog import catalog_entry_by_name
     from steinerkit.kramer_mesner import build_orbit_matrix
 
@@ -291,12 +292,32 @@ def test_one_chain_per_base_prefix(monkeypatch):
         (lambda: len(build_orbit_matrix(m24, 5, 8).col_reps), 3, 2),
         (lambda: len(build_orbit_matrix(m23, 4, 7).col_reps), 4, 2),
         (lambda: len(subset_orbits(m24, 4)), 1, 0),
-        (lambda: len(subset_orbits(psl27, 4)), 6, 3),
+        (lambda: len(subset_orbits(psl27, 4)), 6, 2),
     ]
     for run, result, chains in cases:
         built.clear()
         assert run() == result
         assert len(built) == chains
+
+
+def test_subset_orbits_searches_the_row_stabilizer_once(monkeypatch):
+    # the climb's index test at t0 = 3 and the one-row matrix at (3, m) ask
+    # one chain for G_R, R = (0, 1, 2); it is searched once, not per caller
+    from steinerkit.catalog import catalog_entry_by_name
+
+    searched = []
+    setwise = PermutationGroup.stabilizer_setwise
+
+    def spy(self, block):
+        searched.append(tuple(block))
+        return setwise(self, block)
+
+    monkeypatch.setattr(PermutationGroup, "stabilizer_setwise", spy)
+    for name, m in (("PSL(2,23)", 4), ("PSL(2,19)", 4), ("PSL(2,27)", 4), ("PSL(2,27)", 5)):
+        group = catalog_entry_by_name(name).group()
+        searched.clear()
+        subset_orbits(group, m)
+        assert searched.count((0, 1, 2)) == 1, (name, m, searched)
 
 
 def test_homogeneity_monotone():

@@ -26,7 +26,7 @@ from math import comb, factorial, gcd
 
 from .errors import DataIntegrityError
 from .gf import field, prime_power_decomposition
-from .perms import Permutation, PermutationGroup
+from .perms import Permutation, PermutationGroup, _is_int, group_from_json_dict
 
 DEFAULT_DEGREE_CAP = 4096
 PROJECTIVE_CONSTRUCT_CAP = 300
@@ -187,7 +187,11 @@ def data_directory():
 
 
 def load_bundled_group(name):
-    """Load a bundled group and verify its chain order against the metadata."""
+    """Load a bundled group and verify its chain order against the metadata.
+
+    A metadata field that is missing or of the wrong type, or a generator
+    file that is not JSON or that ``group_from_json_dict`` refuses, is a
+    DataIntegrityError naming the file."""
     data_dir = data_directory()
     path = os.path.join(data_dir, "metadata.json")
     try:
@@ -195,20 +199,28 @@ def load_bundled_group(name):
             meta = {entry["name"]: entry for entry in json.load(handle)["groups"]}
     except FileNotFoundError:
         raise DataIntegrityError("bundle metadata not found at %s" % path) from None
+    except (KeyError, TypeError):
+        raise DataIntegrityError("bundle metadata %s: expected a 'groups' array of "
+                                 "objects with a 'name'" % path) from None
     if name not in meta:
         raise DataIntegrityError("no bundled group named %r" % (name,))
     entry = meta[name]
-    path = os.path.join(data_dir, entry["file"])
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("name") != name or payload.get("degree") != entry["degree"]:
+    file, degree, order = (entry.get(key) for key in ("file", "degree", "expected_order"))
+    if not (isinstance(file, str) and _is_int(degree) and _is_int(order)):
+        raise DataIntegrityError("bundle metadata %s: %r needs a string 'file' and integer "
+                                 "'degree' and 'expected_order'" % (path, name))
+    path = os.path.join(data_dir, file)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        group = group_from_json_dict(payload)
+    except ValueError as exc:
+        raise DataIntegrityError("bundle %s: %s" % (path, exc)) from None
+    if payload.get("name") != name or group.degree != degree:
         raise DataIntegrityError("bundle %s does not match its metadata entry" % path)
-    gens = [Permutation(images) for images in payload["generators"]]
-    group = PermutationGroup(gens, degree=entry["degree"])
-    if group.order != entry["expected_order"]:
+    if group.order != order:
         raise DataIntegrityError(
-            "bundle %s: chain order %d != expected %d (corrupt bundle)"
-            % (path, group.order, entry["expected_order"])
+            "bundle %s: chain order %d != expected %d (corrupt bundle)" % (path, group.order, order)
         )
     return group
 

@@ -242,7 +242,7 @@ def cmd_analyze_bt(args):
             else:
                 reasons = []
                 for out in verdict.k_outcomes:
-                    reasons.append("k=%d:%s" % (out.k, out.reasons[0].test if out.reasons else "?"))
+                    reasons.append("k=%d:%s" % (out.k, out.reasons[0].test))
                 for step in verdict.group_reasons:
                     reasons.append(step.test)
                 summary = "eliminated (%s)" % "; ".join(reasons)

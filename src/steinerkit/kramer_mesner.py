@@ -3,24 +3,26 @@
 Rows of the orbit matrix are the group's orbits on t-subsets, columns its
 orbits on k-subsets; entry (i, j) counts the column-orbit members
 containing the row representative, which is independent of the chosen
-representative.  When the group is t-homogeneous there is one row, read
-from a stabilizer chain without enumerating a t-subset; otherwise the
-t-subsets are partitioned.  A design with the prescribed group is a
-column selection whose row sums all equal lambda; the solver enumerates
-those selections by deterministic backtracking and the results are
-expanded to explicit block sets.  The first time a solution uses a
-column, one pass expands its orbit, proves it closed under the group,
-sorts it and checks its blocks, refuses it if an earlier column has the
-same least block (the same orbit), and counts its covers of every
-t-subset.  A design is proved by summing its columns' counts, and made by
-merging its columns' sorted orbits without checking a block again.
+representative.  When the group is t-homogeneous there is one row R,
+read from a stabilizer chain without enumerating a t-subset, and each
+t-subset is carried onto R by the first of its orderings that the chain's
+``_sift_points`` carries onto R; otherwise the t-subsets are partitioned.
+A design with the prescribed group is a column selection whose row sums
+all equal lambda; the solver enumerates those selections by deterministic
+backtracking and the results are expanded to explicit block sets.  The
+first time a solution uses a column, one pass expands its orbit, proves it
+closed under the group, sorts it and checks its blocks, refuses it if an
+earlier column has the same least block (the same orbit), and counts its
+covers of every t-subset.  A design is proved by summing its columns'
+counts, and made by merging its columns' sorted orbits without checking a
+block again.
 """
 from __future__ import annotations
 
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from math import comb
 
 from .designs import DesignParameters, _checked_columns, _trusted_design, cover_counts
@@ -69,8 +71,9 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
     The rows and the carrying elements come from one of two sources; no
     k-subset is partitioned in either.  If G is t-homogeneous (the index
     test of ``_set_stabilizer`` on R = (0..t-1)), R is the only row, no
-    t-subset is enumerated, and ``carry`` searches a chain with R as its
-    base prefix.  Otherwise the t-subsets are partitioned and carried along
+    t-subset is enumerated, and ``carry`` takes the first ordering of the
+    t-subset that ``_sift_points``, on a chain with R as its base prefix,
+    carries onto R.  Otherwise the t-subsets are partitioned and carried along
     their labelled Schreier tree paths; G_R, if the test built it, is row 0's.
     """
     v = group.degree
@@ -84,7 +87,7 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
             "%d-supersets of a %d-subset: %d exceed cap %d" % (k, t, supersets, cap)
         )
     total = _subset_count(v, t, cap)
-    chain, stab = group._set_stabilizer(t) or (None, None)  # R as base prefix, G_R
+    based, stab = group._set_stabilizer(t) or (None, None)  # R as base prefix, G_R
     if stab is not None and group.order == total * stab.order:
         row_reps, row_sizes = [tuple(range(t))], [total]
 
@@ -92,27 +95,12 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
             return 0
 
         def carry(sub, superset):
-            """The image of ``superset`` under an element taking ``sub`` onto R.
-
-            A depth-first search over the orderings of ``sub``, sifting one
-            base point per level.  A node keeps the images of the points of
-            ``sub`` not yet sent to R's base points and of the points outside
-            ``sub``, and the point to send to the next base point.  An
-            ordering is cut at the first level whose transversal lacks that
-            point, and a t-transitive G takes the first path."""
-            stack = [(list(sub), [p for p in superset if p not in sub], None)]
-            while True:
-                points, moved, x = stack.pop()
-                level = t - len(points)
-                if x is not None:
-                    inv = chain._inverse(level, x).images
-                    points = [inv[p] for p in points if p != x]
-                    moved = [inv[p] for p in moved]
-                    level += 1
-                if level == t:
-                    return tuple(sorted(row_reps[0] + tuple(moved)))
-                trans = chain._transversals[level]
-                stack += [(points, moved, x) for x in reversed(points) if x in trans]
+            """The image of ``superset`` under an element taking ``sub`` onto R."""
+            moved = [p for p in superset if p not in sub]
+            for ordering in permutations(sub):
+                images = based._sift_points(ordering, moved)
+                if images is not None:
+                    return tuple(sorted(row_reps[0] + images))
     else:
         tree = {}
         row_reps, row_sizes, index = group.subset_orbit_partition(t, cap=cap, tree=tree)
@@ -215,11 +203,11 @@ def subset_orbits(group, m, cap=DEFAULT_SUBSET_CAP):
     if not comb(v, m):
         return []
     h = min(m, v - m)
-    chain, _, t0 = _climb(group, h)
+    based, _, t0 = _climb(group, h)
     if t0 == h:
         return [(tuple(range(m)), _subset_count(v, m, cap))]
     if t0 and comb(m, t0) ** 2 <= comb(v, t0):
-        matrix = build_orbit_matrix(chain, t0, m, cap)
+        matrix = build_orbit_matrix(based, t0, m, cap)
         return list(zip(matrix.col_reps, matrix.col_sizes))
     reps, sizes, _ = group.subset_orbit_partition(m, cap=cap)
     return list(zip(reps, sizes))

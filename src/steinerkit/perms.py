@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from math import comb, prod
 
@@ -318,22 +317,21 @@ class PermutationGroup:
         self._close_from(dropout)
         self.order = self._order_from(0)
 
-    def _sift_base_images(self, points):
-        """Sift the images of ``base[:len(points)]`` through the transversals:
-        the transversal elements u_0, u_1, ... (identities left out) whose
-        product ... * u_1 * u_0 maps each base[i] to points[i], or None when
-        no member does.  One lookup per level and no permutation product."""
-        points = list(points)
-        factors = []
+    def _sift_points(self, points, carried=()):
+        """Send ``points[i]`` to ``base[i]`` one level at a time, by the inverse
+        transversal element of each level, carrying ``carried`` along: the
+        images of ``carried`` under g^-1, g the member with g(base[i]) =
+        points[i] that the transversals give, or None when no member maps
+        the base prefix onto ``points`` in that order."""
+        points, carried = list(points), list(carried)
         for level, x in enumerate(points):
-            trans = self._transversals[level]
-            if x not in trans:
+            if x not in self._transversals[level]:
                 return None
             if x != self.base[level]:
-                factors.append(trans[x])
                 inv = self._inverse(level, x).images
                 points[level + 1:] = [inv[p] for p in points[level + 1:]]
-        return factors
+                carried = [inv[p] for p in carried]
+        return tuple(carried)
 
     def _rebase(self, prefix):
         """The same group on a chain with ``prefix`` as its base prefix: this
@@ -443,11 +441,12 @@ class PermutationGroup:
                     maps = [g.images.__getitem__ for g in known._level_gens[level - 1]]
                     if min(_orbit(image, maps)) < image:
                         continue
-                elif known._sift_base_images(images) is not None:
+                elif known._sift_points(images) is not None:
                     continue
             if level == len(block):
                 if not on_path:
-                    post = reduce(Permutation.__mul__, reversed(chain._sift_base_images(images)))
+                    post = Permutation._trusted(chain._sift_points(images, range(self.degree)))
+                    post = post.inverse()
                     if post.apply_set(block) != block:
                         raise AssertionError("backtrack leaf does not stabilize the block (bug)")
                     known._extend(post)

@@ -755,6 +755,39 @@ def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1 and "corrupt bundle" in err
 
 
+def _drop_file(meta, m11):
+    for entry in meta["groups"]:
+        del entry["file"]
+
+
+def _order_as_text(meta, m11):
+    for entry in meta["groups"]:
+        entry["expected_order"] = str(entry["expected_order"])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta, m11: meta.pop("groups"),
+    _drop_file,
+    lambda meta, m11: m11.update(generators=5),
+    _order_as_text,
+], ids=["no-groups", "no-file", "generators-not-an-array", "order-as-text"])
+def test_a_malformed_bundle_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, damage):
+    from steinerkit.catalog import data_directory
+
+    files = {}
+    for name in ("metadata.json", "m11.json"):
+        with open(f"{data_directory()}/{name}", "r", encoding="utf-8") as handle:
+            files[name] = json.load(handle)
+    damage(files["metadata.json"], files["m11.json"])
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
+    code, out, err = run_cli(capsys, ["group", "info", "catalog:M_11"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bundle ") and err.count("\n") == 1
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "block", [[0, None, 3], [0, 2.5, 3], [0, "2", 3], [0, [2], 3], [0, True, 3], [0, 3]],
     ids=["null", "float", "string", "array", "true", "short"],

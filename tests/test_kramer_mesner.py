@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import random
@@ -160,6 +161,16 @@ def brute_force_reference(matrix, lam):
         if all(sum(matrix.entries[i][j] for j in cols) == lam for i in range(nrows)):
             hits.append(cols)
     return sorted(hits)
+
+
+def test_kramer_mesner_reads_no_chain_layout():
+    """Only ``perms`` reads a stabilizer chain's levels, so a change of how
+    the chain is stored (a base change, say) stays inside ``perms``."""
+    tree = ast.parse(Path(kramer_mesner.__file__).read_text(encoding="utf-8"))
+    layout = {"_transversals", "_inverse", "_inverses", "_level_gens", "_sift_from",
+              "_sift_base_images"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & layout
 
 
 def test_c7_matrix_shape_and_row_sums():

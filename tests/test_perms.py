@@ -604,6 +604,47 @@ def test_base_prefix_kept():
     assert s4.base[:2] == [2, 0]
 
 
+def _check_sift_points(group, elements, points):
+    """``_sift_points`` is None exactly when no element maps the base prefix
+    onto ``points`` in order; otherwise, carrying every point, it returns a
+    member sending each ``points[i]`` to ``base[i]``."""
+    prefix = group.base[:len(points)]
+    mapped = any(all(g(b) == p for b, p in zip(prefix, points)) for g in elements)
+    images = group._sift_points(points, range(group.degree))
+    if not mapped:
+        assert images is None and group._sift_points(points) is None, points
+        return
+    assert images is not None, points
+    back = Permutation(images)
+    assert back in elements and [back(p) for p in points] == prefix, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sift_points_matches_brute_force_random(data):
+    degree = data.draw(st.integers(1, 7))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    elements = closure(group.generators, degree)
+    for points in permutations(range(degree), min(1, len(group.base))):
+        _check_sift_points(group, elements, points)
+    for _ in range(5):
+        points = data.draw(st.lists(st.integers(0, degree - 1), unique=True,
+                                    max_size=len(group.base)))
+        _check_sift_points(group, elements, points)
+
+
+@pytest.mark.parametrize("name", ["PSL(2,7)", "AGL(1,8)"])
+def test_sift_points_matches_brute_force_catalog(name):
+    from steinerkit.catalog import catalog_entry_by_name
+
+    group = catalog_entry_by_name(name).group()
+    elements = closure(group.generators, group.degree)
+    for m in range(len(group.base) + 1):
+        for points in permutations(range(group.degree), m):
+            _check_sift_points(group, elements, points)
+
+
 def test_chain_against_closure_random_battery():
     # random generator sets on up to 7 points; the chain order, membership
     # test, and stabilizers must agree with the naive closure

@@ -189,9 +189,9 @@ def data_directory():
 def load_bundled_group(name):
     """Load a bundled group and verify its chain order against the metadata.
 
-    A metadata field that is missing or of the wrong type, or a generator
-    file that is not JSON or that ``group_from_json_dict`` refuses, is a
-    DataIntegrityError naming the file."""
+    Metadata that is not JSON or has a field missing or of the wrong type,
+    or a generator file that is not JSON or that ``group_from_json_dict``
+    refuses, is a DataIntegrityError naming the file."""
     data_dir = data_directory()
     path = os.path.join(data_dir, "metadata.json")
     try:
@@ -202,6 +202,8 @@ def load_bundled_group(name):
     except (KeyError, TypeError):
         raise DataIntegrityError("bundle metadata %s: expected a 'groups' array of "
                                  "objects with a 'name'" % path) from None
+    except ValueError as exc:
+        raise DataIntegrityError("bundle metadata %s: %s" % (path, exc)) from None
     if name not in meta:
         raise DataIntegrityError("no bundled group named %r" % (name,))
     entry = meta[name]

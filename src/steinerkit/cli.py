@@ -228,7 +228,7 @@ def cmd_analyze_bt(args):
     if args.t < 2:
         raise ValueError("--t must be at least 2 for the elimination screen, got %d" % args.t)
     _require_positive(("--lambda", args.lam))
-    if args.group:
+    if args.group is not None:
         entry = catalog_entry_by_name(args.group.removeprefix("catalog:"))
         verdicts = [blocktrans.eliminate(entry, args.t, args.lam)]
     else:
@@ -255,7 +255,7 @@ def cmd_analyze_bt(args):
 
     json_lines = (json.dumps(verdict.to_json_dict(), sort_keys=True) for verdict in verdicts)
     _emit(args, None, json_lines if args.json else lines())
-    if args.group:
+    if args.group is not None:
         return EXIT_NEGATIVE if verdicts[0].eliminated else EXIT_OK
     return EXIT_OK
 

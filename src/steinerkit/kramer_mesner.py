@@ -6,7 +6,7 @@ containing the row representative, which is independent of the chosen
 representative.  When the group is t-homogeneous there is one row R,
 read from a stabilizer chain without enumerating a t-subset, and each
 t-subset is carried onto R by the first of its orderings that the chain's
-``_sift_points`` carries onto R; otherwise the t-subsets are partitioned.
+``_sift_points`` sifts through all t levels; otherwise the t-subsets are partitioned.
 A design with the prescribed group is a column selection whose row sums
 all equal lambda; the solver enumerates those selections by deterministic
 backtracking and the results are expanded to explicit block sets.  The
@@ -73,8 +73,9 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
     test of ``_set_stabilizer`` on R = (0..t-1)), R is the only row, no
     t-subset is enumerated, and ``carry`` takes the first ordering of the
     t-subset that ``_sift_points``, on a chain with R as its base prefix,
-    carries onto R.  Otherwise the t-subsets are partitioned and carried along
-    their labelled Schreier tree paths; G_R, if the test built it, is row 0's.
+    sifts through all t levels.  Otherwise the t-subsets are partitioned and
+    carried along their labelled Schreier tree paths; G_R, if the test built
+    it, is row 0's.
     """
     v = group.degree
     if not 1 <= t <= k <= v:
@@ -98,8 +99,8 @@ def build_orbit_matrix(group, t, k, cap=DEFAULT_SUBSET_CAP):
             """The image of ``superset`` under an element taking ``sub`` onto R."""
             moved = [p for p in superset if p not in sub]
             for ordering in permutations(sub):
-                images = based._sift_points(ordering, moved)
-                if images is not None:
+                images, depth = based._sift_points(ordering, moved)
+                if depth == t:
                     return tuple(sorted(row_reps[0] + images))
     else:
         tree = {}

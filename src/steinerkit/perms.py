@@ -251,14 +251,9 @@ class PermutationGroup:
         whose transversal cannot absorb the residue, or ``len(base)`` if the
         residue passed every level (identity iff membership).
         """
-        g = perm
-        for lev in range(level, len(self.base)):
-            image = g(self.base[lev])
-            trans = self._transversals[lev]
-            if image not in trans:
-                return g, lev
-            g = g * self._inverse(lev, image)
-        return g, len(self.base)
+        points = [perm(b) for b in self.base[level:]]
+        residue, dropout = self._sift_points(points, perm.images, level)
+        return Permutation._trusted(residue), dropout
 
     def _order_from(self, level):
         """Product of the transversal lengths at ``level`` and below."""
@@ -289,7 +284,7 @@ class PermutationGroup:
                 us = u * s
                 if us.images == trans[image].images:
                     continue
-                residue, dropout = self._sift_from(us * self._inverse(level, image), level + 1)
+                residue, dropout = self._sift_from(us, level)
                 if not residue.is_identity():
                     self._install(residue, level + 1, dropout)
                     return dropout
@@ -317,21 +312,22 @@ class PermutationGroup:
         self._close_from(dropout)
         self.order = self._order_from(0)
 
-    def _sift_points(self, points, carried=()):
-        """Send ``points[i]`` to ``base[i]`` one level at a time, by the inverse
-        transversal element of each level, carrying ``carried`` along: the
-        images of ``carried`` under g^-1, g the member with g(base[i]) =
-        points[i] that the transversals give, or None when no member maps
-        the base prefix onto ``points`` in that order."""
+    def _sift_points(self, points, carried=(), level=0):
+        """Send ``points[i]`` to ``base[level + i]`` one level at a time, by the
+        inverse transversal element of each level, carrying ``carried`` along.
+        Returns (images of ``carried``, depth).  Depth is ``level + len(points)``
+        when a member g fixing ``base[:level]`` has g(base[level + i]) = points[i],
+        with the images under g^-1 for the g the transversals give, and is
+        otherwise the first level whose transversal lacks its point."""
         points, carried = list(points), list(carried)
-        for level, x in enumerate(points):
-            if x not in self._transversals[level]:
-                return None
-            if x != self.base[level]:
-                inv = self._inverse(level, x).images
-                points[level + 1:] = [inv[p] for p in points[level + 1:]]
+        for lev, x in enumerate(points, level):
+            if x not in self._transversals[lev]:
+                return tuple(carried), lev
+            if x != self.base[lev]:
+                inv = self._inverse(lev, x).images
+                points[lev - level + 1:] = [inv[p] for p in points[lev - level + 1:]]
                 carried = [inv[p] for p in carried]
-        return tuple(carried)
+        return tuple(carried), level + len(points)
 
     def _rebase(self, prefix):
         """The same group on a chain with ``prefix`` as its base prefix: this
@@ -441,12 +437,12 @@ class PermutationGroup:
                     maps = [g.images.__getitem__ for g in known._level_gens[level - 1]]
                     if min(_orbit(image, maps)) < image:
                         continue
-                elif known._sift_points(images) is not None:
+                elif known._sift_points(images)[1] == level:
                     continue
             if level == len(block):
                 if not on_path:
-                    post = Permutation._trusted(chain._sift_points(images, range(self.degree)))
-                    post = post.inverse()
+                    post, _ = chain._sift_points(images, range(self.degree))
+                    post = Permutation._trusted(post).inverse()
                     if post.apply_set(block) != block:
                         raise AssertionError("backtrack leaf does not stabilize the block (bug)")
                     known._extend(post)

@@ -738,6 +738,13 @@ def test_analyze_bt_group_with_v_max_exits_2(capsys, v_max):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("name", ["", "catalog:"])
+def test_analyze_bt_with_an_empty_group_name_exits_2(capsys, name):
+    code, out, err = run_cli(capsys, ["analyze-bt", "--t", "4", "--group", name])
+    assert code == 2 and out == ""
+    assert err == "error: unknown catalog entry ''\n"
+
+
 def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
     import shutil
 
@@ -755,32 +762,37 @@ def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1 and "corrupt bundle" in err
 
 
-def _drop_file(meta, m11):
-    for entry in meta["groups"]:
+def _drop_file(files):
+    for entry in files["metadata.json"]["groups"]:
         del entry["file"]
 
 
-def _order_as_text(meta, m11):
-    for entry in meta["groups"]:
+def _order_as_text(files):
+    for entry in files["metadata.json"]["groups"]:
         entry["expected_order"] = str(entry["expected_order"])
 
 
 @pytest.mark.parametrize("damage", [
-    lambda meta, m11: meta.pop("groups"),
+    lambda files: files["metadata.json"].pop("groups"),
     _drop_file,
-    lambda meta, m11: m11.update(generators=5),
+    lambda files: files["m11.json"].update(generators=5),
     _order_as_text,
-], ids=["no-groups", "no-file", "generators-not-an-array", "order-as-text"])
+    lambda files: files.update({"metadata.json": "{"}),
+    lambda files: files.update({"m11.json": "{"}),
+], ids=["no-groups", "no-file", "generators-not-an-array", "order-as-text",
+        "metadata-not-json", "m11-not-json"])
 def test_a_malformed_bundle_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, damage):
+    """A damaged file is written as JSON, or as it stands where ``damage``
+    replaces its data with text."""
     from steinerkit.catalog import data_directory
 
     files = {}
     for name in ("metadata.json", "m11.json"):
         with open(f"{data_directory()}/{name}", "r", encoding="utf-8") as handle:
             files[name] = json.load(handle)
-    damage(files["metadata.json"], files["m11.json"])
+    damage(files)
     for name, data in files.items():
-        (tmp_path / name).write_text(json.dumps(data))
+        (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
     monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
     code, out, err = run_cli(capsys, ["group", "info", "catalog:M_11"])
     assert code == 2 and out == ""

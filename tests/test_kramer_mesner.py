@@ -163,12 +163,17 @@ def brute_force_reference(matrix, lam):
     return sorted(hits)
 
 
-def test_kramer_mesner_reads_no_chain_layout():
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in Path(kramer_mesner.__file__).parent.glob("*.py")
+    if path.name != "perms.py"))
+def test_no_module_but_perms_reads_the_chain_layout(module):
     """Only ``perms`` reads a stabilizer chain's levels, so a change of how
     the chain is stored (a base change, say) stays inside ``perms``."""
-    tree = ast.parse(Path(kramer_mesner.__file__).read_text(encoding="utf-8"))
+    path = Path(kramer_mesner.__file__).parent / module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     layout = {"_transversals", "_inverse", "_inverses", "_level_gens", "_sift_from",
-              "_sift_base_images"}
+              "_sift_base_images", "_order_from", "_install", "_close_from",
+              "_close_level", "_orbit_transversal"}
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not read & layout
 

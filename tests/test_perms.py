@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from itertools import permutations
@@ -605,18 +606,75 @@ def test_base_prefix_kept():
 
 
 def _check_sift_points(group, elements, points):
-    """``_sift_points`` is None exactly when no element maps the base prefix
-    onto ``points`` in order; otherwise, carrying every point, it returns a
+    """``_sift_points`` stops short of ``len(points)`` exactly when no element
+    maps the base prefix onto ``points`` in order, and then at the first
+    point no element reaches; otherwise, carrying every point, it returns a
     member sending each ``points[i]`` to ``base[i]``."""
     prefix = group.base[:len(points)]
-    mapped = any(all(g(b) == p for b, p in zip(prefix, points)) for g in elements)
-    images = group._sift_points(points, range(group.degree))
-    if not mapped:
-        assert images is None and group._sift_points(points) is None, points
+
+    def mapped(m):
+        return any(all(g(b) == p for b, p in zip(prefix[:m], points[:m])) for g in elements)
+
+    images, depth = group._sift_points(points, range(group.degree))
+    assert group._sift_points(points)[1] == depth, points
+    assert (depth < len(points)) == (not mapped(len(points))), points
+    if depth < len(points):
+        assert mapped(depth) and not mapped(depth + 1), points
         return
-    assert images is not None, points
     back = Permutation(images)
     assert back in elements and [back(p) for p in points] == prefix, points
+
+
+def reference_sift_from(group, g, level):
+    """The chain's former sift loop, kept as a test oracle: reduce ``g``
+    through levels >= ``level`` by whole products with the inverse
+    transversal elements, giving (residue, dropout level)."""
+    for lev in range(level, len(group.base)):
+        image = g(group.base[lev])
+        trans = group._transversals[lev]
+        if image not in trans:
+            return g, lev
+        g = g * trans[image].inverse()
+    return g, len(group.base)
+
+
+def _check_sift_from(group, perms):
+    for g in perms:
+        for level in range(len(group.base) + 1):
+            assert group._sift_from(g, level) == reference_sift_from(group, g, level), (g, level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sift_from_matches_the_reference_loop_random(data):
+    degree = data.draw(st.integers(1, 7))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    elements = sorted(closure(group.generators, degree), key=lambda g: g.images)
+    members = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4))
+    others = data.draw(st.lists(st.permutations(range(degree)), max_size=4))
+    _check_sift_from(group, members + [Permutation(g) for g in others])
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_closure(name):
+    from steinerkit.catalog import catalog_entry_by_name
+
+    group = catalog_entry_by_name(name).group()
+    return group, sorted(closure(group.generators, group.degree), key=lambda g: g.images)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("name", ["PSL(2,7)", "AGL(1,8)"])
+def test_sift_from_matches_the_reference_loop_catalog(name, data):
+    group, elements = _catalog_closure(name)
+    members = data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=4))
+    inside = set(elements)
+    outside = st.permutations(range(group.degree)).map(Permutation).filter(
+        lambda g: g not in inside)
+    others = data.draw(st.lists(outside, min_size=1, max_size=4))
+    _check_sift_from(group, members + others)
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,10 +694,8 @@ def test_sift_points_matches_brute_force_random(data):
 
 @pytest.mark.parametrize("name", ["PSL(2,7)", "AGL(1,8)"])
 def test_sift_points_matches_brute_force_catalog(name):
-    from steinerkit.catalog import catalog_entry_by_name
-
-    group = catalog_entry_by_name(name).group()
-    elements = closure(group.generators, group.degree)
+    group, elements = _catalog_closure(name)
+    elements = set(elements)
     for m in range(len(group.base) + 1):
         for points in permutations(range(group.degree), m):
             _check_sift_points(group, elements, points)

@@ -15,11 +15,11 @@ screen; nothing here asserts that a design exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from . import admissibility
 from .catalog import DEFAULT_DEGREE_CAP, candidates_for_degree
-from .designs import DesignParameters
 
 
 @dataclass(frozen=True)
@@ -100,21 +100,27 @@ class EliminationVerdict:
 
 
 def _parameter_step(t, v, k, lam):
-    """(reason, None) if (t, v, k, lam) fails, else (None, integral b)."""
-    params = DesignParameters(t, v, k, lam)
-    report = admissibility.check(params)
-    if not report.admissible:
-        failures = report.failures()
-        detail = {"conditions": [out.condition.value for out in failures]}
-        detail.update(failures[0].witness)
+    """(reason, None) if (t, v, k, lam) fails, else (None, integral b).
+
+    The conditions are decided on integers; a failing reason names every
+    failing condition and carries the first one's witness, the only one built.
+    """
+    failing = admissibility._failing_s(t, v, k, lam)
+    passed = admissibility._decide(t, v, k, lam, failing)
+    if False in passed:
+        conditions = admissibility._CONDITIONS
+        detail = {"conditions": [c.value for c, d in zip(conditions, passed) if d is False]}
+        witnesses = admissibility._witnesses(t, v, k, lam, failing, passed)
+        detail.update(next(w for d, w in zip(passed, witnesses) if d is False))
         return ReasonStep("inadmissible-params", detail), None
-    b = report.outcome(admissibility.Condition.INTEGRALITY_ALL_S).witness["b"]
-    if b.denominator != 1:
+    numerator, denominator = lam * comb(v, t), comb(k, t)
+    b, remainder = divmod(numerator, denominator)
+    if remainder:
         # the counting conditions range over s >= 1; the block count
         # itself must also be an integer for a design to exist
-        witness = {"condition": "block-count-integrality", "b": b}
+        witness = {"condition": "block-count-integrality", "b": Fraction(numerator, denominator)}
         return ReasonStep("inadmissible-params", witness), None
-    return None, int(b)
+    return None, b
 
 
 def _group_step(entry, k, b, homogeneity_reason):

@@ -12,7 +12,9 @@ from steinerkit.admissibility import (
     ConditionOutcome,
     Status,
     _cameron_rhs,
+    _decide,
     _failing_s,
+    _first_v,
     _tits_min_v,
     check,
     feasible_k,
@@ -26,6 +28,7 @@ from steinerkit.designs import (
     lambda_s,
     verify,
 )
+from steinerkit.errors import CapacityError
 
 
 def binom(n, k):
@@ -224,19 +227,24 @@ def test_failing_s_is_the_s_with_a_fractional_lambda_s(data):
 
 
 def test_scan_checks_only_the_sets_with_integral_lambda_s(monkeypatch):
-    # the prefilter builds one report per feasible (v, k) in range whose
-    # lambda_s, s = 1..t, are all integers, and none for any other
-    checked = []
+    # scan builds no report: it decides the conditions with one _decide per
+    # feasible (v, k) in range whose lambda_s, s = 1..t, are all integers,
+    # and none for any other
+    decided = []
 
-    def spy(params):
-        checked.append(params)
-        return check(params)
+    def refuse(params):
+        raise AssertionError("scan built a report")
 
-    monkeypatch.setattr("steinerkit.admissibility.check", spy)
+    def spy(t, v, k, lam, failing):
+        decided.append(DesignParameters(t, v, k, lam))
+        return _decide(t, v, k, lam, failing)
+
+    monkeypatch.setattr("steinerkit.admissibility.check", refuse)
+    monkeypatch.setattr("steinerkit.admissibility._decide", spy)
     for lam in (1, 2):
         for t in range(2, 7):
             for k_lo, k_hi in ((t + 1, 59), (t + 2, t + 5)):
-                checked.clear()
+                decided.clear()
                 scan(t, lam, 60, k_range=(k_lo, k_hi))
                 integral = []
                 for v in range(t + 2, 61):
@@ -246,7 +254,82 @@ def test_scan_checks_only_the_sets_with_integral_lambda_s(monkeypatch):
                             lambda_s(params, s).denominator == 1 for s in range(1, t + 1)
                         ):
                             integral.append(params)
-                assert checked == integral
+                assert decided == integral
+
+
+def _tits_and_cameron_hold(t, v, k):
+    return v >= _tits_min_v(t, k) and (t <= 2 or v - t + 1 >= _cameron_rhs(t, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_feasible_k_closed_form_matches_the_bounds(data):
+    # both right-hand sides grow with k, so the list is t+1..k_max exactly
+    # when k_max passes both bounds and k_max + 1 fails one or equals v;
+    # v - t + 1 is drawn at and next to m(m+1), where Cameron's bound turns
+    t = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(1, 999))
+    v = data.draw(st.one_of(
+        st.integers(t + 2, 10**6),
+        st.sampled_from([m * (m + 1) + t - 1 + d for d in (-1, 0, 1)]),
+    ))
+    ks = feasible_k(t, v, 1)
+    k_next = t + 1 + len(ks)
+    assert ks == list(range(t + 1, k_next))
+    assert k_next == v or not _tits_and_cameron_hold(t, v, k_next)
+    if k_next < v:
+        assert _first_v(t, k_next, 1) > v
+    if ks:
+        assert _first_v(t, ks[-1], 1) <= v
+        for k in [ks[0], ks[-1]] + data.draw(st.lists(st.sampled_from(ks), max_size=5)):
+            assert t < k < v and _tits_and_cameron_hold(t, v, k)
+
+
+def test_feasible_k_matches_the_bounds_directly_for_small_v():
+    for t in range(1, 13):
+        for v in range(1, 300):
+            ks = feasible_k(t, v, 1)
+            assert ks == [k for k in range(t + 1, v) if _tits_and_cameron_hold(t, v, k)]
+            assert ks == [k for k in range(t + 1, v + 2) if _first_v(t, k, 1) <= v]
+            for lam in (2, 3):
+                assert feasible_k(t, v, lam) == list(range(t + 1, v))
+                assert [k for k in range(t + 1, v + 2) if _first_v(t, k, lam) <= v] == list(
+                    range(t + 1, v))
+
+
+def test_scan_refuses_more_pairs_than_the_cap_before_building_a_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr("steinerkit.admissibility.comb", refuse)
+    with pytest.raises(CapacityError, match="exceed cap 10000000"):
+        scan(2, 1, 20000)
+    with pytest.raises(CapacityError):
+        scan(2, 2, 10**12, k_range=(5, 5))
+    assert scan(2, 1, 10**12, k_range=(5, 4)) == []
+
+
+@pytest.mark.parametrize("t, lam, v_max, k_range", [
+    (2, 1, 120, None), (3, 1, 300, None), (6, 1, 500, (9, 12)),
+    (2, 2, 60, None), (4, 3, 80, (6, 70)),
+])
+def test_scan_cap_counts_the_pairs_it_decides(monkeypatch, t, lam, v_max, k_range):
+    k_lo, k_hi = k_range or (t + 1, v_max - 1)
+    pairs = sum(
+        k_lo <= k <= k_hi for v in range(t + 2, v_max + 1) for k in feasible_k(t, v, lam)
+    )
+    assert pairs
+    monkeypatch.setattr("steinerkit.admissibility.DEFAULT_SUBSET_CAP", pairs)
+    found = scan(t, lam, v_max, k_range)
+    monkeypatch.setattr("steinerkit.admissibility.DEFAULT_SUBSET_CAP", pairs - 1)
+    with pytest.raises(CapacityError):
+        scan(t, lam, v_max, k_range)
+    assert found == [
+        DesignParameters(t, v, k, lam)
+        for v in range(t + 2, v_max + 1)
+        for k in feasible_k(t, v, lam)
+        if k_lo <= k <= k_hi and check(DesignParameters(t, v, k, lam)).admissible
+    ]
 
 
 def test_report_json_shape():

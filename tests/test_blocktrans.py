@@ -4,9 +4,10 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinerkit import admissibility
-from steinerkit.blocktrans import eliminate, sweep
+from steinerkit.blocktrans import ReasonStep, _parameter_step, eliminate, sweep
 from steinerkit.catalog import (
     candidates_for_degree,
     catalog_entry_by_name,
@@ -200,11 +201,65 @@ def test_sweep_matches_eliminate_of_each_entry():
 
 def test_sweep_checks_each_parameter_set_once(monkeypatch):
     calls = []
-    check = admissibility.check
-    monkeypatch.setattr(admissibility, "check", lambda params: calls.append(params) or check(params))
+    decide = admissibility._decide
+
+    def spy(t, v, k, lam, failing):
+        calls.append((t, v, k, lam))
+        return decide(t, v, k, lam, failing)
+
+    monkeypatch.setattr(admissibility, "_decide", spy)
     verdicts = sweep(6, 1, 100)
     distinct = {(verdict.degree, k) for verdict in verdicts for k in verdict.feasible_k}
     assert len(calls) == len(set(calls)) == len(distinct)
+
+
+def reference_parameter_step(t, v, k, lam):
+    """The earlier parameter step, read from a full ``check`` report."""
+    report = admissibility.check(DesignParameters(t, v, k, lam))
+    if not report.admissible:
+        failures = [out for out in report.outcomes if out.status is admissibility.Status.FAIL]
+        detail = {"conditions": [out.condition.value for out in failures]}
+        detail.update(failures[0].witness)
+        return ReasonStep("inadmissible-params", detail), None
+    b = report.outcome(admissibility.Condition.INTEGRALITY_ALL_S).witness["b"]
+    if b.denominator != 1:
+        witness = {"condition": "block-count-integrality", "b": b}
+        return ReasonStep("inadmissible-params", witness), None
+    return None, int(b)
+
+
+def assert_parameter_step_matches_the_reference(t, v, k, lam):
+    reason, b = _parameter_step(t, v, k, lam)
+    expected_reason, expected_b = reference_parameter_step(t, v, k, lam)
+    assert (reason, b) == (expected_reason, expected_b)
+    if reason is not None:
+        # equal dicts may still differ in key order or in int against Fraction,
+        # which the JSON form would show
+        assert [(key, value, type(value)) for key, value in reason.witness.items()] == [
+            (key, value, type(value)) for key, value in expected_reason.witness.items()
+        ]
+    else:
+        assert type(b) is int
+
+
+def test_parameter_step_matches_the_reference_on_every_feasible_small_set():
+    # lambda > 1 lists every k, so those run to a smaller v
+    for lam, v_max in ((1, 300), (2, 50), (3, 50)):
+        for t in range(2, 9):
+            for v in range(t + 2, v_max + 1):
+                for k in admissibility.feasible_k(t, v, lam):
+                    assert_parameter_step_matches_the_reference(t, v, k, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parameter_step_matches_the_reference_up_to_v_4096(data):
+    t = data.draw(st.integers(2, 8))
+    lam = data.draw(st.integers(1, 3))
+    v = data.draw(st.integers(t + 2, 4096))
+    ks = admissibility.feasible_k(t, v, lam)
+    if ks:
+        assert_parameter_step_matches_the_reference(t, v, data.draw(st.sampled_from(ks)), lam)
 
 
 def test_sweep_t6_small_all_eliminated():

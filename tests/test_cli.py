@@ -77,6 +77,24 @@ def test_scan_reads_a_k_bound_of_0_as_given(capsys, bound, expected):
     assert code == 0 and len(json.loads(out)["admissible"]) == expected
 
 
+def test_scan_past_the_cap_exits_3_at_once(capsys):
+    # t = 2 decides about v^2/6 (v, k) pairs: some 6.7 * 10^7 to v = 20000
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, ["scan", "2", "1", "--v-max", "20000"])
+    assert code == 3 and out == ""
+    assert err == "capacity error: scan to v_max=20000: (v, k) pairs to decide exceed cap 10000000\n"
+    assert time.perf_counter() - started < 5
+
+
+@pytest.mark.parametrize("t, count", [(2, 338), (3, 162), (4, 121), (5, 87), (6, 77)])
+def test_scan_to_200_lists_every_set_under_the_cap(capsys, t, count):
+    code, out, err = run_cli(capsys, ["scan", str(t), "1", "--v-max", "200"])
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert lines[0] == "# caps: max_subsets=10000000"
+    assert lines[-1] == "# %d admissible parameter sets" % count and len(lines) == count + 2
+
+
 @pytest.mark.parametrize("argv, message", [
     (["km-search", "--group", "catalog:PSL(2,7)", "--t", "2", "--k", "3", "--lambda", "-1"],
      "--lambda must be a positive integer, got -1"),

@@ -45,9 +45,6 @@ class DesignParameters:
                 "need t <= k <= v, got t=%d k=%d v=%d" % (self.t, self.k, self.v)
             )
 
-    def nontrivial(self):
-        return self.t < self.k < self.v
-
 
 def lambda_s(params, s):
     """Blocks through a fixed s-subset: lambda * C(v-s, t-s) / C(k-s, t-s).

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, prod
 
 from .errors import CapacityError, MembershipError, NotAutomorphismError
@@ -30,6 +30,10 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
+        if not set(map(type, images)) <= {int}:  # one pass in C; the loop finds the culprit
+            for x in images:
+                if not _is_int(x):
+                    raise ValueError("image %r is not an integer" % (x,))
         if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection on 0..%d" % (len(images) - 1))
         object.__setattr__(self, "images", images)
@@ -50,11 +54,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree, cycles):
-        """Build a permutation from disjoint cycles; a repeated point is refused."""
+        """Build a permutation from disjoint cycles; a repeated point, or one
+        that is not an integer in 0..degree-1, is refused."""
         images = list(range(degree))
         seen = set()
         for cycle in cycles:
             for point in cycle:
+                if not (_is_int(point) and 0 <= point < degree):
+                    raise ValueError("point %r is not in 0..%d" % (point, degree - 1))
                 if point in seen:
                     raise ValueError("point %d appears twice in the cycles" % point)
                 seen.add(point)
@@ -100,19 +107,8 @@ class Permutation:
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least point."""
-        seen = set()
-        out = []
-        for start in range(self.degree):
-            if start in seen or self.images[start] == start:
-                continue
-            cycle = [start]
-            j = self.images[start]
-            while j != start:
-                seen.add(j)
-                cycle.append(j)
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return out
+        moved = [x for x, y in enumerate(self.images) if x != y]
+        return [tuple(cycle) for cycle in _partition(moved, [self.images.__getitem__])[0]]
 
     def cycle_string(self):
         cyc = self.cycles()
@@ -222,16 +218,13 @@ class PermutationGroup:
 
     def _orbit_transversal(self, level):
         b = self.base[level]
-        gens = self._level_gens[level]
+        tree = {}
+        _orbit(b, self._level_gens[level], tree)
+        # the tree lists the orbit in breadth-first order, each member after
+        # the point it was reached from
         trans = {b: self._identity}
-        queue = [b]
-        for point in queue:
-            u = trans[point]
-            for g in gens:
-                image = g(point)
-                if image not in trans:
-                    trans[image] = u * g
-                    queue.append(image)
+        for image, (point, g) in tree.items():
+            trans[image] = trans[point] * g
         self._transversals[level] = trans
         self._inverses[level] = {}
 
@@ -355,21 +348,11 @@ class PermutationGroup:
     def __contains__(self, perm):
         return self.sift(perm).is_identity()
 
-    def orbit(self, point):
-        """Orbit of a point, sorted."""
-        return tuple(sorted(_orbit(point, self.generators)))
-
     def point_orbits(self):
         """All point orbits, each sorted, ordered by least element."""
-        seen = [False] * self.degree
-        out = []
-        for seed in range(self.degree):
-            if not seen[seed]:
-                orb = self.orbit(seed)
-                for point in orb:
-                    seen[point] = True
-                out.append(orb)
-        return out
+        maps = [g.images.__getitem__ for g in self.generators]
+        orbits, _ = _partition(range(self.degree), maps)
+        return [tuple(sorted(orbit)) for orbit in orbits]
 
     # -- stabilizers ----------------------------------------------------------
 
@@ -480,16 +463,12 @@ class PermutationGroup:
             return None
         # the next transversal is the orbit of rest[0]; where it holds every
         # unfixed point, the counts are forced
-        first = self._transversals[level + 1]
-        if len(first) == self.degree - level - 1:
+        if len(self._transversals[level + 1]) == self.degree - level - 1:
             return None
-        label = dict.fromkeys(first, 0)
-        need = [0]
         maps = [g.images.__getitem__ for g in self._level_gens[level + 1]]
+        orbits, label = _partition(rest, maps)
+        need = [0] * len(orbits)
         for point in rest:
-            if point not in label:
-                label.update(dict.fromkeys(_orbit(point, maps), len(need)))
-                need.append(0)
             need[label[point]] += 1
         return label, need
 
@@ -511,19 +490,8 @@ class PermutationGroup:
         """
         _subset_count(self.degree, m, cap)
         maps = [g.apply_set for g in self.generators]
-        index_of = {}
-        reps = []
-        sizes = []
-        for seed in combinations(range(self.degree), m):
-            if seed in index_of:
-                continue
-            idx = len(reps)
-            orbit = _orbit(seed, maps, tree)
-            for sub in orbit:
-                index_of[sub] = idx
-            reps.append(seed)
-            sizes.append(len(orbit))
-        return reps, sizes, index_of
+        orbits, index = _partition(combinations(range(self.degree), m), maps, tree)
+        return [orbit[0] for orbit in orbits], [len(orbit) for orbit in orbits], index
 
     def is_transitive_on_tuples(self, t):
         """Exact t-transitivity test, read from the stabilizer chain."""
@@ -664,15 +632,8 @@ def induced_block_action(group, design):
         for g, img in zip(group.generators, induced)
     ]
     block_maps = [img.__getitem__ for img in induced]
-    orbit_counts = []
-    for items, maps in ((range(nblocks), block_maps), (flags, flag_maps)):
-        remaining = set(items)
-        count = 0
-        while remaining:
-            remaining.difference_update(_orbit(remaining.pop(), maps))
-            count += 1
-        orbit_counts.append(count)
-    block_orbits, flag_orbits = orbit_counts
+    block_orbits = len(_partition(range(nblocks), block_maps)[0])
+    flag_orbits = len(_partition(flags, flag_maps)[0])
     point_orbits = len(group.point_orbits())
     return BlockActionReport(
         block_orbit_count=block_orbits,
@@ -701,6 +662,21 @@ def _orbit(seed, maps, tree=None):
                 if tree is not None:
                     tree[image] = (item, f)
     return queue
+
+
+def _partition(items, maps, tree=None):
+    """Orbits of ``maps`` on ``items``, numbered in the order of their first
+    item: (orbits, index), each orbit in breadth-first order from that item
+    (see ``_orbit``, which fills ``tree``) and ``index`` taking each member
+    to its orbit's number."""
+    orbits = []
+    index = {}
+    for item in items:
+        if item not in index:
+            orbit = _orbit(item, maps, tree)
+            index.update(zip(orbit, repeat(len(orbits))))
+            orbits.append(orbit)
+    return orbits, index
 
 
 def group_from_json_dict(data):

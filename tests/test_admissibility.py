@@ -359,7 +359,7 @@ def _reference_integrality_outcome(lambdas):
 def reference_check(params):
     """The earlier ``check``: every branch spelled out, one outcome per branch."""
     t, v, k, lam = params.t, params.v, params.k, params.lam
-    nontrivial = params.nontrivial()
+    nontrivial = params.t < params.k < params.v
     steiner = lam == 1
     lambdas = [lambda_s(params, s) for s in range(t + 1)]
     b = lambdas[0]

@@ -1,7 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import shutil
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +25,7 @@ from steinerkit.catalog import (
 from steinerkit.errors import DataIntegrityError
 from steinerkit.gf import field, prime_power_decomposition
 from steinerkit.kramer_mesner import subset_orbits
-from steinerkit.perms import PermutationGroup, homogeneity, parse_cycles
+from steinerkit.perms import PermutationGroup, group_from_json_dict, homogeneity, parse_cycles
 
 
 def test_projective_orders_match_closed_forms():
@@ -150,6 +153,31 @@ def test_bundle_integrity_check(tmp_path, monkeypatch):
         load_bundled_group("m11")
     with pytest.raises(DataIntegrityError):
         load_bundled_group("m24")
+
+
+def test_bundle_tool_regenerates_the_bundled_groups(tmp_path, monkeypatch, capsys):
+    """``tools/build_group_bundles.py``, run into an empty directory, writes
+    the six Mathieu files and metadata.json byte for byte as bundled.  Its
+    2^4:A7 comes out with other generators, as the tool's docstring says,
+    but they generate the bundled group."""
+    root = Path(__file__).resolve().parents[1]
+    tool_path = root / "tools" / "build_group_bundles.py"
+    spec = importlib.util.spec_from_file_location("build_group_bundles", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts src/ first
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "OUT_DIR", str(tmp_path))
+    tool.main()
+    capsys.readouterr()
+    bundled = root / "src" / "steinerkit" / "data" / "groups"
+    for name in ("m24", "m23", "m22", "m12", "m11", "m11_deg12", "metadata"):
+        filename = name + ".json"
+        assert (tmp_path / filename).read_bytes() == (bundled / filename).read_bytes(), name
+    written, held = (group_from_json_dict(json.loads((folder / "a7_16.json").read_text()))
+                     for folder in (tmp_path, bundled))
+    assert written.order == held.order == 40320
+    assert all(g in held for g in written.generators)
+    assert all(g in written for g in held.generators)
 
 
 def test_data_dir_env_var_respected(tmp_path, monkeypatch):

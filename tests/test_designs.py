@@ -96,8 +96,9 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         DesignParameters(2, 8, 4, 0)
     params = DesignParameters(3, 8, 4, 1)
-    assert params.nontrivial()
-    assert not DesignParameters(3, 8, 8, 1).nontrivial()
+    assert params.t < params.k < params.v
+    params = DesignParameters(3, 8, 8, 1)
+    assert not params.t < params.k < params.v
 
 
 def test_parameters_refuse_bools():

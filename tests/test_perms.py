@@ -1,13 +1,14 @@
 import functools
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, perm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from steinerkit.designs import construct_boolean, fano_plane
+from steinerkit.catalog import candidates_for_degree, catalog_entry_by_name
+from steinerkit.designs import Design, DesignParameters, construct_boolean, fano_plane
 from steinerkit.errors import CapacityError, NotAutomorphismError
 from steinerkit.kramer_mesner import subset_orbits
 from steinerkit.perms import (
@@ -17,6 +18,7 @@ from steinerkit.perms import (
     group_from_json_dict,
     homogeneity,
     induced_block_action,
+    induced_block_images,
     parse_cycles,
 )
 
@@ -51,6 +53,21 @@ def test_permutation_validation():
         Permutation([0, 0, 1])
     with pytest.raises(ValueError):
         Permutation([0, 2])
+
+
+@pytest.mark.parametrize("images", [[1.0, 0, 2], [True, False], [0, "1"], [None]])
+def test_permutation_refuses_images_that_are_not_integers(images):
+    # 1.0 and True compare equal to 1, so the bijection test alone lets them in
+    with pytest.raises(ValueError, match="not an integer"):
+        Permutation(images)
+    with pytest.raises(ValueError, match="not an integer"):
+        PermutationGroup([images])
+
+
+@pytest.mark.parametrize("cycles", [[[0, 5]], [[-1, 0]], [[0, 1.0]], [[True, 2]], [[0], [3]]])
+def test_from_cycles_refuses_a_point_out_of_range(cycles):
+    with pytest.raises(ValueError, match=r"is not in 0\.\.2"):
+        Permutation.from_cycles(3, cycles)
 
 
 def test_composition_is_left_to_right():
@@ -155,7 +172,6 @@ def test_elements_enumeration_matches_closure():
 
 def test_orbits_and_point_orbits():
     group = PermutationGroup([parse_cycles("(0 1 2)", 6), parse_cycles("(3 4)", 6)])
-    assert group.orbit(0) == (0, 1, 2)
     assert group.point_orbits() == [(0, 1, 2), (3, 4), (5,)]
 
 
@@ -169,7 +185,8 @@ def test_orbit_stabilizer_identity():
         for _ in range(10):
             x = rng.randrange(group.degree)
             stab = group.stabilizer_point(x)
-            assert group.order == stab.order * len(group.orbit(x))
+            orbit = next(orbit for orbit in group.point_orbits() if x in orbit)
+            assert group.order == stab.order * len(orbit)
 
 
 def test_pointwise_and_setwise_stabilizers_vs_bruteforce():
@@ -941,3 +958,202 @@ def test_setwise_generators_match_the_recursive_backtrack(name):
         block = tuple(sorted(rng.sample(range(group.degree), size)))
         assert group.stabilizer_setwise(block).generators == (
             _setwise_generators_by_recursion(group, block)), block
+
+
+# -- the orbit loops that perms._orbit and perms._partition replaced, kept
+# as test oracles with a breadth-first search of their own ----------------
+
+
+def reference_orbit(seed, maps, tree=None):
+    """Orbit of ``seed`` in breadth-first order; ``tree`` as in ``perms._orbit``."""
+    seen = {seed}
+    queue = [seed]
+    for item in queue:
+        for f in maps:
+            image = f(item)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+                if tree is not None:
+                    tree[image] = (item, f)
+    return queue
+
+
+def reference_cycles(perm):
+    seen = set()
+    out = []
+    for start in range(perm.degree):
+        if start in seen or perm.images[start] == start:
+            continue
+        cycle = [start]
+        j = perm.images[start]
+        while j != start:
+            seen.add(j)
+            cycle.append(j)
+            j = perm.images[j]
+        out.append(tuple(cycle))
+    return out
+
+
+def reference_orbit_transversal(group, level):
+    b = group.base[level]
+    trans = {b: Permutation.identity(group.degree)}
+    queue = [b]
+    for point in queue:
+        u = trans[point]
+        for g in group._level_gens[level]:
+            image = g(point)
+            if image not in trans:
+                trans[image] = u * g
+                queue.append(image)
+    return trans
+
+
+def reference_point_orbits(group):
+    seen = [False] * group.degree
+    out = []
+    for seed in range(group.degree):
+        if not seen[seed]:
+            orb = tuple(sorted(reference_orbit(seed, group.generators)))
+            for point in orb:
+                seen[point] = True
+            out.append(orb)
+    return out
+
+
+def reference_orbit_counts(chain, level, block):
+    rest = block[level + 1:]
+    if len(chain._transversals[level]) == 1 or len(rest) < 2:
+        return None
+    first = chain._transversals[level + 1]
+    if len(first) == chain.degree - level - 1:
+        return None
+    label = dict.fromkeys(first, 0)
+    need = [0]
+    maps = [g.images.__getitem__ for g in chain._level_gens[level + 1]]
+    for point in rest:
+        if point not in label:
+            label.update(dict.fromkeys(reference_orbit(point, maps), len(need)))
+            need.append(0)
+        need[label[point]] += 1
+    return label, need
+
+
+def reference_subset_orbit_partition(group, m, tree=None):
+    maps = [g.apply_set for g in group.generators]
+    index_of = {}
+    reps = []
+    sizes = []
+    for seed in combinations(range(group.degree), m):
+        if seed in index_of:
+            continue
+        idx = len(reps)
+        orbit = reference_orbit(seed, maps, tree)
+        for sub in orbit:
+            index_of[sub] = idx
+        reps.append(seed)
+        sizes.append(len(orbit))
+    return reps, sizes, index_of
+
+
+def reference_block_and_flag_orbit_counts(group, design):
+    induced = induced_block_images(group, design)
+    v = design.params.v
+    flags = [bi * v + x for bi, block in enumerate(design.blocks) for x in block]
+    flag_maps = [
+        (lambda flag, p=g.images, img=img: img[flag // v] * v + p[flag % v])
+        for g, img in zip(group.generators, induced)
+    ]
+    block_maps = [img.__getitem__ for img in induced]
+    orbit_counts = []
+    for items, maps in ((range(design.b), block_maps), (flags, flag_maps)):
+        remaining = set(items)
+        count = 0
+        while remaining:
+            remaining.difference_update(reference_orbit(remaining.pop(), maps))
+            count += 1
+        orbit_counts.append(count)
+    return tuple(orbit_counts)
+
+
+def _relabelled(group, rng):
+    images = list(range(group.degree))
+    rng.shuffle(images)
+    conj = Permutation(images)
+    return PermutationGroup([conj.inverse() * g * conj for g in group.generators],
+                            _order=group.order)
+
+
+# every constructible catalog group of degree <= 28
+CATALOG_TO_28 = [entry.name for v in range(4, 29) for entry in candidates_for_degree(v)
+                 if entry.constructible]
+
+
+def _check_orbit_routines(group, rng):
+    for level in range(len(group.base)):
+        assert list(group._transversals[level].items()) == list(
+            reference_orbit_transversal(group, level).items()), level
+    assert group.point_orbits() == reference_point_orbits(group)
+    elements = list(group.generators)
+    for _ in range(5):
+        elements.append(Permutation(rng.sample(range(group.degree), group.degree)))
+    for g in elements:
+        assert g.cycles() == reference_cycles(g), g
+    for m in (1, 2):
+        tree, expected_tree = {}, {}
+        reps, sizes, index = group.subset_orbit_partition(m, tree=tree)
+        expected = reference_subset_orbit_partition(group, m, expected_tree)
+        assert (reps, sizes, list(index.items())) == (
+            expected[0], expected[1], list(expected[2].items())), m
+        assert list(tree.items()) == list(expected_tree.items()), m
+    for _ in range(3):
+        block = tuple(sorted(rng.sample(range(group.degree), rng.randrange(2, group.degree - 1))))
+        chain = group._rebase(block)
+        for level in range(len(block)):
+            table = chain._orbit_counts(level, block)
+            expected = reference_orbit_counts(chain, level, block)
+            if expected is None:
+                assert table is None, (block, level)
+            else:
+                assert (list(table[0].items()), table[1]) == (
+                    list(expected[0].items()), expected[1]), (block, level)
+    v = group.degree
+    design = Design(DesignParameters(2, v, 3, 1), combinations(range(v), 3))
+    report = induced_block_action(group, design)
+    assert (report.block_orbit_count, report.flag_orbit_count) == (
+        reference_block_and_flag_orbit_counts(group, design))
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["given", "relabelled"])
+@pytest.mark.parametrize("name", CATALOG_TO_28)
+def test_orbit_routines_match_the_reference_loops_on_the_catalog(name, relabel):
+    group = catalog_entry_by_name(name).group()
+    rng = random.Random(name)
+    if relabel:
+        group = _relabelled(group, rng)
+    _check_orbit_routines(group, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_routines_match_the_reference_loops_random(data):
+    group = _random_group(data, max_degree=9)
+    if group.degree > 3:
+        _check_orbit_routines(group, random.Random(data.draw(st.integers(0, 2**16))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+def test_cycles_match_the_reference_loop(images):
+    perm = Permutation(images)
+    assert perm.cycles() == reference_cycles(perm)
+    assert Permutation.from_cycles(perm.degree, perm.cycles()) == perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))))
+def test_point_orbits_match_the_reference_loop(case):
+    degree, gens = case
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    assert group.point_orbits() == reference_point_orbits(group)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
-from operator import add, itemgetter, lt, ne
+from operator import add, lt
 from typing import Optional
 
 from .errors import CapacityError
@@ -108,33 +108,97 @@ def _trusted_design(params, columns):
     return design
 
 
-def _checked_columns(params, blocks):
+# rows per slice when columns are built from a list of rows
+_SLICE = 1 << 12
+
+
+def _checked_columns(params, blocks, release=False):
     """The columns of ``blocks`` in lexicographic order, and whether
     ``blocks`` came in that order.
 
-    Lengths and point types are checked on the rows as given, so that
-    sorting them is safe; the columns are built once, after any sort.
-    Rows that are not all lists or all tuples are read as tuples, so that
-    any two compare.  An invalid block list raises the ValueError naming its
-    first invalid entry.
+    Rows in order are checked and turned into columns a slice at a time
+    (``_slice_columns``).  A list of rows this function owns, one it listed
+    from an iterator or one given with ``release``, becomes the first
+    column as its rows are dropped, so the rows and all the columns are
+    never held at once; a list given without ``release`` is left as it
+    was.  Rows out of order are sorted, once their lengths and point types
+    show that any two compare, and checked the same way.  Rows that are not
+    all lists or all tuples are read as tuples, so that any two compare.
+    An invalid block list raises the ValueError naming its first invalid
+    entry in the order given; dropped rows are put back first, as tuples.
     """
-    k, v = params.k, params.v
-    rows = blocks if type(blocks) in (list, tuple) else list(blocks)
+    k = params.k
+    listed = type(blocks) not in (list, tuple)
+    rows = list(blocks) if listed else blocks
+    owned = release or listed
     kinds = set(map(type, rows))
     if not (kinds <= {list} or kinds <= {tuple}):
+        rows, owned = list(map(tuple, rows)), True
+    columns, m = _slice_columns(params, rows, owned)
+    if not m:
+        return columns, True
+    if owned and m < len(rows):  # put the dropped rows back
+        rows[m:] = zip(*columns)
         rows = list(map(tuple, rows))
-    # whole-list checks; only a failure walks the blocks one by one
+    # out of order, or a fault
     if all(map(k.__eq__, map(len, rows))) and set(map(type, chain.from_iterable(rows))) <= {int}:
-        in_order = all(map(lt, rows, islice(rows, 1, None)))
-        ordered = rows if in_order else sorted(rows)
-        columns = [list(map(itemgetter(j), ordered)) for j in range(k)]
-        if (
-            all(all(map(lt, columns[j], columns[j + 1])) for j in range(k - 1))
-            and (not rows or (min(columns[0]) >= 0 and max(columns[-1]) < v))
-            and (in_order or all(map(ne, ordered, islice(ordered, 1, None))))
-        ):
-            return columns, in_order
+        ordered = sorted(rows)
+        columns, m = _slice_columns(params, ordered, False)
+        if not m:
+            return columns, False
     _raise_block_fault(params, rows)
+
+
+def _slice_columns(params, rows, release):
+    """The columns of the longest run of whole slices at the end of
+    ``rows`` whose rows are blocks of k strictly increasing points in
+    [0, v), each row less than the next, and the index m where that run
+    starts: 0 when every row got through.
+
+    Slices of ``_SLICE`` rows are taken from the end, and each is checked
+    and turned into columns before the one before it is read.  With
+    ``release`` the slice's entries in ``rows`` are then overwritten by its
+    first points, so ``rows[m:]`` is the first column, and ``rows`` itself
+    when m is 0.  From the end, because the rows a decoder made last lie in
+    the memory it took last, which is handed back as soon as they are gone;
+    its first rows fill memory taken before, which other objects may still
+    hold.  The walk stops at the first failing slice, which is left as it
+    was.
+    """
+    k, v = params.k, params.v
+    columns = [[] for _ in range(k)]  # built back to front, reversed at the end
+    first = int(release)  # with release, rows holds the first column
+    m = len(rows)
+    after = None  # the first row of the slice after
+    for lo in reversed(range(0, len(rows), _SLICE)):
+        part = rows[lo:m]
+        if not all(map(k.__eq__, map(len, part))):
+            break
+        points = list(chain.from_iterable(part))
+        if not (
+            set(map(type, points)) <= {int}
+            and (after is None or part[-1] < after)
+            and all(map(lt, part, islice(part, 1, None)))
+        ):
+            break
+        cols = [points[j::k] for j in range(k)]
+        if not (
+            all(all(map(lt, cols[j], cols[j + 1])) for j in range(k - 1))
+            and min(cols[0]) >= 0
+            and max(cols[-1]) < v
+        ):
+            break
+        if release:
+            rows[lo:m] = cols[0]
+        for column, col in zip(columns[first:], cols[first:]):
+            column += reversed(col)
+        after = part[0]
+        m = lo
+    for column in columns[first:]:
+        column.reverse()
+    if release:
+        columns[0] = rows[m:] if m else rows
+    return columns, m
 
 
 def _raise_block_fault(params, blocks):
@@ -248,12 +312,14 @@ def derived(design, x):
             through.append(i)
     through.sort()
     cols = [list(map(column.__getitem__, through)) for column in design.columns]
+    del through
     # a block through x keeps its points below x; past x, position j takes
     # the point at j + 1, shifted down
     new_columns = [
         [p if p < x else q - 1 for p, q in zip(cols[j], cols[j + 1])]
         for j in range(params.k - 1)
     ]
+    del cols  # each stage is dropped once the next holds its points
     return Design(new_params, zip(*new_columns))
 
 
@@ -343,8 +409,14 @@ def _json_lines(designs):
         yield head + text + "]}"
 
 
-def design_from_json_dict(data):
-    """Validate and load the interchange object; errors carry positions."""
+def design_from_json_dict(data, _release=False):
+    """Validate and load the interchange object; errors carry positions.
+
+    ``data`` is left as it was.  Only ``design_from_json``, which owns its
+    object, passes the private ``_release``: the block list then becomes
+    the first column as its rows are dropped, and a fault puts them back,
+    as tuples (``_checked_columns``).
+    """
     if not isinstance(data, dict):
         raise ValueError("design json: expected an object")
     for key in ("t", "v", "k", "lambda", "blocks"):
@@ -361,7 +433,7 @@ def design_from_json_dict(data):
         i = next(i for i, block in enumerate(blocks) if not isinstance(block, list))
         raise ValueError("design json: blocks[%d] must be an array" % i)
     try:
-        columns, in_order = _checked_columns(params, blocks)
+        columns, in_order = _checked_columns(params, blocks, _release)
     except ValueError:
         # JSON true/false load as bools, which Design refuses as points;
         # one is named in preference to any other fault
@@ -380,18 +452,23 @@ def design_from_json_dict(data):
 def design_from_json(text):
     """Parse a design from JSON text.
 
-    The cyclic garbage collector is off while the decoder runs: it builds
-    one list per block and makes no cycles, and the collector's passes over
-    them were about a third of a large parse.  The caller's state comes back
-    in every case.
+    A load holds the text and one list per block while the decoder runs;
+    the text is then dropped, and each slice of block lists once its
+    columns are built, the decoder's block list itself becoming the first
+    column, so the peak is the parse's own.  The cyclic garbage
+    collector is off until the block lists are gone: they make no cycles,
+    and its passes over them were about a third of a large parse.  The
+    caller's state comes back in every case.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError("design json: %s" % exc) from exc
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError("design json: %s" % exc) from exc
+        del text
+        return design_from_json_dict(data, _release=True)
     finally:
         if enabled:
             gc.enable()
-    return design_from_json_dict(data)

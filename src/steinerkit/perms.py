@@ -189,12 +189,11 @@ class PermutationGroup:
             kept.append(g)
         self.generators = tuple(kept)
 
-        self.base = [int(b) for b in base_prefix]
+        base_prefix = list(base_prefix)
+        _check_points(base_prefix, degree, "base point")
+        self.base = list(map(int, base_prefix))
         if len(set(self.base)) != len(self.base):
             raise ValueError("base prefix contains repeats")
-        for b in self.base:
-            if not 0 <= b < degree:
-                raise ValueError("base point %d out of range" % b)
         # level i holds the strong generators fixing base[:i]
         self._level_gens = [list(self.generators)]
         for i, b in enumerate(self.base):
@@ -363,9 +362,7 @@ class PermutationGroup:
     def stabilizer_pointwise(self, points):
         """Subgroup fixing every listed point."""
         points = list(points)
-        for p in points:
-            if not 0 <= p < self.degree:
-                raise ValueError("point %d out of range" % p)
+        _check_points(points, self.degree, "point")
         return self._rebase(points)._level_subgroup(len(points))
 
     def stabilizer_setwise(self, block):
@@ -391,10 +388,9 @@ class PermutationGroup:
         Leaves outside K are met in the unpruned order, so the generators
         are those of the unpruned search.
         """
+        block = list(block)
+        _check_points(block, self.degree, "point")
         block = tuple(sorted(set(block)))
-        for p in block:
-            if not 0 <= p < self.degree:
-                raise ValueError("point %d out of range" % p)
         chain = self._rebase(block)
         known = PermutationGroup(chain._level_gens[len(block)], self.degree, block,
                                  _order=chain._order_from(len(block)))
@@ -710,6 +706,14 @@ def group_from_json_dict(data):
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_points(points, degree, name):
+    """Refuse (ValueError) a point that is not an int in 0..degree-1; a
+    float or a bool would otherwise be read as the int it compares equal to."""
+    for p in points:
+        if not (_is_int(p) and 0 <= p < degree):
+            raise ValueError("%s %r is not an integer in 0..%d" % (name, p, degree - 1))
 
 
 def check_membership(group, perms):

@@ -2,12 +2,18 @@ import gc
 import hashlib
 import io
 import json
+import sys
 import time
+from bisect import bisect_left
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations, count
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinerkit.cli import main
-from steinerkit.designs import design_from_json, design_to_json, fano_plane
+from steinerkit.designs import _SLICE, design_from_json, design_to_json, fano_plane
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -832,22 +838,166 @@ def test_verify_of_a_malformed_block_exits_2(capsys, tmp_path, block):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+# 3-subsets of V points make more than three slices of rows
+V = next(v for v in count(3) if comb(v, 3) > 3 * _SLICE)
+
+
+def _late_fault(kind, i):
+    """The JSON of the 3-subsets of V points, sorted, whose one fault of
+    ``kind`` lies at ``blocks[i]``, and the error line ``verify`` and
+    ``derive`` print for it."""
+    blocks = [list(block) for block in combinations(range(V), 3)]
+    a, b, c = blocks[i]
+    if kind == "not-increasing":
+        blocks[i] = [a, c, b]
+        error = "blocks[%d] is not strictly increasing at position 2" % i
+    elif kind == "point-v":
+        blocks[i] = [a, b, V]
+        error = "blocks[%d][2]=%d out of point range [0, %d)" % (i, V, V)
+    elif kind == "point-minus-1":
+        blocks[i] = [-1, b, c]
+        error = "blocks[%d][0]=-1 out of point range [0, %d)" % (i, V)
+    elif kind == "true":
+        blocks[i] = [a, True, c]
+        error = "design json: blocks[%d][1] must be an integer, got True" % i
+    elif kind == "duplicate":
+        blocks[i] = list(blocks[i - 1])
+        error = "duplicate block %r (blocks[%d])" % (tuple(blocks[i]), i)
+    else:  # unsorted
+        blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
+        error = "design json: blocks must be sorted lexicographically"
+    text = json.dumps({"t": 2, "v": V, "k": 3, "lambda": 1, "blocks": blocks})
+    return text, "error: %s\n" % error
+
+
+LATE_FAULTS = ["not-increasing", "point-v", "point-minus-1", "true", "duplicate", "unsorted"]
+# a row of the first slice, of a middle one and of the last
+FAULT_ROWS = [5, _SLICE + 7, comb(V, 3) - 2]
+
+
+@pytest.mark.parametrize("i", FAULT_ROWS, ids=["first-slice", "middle-slice", "last-slice"])
+@pytest.mark.parametrize("kind", LATE_FAULTS)
+def test_a_fault_in_any_slice_of_rows_keeps_its_message(capsys, tmp_path, monkeypatch, kind, i):
+    text, error = _late_fault(kind, i)
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    for argv, stdin in (
+        (["verify", str(path)], None),
+        (["verify", "-"], text),
+        (["derive", str(path), "0"], None),
+    ):
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", error), argv
+
+
+POINT_REPLACEMENTS = [1.5, 2.0, True, False, "1", None, -1, 7, 2**70]
+
+
+@st.composite
+def edited_fano_texts(draw):
+    """The Fano plane's JSON after one to three random edits of its blocks,
+    cut short at a random character half of the time."""
+    data = json.loads(design_to_json(fano_plane()))
+    blocks = data["blocks"]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "add", "swap", "drop-point", "add-point", "replace"]))
+        if edit == "add":  # a 3-subset where the order puts it, reading a non-int as -2
+            block = sorted(draw(st.lists(st.integers(0, 6), min_size=3, max_size=3, unique=True)))
+            keys = [[p if type(p) is int else -2 for p in other] for other in blocks]
+            blocks.insert(bisect_left(keys, block), block)
+            continue
+        if not blocks:
+            continue
+        i = draw(st.integers(0, len(blocks) - 1))
+        if edit == "drop":
+            del blocks[i]
+        elif edit == "swap":
+            j = draw(st.integers(0, len(blocks) - 1))
+            blocks[i], blocks[j] = blocks[j], blocks[i]
+        elif edit == "drop-point" and blocks[i]:
+            del blocks[i][draw(st.integers(0, len(blocks[i]) - 1))]
+        elif edit == "add-point":
+            blocks[i].insert(draw(st.integers(0, len(blocks[i]))), draw(st.integers(0, 6)))
+        elif edit == "replace" and blocks[i]:
+            j = draw(st.integers(0, len(blocks[i]) - 1))
+            blocks[i][j] = draw(st.sampled_from(POINT_REPLACEMENTS))
+    text = json.dumps(data)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _reference_blocks(text):
+    """The blocks of a 2-(7,3,1) file as tuples, or None where the file must
+    be refused: k strictly increasing ints (not bools) in [0, 7) per block,
+    each block less than the next."""
+    try:
+        blocks = json.loads(text)["blocks"]
+    except ValueError:
+        return None
+    ok = all(
+        isinstance(block, list) and len(block) == 3
+        and all(type(p) is int and 0 <= p < 7 for p in block)
+        and block == sorted(set(block))
+        for block in blocks
+    ) and all(a < b for a, b in zip(blocks, blocks[1:]))
+    return list(map(tuple, blocks)) if ok else None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edited_fano_texts())
+def test_verify_and_derive_of_an_edited_design_file(text):
+    blocks = _reference_blocks(text)
+    for argv in (["verify", "-", "--json"], ["derive", "-", "0"]):
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = stdin
+        out, err = out.getvalue(), err.getvalue()
+        if blocks is None:
+            assert code == 2 and out == "", (argv, code, out)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            continue
+        assert err == ""
+        if argv[0] == "verify":
+            counts = [sum(set(pair) <= set(block) for block in blocks)
+                      for pair in combinations(range(7), 2)]
+            wrong = [(list(pair), n) for pair, n in zip(combinations(range(7), 2), counts) if n != 1]
+            common = counts[0] if len(set(counts)) == 1 else None
+            payload = json.loads(out)
+            assert code == (0 if not wrong else 1)
+            assert payload["covered_lambda"] == common and payload["is_design"] == (not wrong)
+            witness = payload["failing_witness"]
+            assert witness == (None if not wrong else {"subset": wrong[0][0], "count": wrong[0][1]})
+        else:
+            through = sorted([p - 1 for p in block if p] for block in blocks if 0 in block)
+            expected = {"t": 1, "v": 6, "k": 2, "lambda": 1, "blocks": through}
+            assert code == 0 and json.loads(out) == expected
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_design_parsing_restores_the_callers_gc_state(capsys, tmp_path, enabled):
     text = design_to_json(fano_plane())
+    cases = [(text[:-1], None)]  # truncated: a JSONDecodeError
+    cases += [_late_fault(kind, i) for kind in LATE_FAULTS for i in FAULT_ROWS]
     path = tmp_path / "design.json"
-    path.write_text(text[:-1])  # truncated: a JSONDecodeError
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         assert design_from_json(text) == fano_plane()
         assert gc.isenabled() == enabled
-        code, out, err = run_cli(capsys, ["verify", str(path)])
-        assert gc.isenabled() == enabled
+        for bad, error in cases:
+            path.write_text(bad)
+            code, out, err = run_cli(capsys, ["verify", str(path)])
+            assert gc.isenabled() == enabled
+            assert code == 2 and out == ""
+            assert err == error if error else err.startswith("error: design json: ")
+            assert err.count("\n") == 1
     finally:
         (gc.enable if was else gc.disable)()
-    assert code == 2 and out == ""
-    assert err.startswith("error: design json: ") and err.count("\n") == 1
 
 
 def test_every_subcommand_prints_its_pinned_output(capsys, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinerkit.designs import (
+    _SLICE,
     Design,
     DesignParameters,
     VerificationReport,
@@ -23,6 +24,7 @@ from steinerkit.designs import (
     lambda_s,
     verify,
 )
+from steinerkit import designs
 from steinerkit.errors import CapacityError
 
 
@@ -464,6 +466,55 @@ def test_design_from_json_dict_builds_no_block_tuples():
     assert design.b == b
     # the flat point list plus the k columns; a tuple per block would exceed it
     assert peak < sys.getsizeof([0] * (b * k)) + k * sys.getsizeof([0] * b) + 16384
+
+
+@pytest.fixture(scope="module")
+def boolean7():
+    return construct_boolean(7)
+
+
+def _rows_bytes(rows):
+    return sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+
+
+def test_design_from_json_holds_the_rows_and_a_slice_of_columns(boolean7):
+    text = design_to_json(boolean7)
+    k, b = boolean7.params.k, boolean7.b
+    rows = _rows_bytes(json.loads(text)["blocks"])  # the decoder's lists
+    tracemalloc.start()
+    try:
+        design = design_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design == boolean7
+    # past the rows: one slice's row pointers, points and columns, and the
+    # columns' growth; holding every column beside the rows costs more
+    slices = 4 * k * _SLICE * 8
+    assert slices < k * sys.getsizeof([0] * b)
+    assert peak < rows + slices
+
+
+def test_derived_holds_its_rows_and_a_slice_of_columns(boolean7, monkeypatch):
+    # slices short enough that the 2667 rows of the derived design span six
+    monkeypatch.setattr(designs, "_SLICE", 512)
+    tracemalloc.start()
+    try:
+        sub = derived(boolean7, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sub.b == comb(127, 2) // 3 and verify(sub).covered_lambda == 1
+    k, b = sub.params.k, sub.b
+    rows = _rows_bytes(list(zip(*sub.columns)))
+    columns = k * sys.getsizeof([0] * b)
+    # derived hands its own columns on; past them and the rows, one slice's
+    # row pointers, points and columns, and the columns' growth.  Released
+    # rows of three points stay on the interpreter's free list for tuples
+    # (2000 at most), which tracemalloc still counts
+    slices = 4 * k * 512 * 8
+    free_tuples = 2000 * sys.getsizeof((0, 0, 0))
+    assert peak < rows + columns + slices + free_tuples
 
 
 def test_design_from_lists_tuples_a_mix_or_an_iterator_is_one_design():

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 import time
 from itertools import combinations, permutations
 from math import comb, perm
@@ -211,6 +212,22 @@ def test_stabilizer_point_in_block():
     assert sub.order == 6
     with pytest.raises(ValueError):
         s5.stabilizer_point_in_block(0, (1, 3))
+
+
+@pytest.mark.parametrize("point", [0.5, 2.9, 1.0, True, False, "1", None, -1, 4])
+def test_stabilizers_refuse_a_point_that_is_not_an_int_in_range(point):
+    # 0.5 and 2.9 were truncated and 1.0 and True read as 1: each gave S_3
+    s4 = PermutationGroup([parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)])
+    message = r"^point %s is not an integer in 0\.\.3$" % re.escape(repr(point))
+    with pytest.raises(ValueError, match=message):
+        s4.stabilizer_point(point)
+    with pytest.raises(ValueError, match=message):
+        s4.stabilizer_pointwise([0, point])
+    with pytest.raises(ValueError, match=message):
+        s4.stabilizer_setwise([point, 2])
+    with pytest.raises(ValueError, match="^base " + message[1:]):
+        PermutationGroup(s4.generators, 4, base_prefix=[point])
+    assert s4.stabilizer_point(1).order == 6  # an int point is still read
 
 
 def test_stabilizer_of_fixed_point_is_whole_group():

@@ -117,11 +117,11 @@ def _checked_columns(params, blocks, release=False):
     ``blocks`` came in that order.
 
     Rows in order are checked and turned into columns a slice at a time
-    (``_slice_columns``).  A list of rows this function owns, one it listed
-    from an iterator or one given with ``release``, becomes the first
-    column as its rows are dropped, so the rows and all the columns are
-    never held at once; a list given without ``release`` is left as it
-    was.  Rows out of order are sorted, once their lengths and point types
+    (``_slice_columns``).  Past one slice, a list of rows this function
+    owns, one it listed from an iterator or one given with ``release``,
+    becomes the first column as its rows are dropped, so the rows and all
+    the columns are never held at once; a list given without ``release``
+    is left as it was.  Rows out of order are sorted, once their lengths and point types
     show that any two compare, and checked the same way.  Rows that are not
     all lists or all tuples are read as tuples, so that any two compare.
     An invalid block list raises the ValueError naming its first invalid
@@ -156,10 +156,11 @@ def _slice_columns(params, rows, release):
     starts: 0 when every row got through.
 
     Slices of ``_SLICE`` rows are taken from the end, and each is checked
-    and turned into columns before the one before it is read.  With
-    ``release`` the slice's entries in ``rows`` are then overwritten by its
-    first points, so ``rows[m:]`` is the first column, and ``rows`` itself
-    when m is 0.  From the end, because the rows a decoder made last lie in
+    and turned into columns before the one before it is read.  Rows that
+    fit in one slice get that slice's columns as built.  Past one slice,
+    with ``release``, each slice's entries in ``rows`` are then overwritten
+    by its first points, so ``rows[m:]`` is the first column, and ``rows``
+    itself when m is 0.  From the end, because the rows a decoder made last lie in
     the memory it took last, which is handed back as soon as they are gone;
     its first rows fill memory taken before, which other objects may still
     hold.  The walk stops at the first failing slice, which is left as it
@@ -188,6 +189,8 @@ def _slice_columns(params, rows, release):
             and max(cols[-1]) < v
         ):
             break
+        if not lo and m == len(rows):  # one slice: nothing to release
+            return cols, 0
         if release:
             rows[lo:m] = cols[0]
         for column, col in zip(columns[first:], cols[first:]):
@@ -409,13 +412,12 @@ def _json_lines(designs):
         yield head + text + "]}"
 
 
-def design_from_json_dict(data, _release=False):
+def design_from_json_dict(data):
     """Validate and load the interchange object; errors carry positions.
 
-    ``data`` is left as it was.  Only ``design_from_json``, which owns its
-    object, passes the private ``_release``: the block list then becomes
-    the first column as its rows are dropped, and a fault puts them back,
-    as tuples (``_checked_columns``).
+    The load takes over ``data['blocks']``: past one slice of rows, the
+    list becomes the first column as its rows are dropped, and a fault puts
+    them back, as tuples (``_checked_columns``).
     """
     if not isinstance(data, dict):
         raise ValueError("design json: expected an object")
@@ -433,7 +435,7 @@ def design_from_json_dict(data, _release=False):
         i = next(i for i, block in enumerate(blocks) if not isinstance(block, list))
         raise ValueError("design json: blocks[%d] must be an array" % i)
     try:
-        columns, in_order = _checked_columns(params, blocks, _release)
+        columns, in_order = _checked_columns(params, blocks, True)
     except ValueError:
         # JSON true/false load as bools, which Design refuses as points;
         # one is named in preference to any other fault
@@ -468,7 +470,7 @@ def design_from_json(text):
         except json.JSONDecodeError as exc:
             raise ValueError("design json: %s" % exc) from exc
         del text
-        return design_from_json_dict(data, _release=True)
+        return design_from_json_dict(data)
     finally:
         if enabled:
             gc.enable()

@@ -189,9 +189,8 @@ class PermutationGroup:
             kept.append(g)
         self.generators = tuple(kept)
 
-        base_prefix = list(base_prefix)
-        _check_points(base_prefix, degree, "base point")
-        self.base = list(map(int, base_prefix))
+        self.base = list(base_prefix)
+        _check_points(self.base, degree, "base point")
         if len(set(self.base)) != len(self.base):
             raise ValueError("base prefix contains repeats")
         # level i holds the strong generators fixing base[:i]

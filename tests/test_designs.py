@@ -517,6 +517,23 @@ def test_derived_holds_its_rows_and_a_slice_of_columns(boolean7, monkeypatch):
     assert peak < rows + columns + slices + free_tuples
 
 
+def test_checked_columns_takes_over_only_a_released_list_past_one_slice(monkeypatch):
+    monkeypatch.setattr(designs, "_SLICE", 4)
+    params = DesignParameters(2, 8, 3, 6)
+    blocks = list(combinations(range(8), 3))  # 56 rows, 14 slices
+    expected = [list(column) for column in zip(*blocks)]
+    kept = list(blocks)
+    assert designs._checked_columns(params, kept) == (expected, True)
+    assert kept == blocks  # a caller's list, as km-search's orbits
+    released = list(blocks)
+    columns, in_order = designs._checked_columns(params, released, True)
+    assert (columns, in_order) == (expected, True) and columns[0] is released
+    one = blocks[:3]
+    released = list(one)
+    columns, _ = designs._checked_columns(params, released, True)
+    assert columns == [list(column) for column in zip(*one)] and released == one
+
+
 def test_design_from_lists_tuples_a_mix_or_an_iterator_is_one_design():
     params = DesignParameters(2, 6, 3, 4)
     rows = list(combinations(range(6), 3))

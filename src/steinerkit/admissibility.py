@@ -42,8 +42,7 @@ from math import comb, isqrt
 from operator import mod
 
 from .designs import DesignParameters
-from .errors import CapacityError
-from .perms import DEFAULT_SUBSET_CAP
+from .errors import DEFAULT_SUBSET_CAP, CapacityError
 
 
 class Condition(enum.Enum):

@@ -22,8 +22,7 @@ from math import comb
 from operator import add, lt
 from typing import Optional
 
-from .errors import CapacityError
-from .perms import DEFAULT_SUBSET_CAP
+from .errors import DEFAULT_SUBSET_CAP, CapacityError
 
 
 @dataclass(frozen=True)
@@ -467,7 +466,7 @@ def design_from_json(text):
     try:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError("design json: %s" % exc) from exc
         del text
         return design_from_json_dict(data)

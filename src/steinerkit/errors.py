@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the default enumeration cap."""
+
+# the default cap on every exact enumeration (``--max-subsets``)
+DEFAULT_SUBSET_CAP = 10**7
 
 
 class CapacityError(Exception):

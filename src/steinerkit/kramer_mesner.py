@@ -26,8 +26,8 @@ from itertools import chain, combinations, permutations
 from math import comb
 
 from .designs import DesignParameters, _checked_columns, _trusted_design, cover_counts
-from .errors import CapacityError
-from .perms import DEFAULT_SUBSET_CAP, _climb, _orbit, _subset_count
+from .errors import DEFAULT_SUBSET_CAP, CapacityError
+from .perms import _climb, _orbit, _subset_count
 
 
 @dataclass(frozen=True)

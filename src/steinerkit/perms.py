@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb, prod
 
-from .errors import CapacityError, MembershipError, NotAutomorphismError
-
-DEFAULT_SUBSET_CAP = 10**7
+from .errors import DEFAULT_SUBSET_CAP, CapacityError, MembershipError, NotAutomorphismError
 
 
 class Permutation:

@@ -186,7 +186,7 @@ def test_criterion_8_main_theorem_shadow():
     )
 
 
-def test_criterion_9_property_suites():
+def test_criterion_9_property_suites(catalog_group):
     started = time.time()
 
     # Block's implication across the corpus of (group, design) pairs
@@ -196,12 +196,12 @@ def test_criterion_9_property_suites():
     corpus = [
         (c7, fano_plane()),
         (PermutationGroup([], degree=7), fano_plane()),
-        (catalog_entry_by_name("AGL(3,2)").group(), construct_boolean(3)),
-        (catalog_entry_by_name("AGL(1,8)").group(), construct_boolean(3)),
-        (catalog_entry_by_name("AGammaL(1,8)").group(), construct_boolean(3)),
-        (catalog_entry_by_name("AGL(4,2)").group(), construct_boolean(4)),
+        (catalog_group("AGL(3,2)"), construct_boolean(3)),
+        (catalog_group("AGL(1,8)"), construct_boolean(3)),
+        (catalog_group("AGammaL(1,8)"), construct_boolean(3)),
+        (catalog_group("AGL(4,2)"), construct_boolean(4)),
         (psl11, witt),
-        (catalog_entry_by_name("A_5").group(), complete_design(5, 3, 2)),
+        (catalog_group("A_5"), complete_design(5, 3, 2)),
     ]
     for group, design in corpus:
         a = induced_block_action(group, design)
@@ -214,7 +214,7 @@ def test_criterion_9_property_suites():
         for entry in candidates_for_degree(v):
             if entry.constructible:
                 constructible.append(entry)
-    groups = [entry.group() for entry in constructible]
+    groups = [catalog_group(entry.name) for entry in constructible]
     for _ in range(200):
         group = rng.choice(groups)
         x = rng.randrange(group.degree)

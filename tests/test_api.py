@@ -1,7 +1,10 @@
 """The package's public surface, pinned like the CLI option inventory: an
 export or a parameter added or dropped is a reviewed change to this file."""
+import importlib
 import inspect
 from enum import Enum
+
+import pytest
 
 import steinerkit
 
@@ -74,3 +77,27 @@ def test_public_api_inventory():
     # carries no group name: the CLI adds the name where it prints one
     assert "Selection" not in inventory
     assert not any("group_name" in params for params in inventory.values())
+
+
+def test_package_exports_resolve_from_their_modules():
+    """``__all__`` is the export table's names; each resolves on first use to
+    the object its module holds, and ``import *`` binds exactly them."""
+    table = steinerkit._EXPORTS
+    names = [name for exported in table.values() for name in exported]
+    assert len(set(names)) == len(names)
+    assert steinerkit.__all__ == sorted(names)
+    for module, exported in table.items():
+        layer = importlib.import_module("steinerkit." + module)
+        for name in exported:
+            assert getattr(steinerkit, name) is getattr(layer, name), name
+    assert set(steinerkit.__all__) <= set(dir(steinerkit))
+    namespace = {}
+    exec("from steinerkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(steinerkit.__all__)
+    assert steinerkit.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "DEFAULT_SUBSET_CAP", "json_witness"])
+def test_an_unexported_name_is_an_attribute_error_naming_the_package(name):
+    with pytest.raises(AttributeError, match="module 'steinerkit' has no attribute '%s'" % name):
+        getattr(steinerkit, name)

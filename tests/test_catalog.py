@@ -210,15 +210,15 @@ def test_candidates_constructed_orders_match():
                 assert entry.group().order == entry.order
 
 
-def test_candidates_annotations_match_reality():
+def test_candidates_annotations_match_reality(catalog_group):
     # the 3-homogeneity annotation is exact for every constructible entry here
     for v in (6, 8, 10, 12, 14):
         for entry in candidates_for_degree(v):
             if entry.constructible and entry.three_homogeneous is not None:
-                assert entry.group().is_homogeneous(3) == entry.three_homogeneous, entry.name
+                assert catalog_group(entry.name).is_homogeneous(3) == entry.three_homogeneous, entry.name
 
 
-def test_catalog_wide_three_homogeneity_invariant():
+def test_catalog_wide_three_homogeneity_invariant(catalog_group):
     # every constructed catalog group up to degree 65 is 3-homogeneous except
     # exactly the PSL(2,q) with q = 1 mod 4
     checked = 0
@@ -226,7 +226,7 @@ def test_catalog_wide_three_homogeneity_invariant():
         for entry in candidates_for_degree(v):
             if not entry.constructible:
                 continue
-            group = entry.group()
+            group = catalog_group(entry.name)
             actual = group.is_homogeneous(3)
             q = v - 1
             if entry.name == "PSL(2,%d)" % q and q % 4 == 1:

@@ -8,6 +8,7 @@ from bisect import bisect_left
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, count
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,9 +115,16 @@ def test_scan_to_200_lists_every_set_under_the_cap(capsys, t, count):
      "--t must be at least 2 for the elimination screen, got 1"),
     (["scan", "2", "1", "--v-max", "3"],
      "--v-max must be at least t+2 = 4, got 3"),
+    (["analyze-bt", "--t", "6", "--v-max", "-5"],
+     "--v-max must be at least t+2 = 8, got -5"),
+    (["analyze-bt", "--t", "6", "--v-max", "7", "--json"],
+     "--v-max must be at least t+2 = 8, got 7"),
+    (["analyze-bt", "--t", "2", "--v-max", "3"],
+     "--v-max must be at least t+2 = 4, got 3"),
     (["admissible", "2", "5", "3", "0"],
      "lambda must be a positive integer, got 0"),
-], ids=["km-lambda", "km-t", "km-k", "bt-lambda", "bt-t", "scan-v-max", "admissible-lambda"])
+], ids=["km-lambda", "km-t", "km-k", "bt-lambda", "bt-t", "scan-v-max", "bt-v-max-negative",
+        "bt-v-max-below-t+2", "bt-v-max-below-4", "admissible-lambda"])
 def test_usage_errors_name_the_option_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
@@ -1071,3 +1079,141 @@ def test_every_subcommand_prints_its_pinned_output(capsys, tmp_path):
         digest.update(record.encode() + b"\n")
     assert len(cases) == 61
     assert digest.hexdigest() == "c15ae9d403831d0c63edec6defd01d9e94fe1760b2d1bae1ed669526b3022cdd"
+
+
+LOADED_BY = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import steinerkit, steinerkit.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("steinerkit"))
+
+report = {"import": loaded()}
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = steinerkit.cli.main(argv)
+    report[" ".join(argv)] = [code, loaded()]
+    for name in loaded():  # unload every layer, so the next run starts as a fresh process
+        if name not in ("steinerkit", "steinerkit.cli", "steinerkit.errors"):
+            del sys.modules[name]
+            delattr(steinerkit, name.rpartition(".")[2])
+print(json.dumps(report))
+"""
+
+
+def test_each_subcommand_imports_only_its_layers(tmp_path):
+    """``import steinerkit`` and ``steinerkit.cli`` load no layer, and a
+    subcommand loads only the layers it runs, in one child process."""
+    import subprocess
+
+    import steinerkit
+
+    fano = tmp_path / "fano.json"
+    fano.write_text(design_to_json(fano_plane()))
+    c7 = tmp_path / "c7.json"
+    c7.write_text('{"degree": 7, "generators": ["(0 1 2 3 4 5 6)"]}')
+    cases = [["admissible", "6", "14", "7", "1"], ["scan", "3", "1", "--v-max", "30"],
+             ["verify", str(fano)], ["derive", str(fano), "0"], ["construct", "boolean", "3"],
+             ["group", "info", str(c7)]]
+    src = str(Path(steinerkit.__file__).parent.parent)
+    child = subprocess.run([sys.executable, "-c", LOADED_BY, src, json.dumps(cases)],
+                           capture_output=True, text=True, check=True)
+    report = json.loads(child.stdout)
+    base = ["steinerkit", "steinerkit.cli", "steinerkit.errors"]
+    assert report.pop("import") == base
+    screen = sorted(base + ["steinerkit.admissibility", "steinerkit.designs"])
+    assert report == {
+        "admissible 6 14 7 1": [1, screen],
+        "scan 3 1 --v-max 30": [0, screen],
+        "verify %s" % fano: [0, sorted(base + ["steinerkit.designs"])],
+        "derive %s 0" % fano: [0, sorted(base + ["steinerkit.designs"])],
+        "construct boolean 3": [0, sorted(base + ["steinerkit.designs"])],
+        "group info %s" % c7: [0, sorted(base + ["steinerkit.perms"])],
+    }
+
+
+def test_a_design_file_nested_past_the_recursion_limit_exits_2(capsys, tmp_path):
+    # group files nested this deep are among the fuzzed files below
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["verify", str(path)], ["derive", str(path), "0"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == ("error: design json: maximum recursion depth exceeded while decoding a "
+                       "JSON array from a unicode string\n")
+
+
+# cycle text with a character that is no digit, space, comma or parenthesis
+STRAY_TEXT = st.text(min_size=1, max_size=8).filter(
+    lambda text: any(not (c in "()," or c.isspace() or c.isdecimal()) for c in text))
+ODD_JSON = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+GROUP_FILE_FAULTS = ["not-an-object", "missing-key", "degree", "generators-type", "generator",
+                     "not-json", "not-utf-8", "nested"]
+GENERATOR_FAULTS = ["stray", "out-of-range", "twice", "parenthesis", "images", "odd-image", "odd"]
+
+
+@st.composite
+def malformed_group_files(draw):
+    """The bytes of a group file that must be refused: raw text that is no
+    JSON, or a document that breaks the interchange form in one place."""
+    degree = draw(st.integers(1, 8))
+    form = draw(st.sampled_from(GROUP_FILE_FAULTS))
+    if form == "not-json":  # nothing completes a JSON value that ends in "{"
+        return (draw(st.text(max_size=20)) + "{").encode("utf-8", "surrogatepass")
+    if form == "not-utf-8":
+        return b"\xff" + draw(st.binary(max_size=8))
+    if form == "nested":  # past the interpreter's recursion limit
+        depth = draw(st.integers(2000, 5000))
+        return ("[" * depth + "]" * depth).encode()
+    generators = [draw(st.permutations(range(degree))) if draw(st.booleans()) else "(0)"
+                  for _ in range(draw(st.integers(0, 3)))]
+    if form == "not-an-object":
+        data = draw(st.one_of(ODD_JSON, st.integers(), st.lists(st.integers(), max_size=3)))
+    elif form == "missing-key":
+        data = draw(st.sampled_from([{}, {"degree": degree}, {"generators": generators}]))
+    elif form == "degree":
+        bad = draw(st.one_of(ODD_JSON, st.integers(max_value=0), st.integers(10**7 + 1),
+                             st.lists(st.integers(), max_size=2)))
+        data = {"degree": bad, "generators": generators}
+    elif form == "generators-type":
+        data = {"degree": degree, "generators": draw(st.one_of(ODD_JSON, st.integers()))}
+    else:
+        fault = draw(st.sampled_from(GENERATOR_FAULTS))
+        if fault == "stray":
+            bad = draw(STRAY_TEXT)
+        elif fault == "out-of-range":
+            bad = "(0 %d)" % (degree + draw(st.integers(0, 10**6)))
+        elif fault == "twice":
+            bad = "(%d %d)" % ((draw(st.integers(0, 7)) % degree,) * 2)
+        elif fault == "parenthesis":
+            bad = draw(st.sampled_from(["(", ")", "(0", "0)", "((0))", "(0)(", "0", "( ,0)"]))
+        elif fault == "images":  # ints, but no bijection on 0..degree-1
+            bad = draw(st.lists(st.integers(-2, 10), max_size=10))
+            if sorted(bad) == list(range(degree)):
+                bad.append(degree)
+        elif fault == "odd-image":
+            bad = draw(st.permutations(range(degree)))
+            bad[-1] = draw(st.sampled_from([True, float(bad[-1]), str(bad[-1]), None, [0]]))
+        else:
+            bad = draw(st.sampled_from([None, True, 0, 1.5, {}]))
+        generators.insert(draw(st.integers(0, len(generators))), bad)
+        data = {"degree": degree, "generators": generators}
+    return json.dumps(data).encode()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(malformed_group_files())
+def test_a_malformed_group_file_exits_2_or_3_with_one_error_line(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "malformed-group.json"
+    path.write_bytes(content)
+    for argv in (["group", "info"], ["group", "orbits"], ["group", "homogeneity"],
+                 ["km-search", "--t", "2", "--k", "3", "--group"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + [str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (2, 3) and out == "", (argv, code, out)
+        prefix = "capacity error: " if code == 3 else "error: "
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err

@@ -271,8 +271,8 @@ def test_solver_matches_reference_cyclic(k, lam, v_max):
 
 
 @pytest.mark.parametrize("group, t, k", small_km_cases())
-def test_solver_matches_reference_small_km(group, t, k):
-    group = cyclic_group(group) if isinstance(group, int) else catalog_entry_by_name(group).group()
+def test_solver_matches_reference_small_km(catalog_group, group, t, k):
+    group = cyclic_group(group) if isinstance(group, int) else catalog_group(group)
     matrix = build_orbit_matrix(group, t, k)
     assert_solve_matches_reference(matrix, 1, limits=(None, 1, 3))
 
@@ -348,8 +348,8 @@ def assert_designs_pass_oracles(group, designs, lam):
 
 
 @pytest.mark.parametrize("group, t, k", small_km_cases())
-def test_search_design_small_km_designs_pass_oracles(group, t, k):
-    group = cyclic_group(group) if isinstance(group, int) else catalog_entry_by_name(group).group()
+def test_search_design_small_km_designs_pass_oracles(catalog_group, group, t, k):
+    group = cyclic_group(group) if isinstance(group, int) else catalog_group(group)
     designs = search_design(group, t, k, 1)
     assert_designs_pass_oracles(group, designs, 1)
 
@@ -512,11 +512,8 @@ def test_matrix_matches_reference_cyclic(k):
 
 
 @pytest.mark.parametrize("group, t, k", small_km_cases() + [("M_22", 3, 6)])
-def test_matrix_matches_reference_catalog(group, t, k):
-    if isinstance(group, int):
-        group = cyclic_group(group)
-    else:
-        group = catalog_entry_by_name(group).group()
+def test_matrix_matches_reference_catalog(catalog_group, group, t, k):
+    group = cyclic_group(group) if isinstance(group, int) else catalog_group(group)
     assert_matches_reference(group, t, k)
 
 
@@ -565,10 +562,10 @@ def test_matrix_partitions_only_t_subsets(monkeypatch):
     ("PSL(2,7)", 3, 4), ("PGL(2,9)", 3, 4), ("PSL(2,19)", 3, 4), ("PGL(2,19)", 3, 4),
     ("PSL(2,27)", 3, 4), ("M_12", 5, 6), ("AGL(1,8)", 5, 7), ("A_7", 5, 6),
 ])
-def test_matrix_of_a_relabelled_homogeneous_group_matches_reference(name, t, k):
+def test_matrix_of_a_relabelled_homogeneous_group_matches_reference(catalog_group, name, t, k):
     # AGL(1,8) is 5-homogeneous but only 2-transitive, so the search for an
     # element taking a 5-subset onto R backtracks
-    group = catalog_entry_by_name(name).group()
+    group = catalog_group(name)
     rng = random.Random(name)
     for _ in range(2):
         images = list(range(group.degree))
@@ -622,7 +619,7 @@ def relabelled(group, rng):
                             _order=group.order)
 
 
-def test_subset_orbits_match_the_partition_on_the_catalog(orbit_routes):
+def test_subset_orbits_match_the_partition_on_the_catalog(orbit_routes, catalog_group):
     """Every constructible catalog group of degree <= 28, as given and
     relabelled, at m = 0..3 and v-2..v+1, at m = 4 and v-3 up to degree 16,
     and at m = 5 up to degree 12: the partitions of larger m would take
@@ -640,7 +637,7 @@ def test_subset_orbits_match_the_partition_on_the_catalog(orbit_routes):
         for entry in candidates_for_degree(v):
             if not entry.constructible:
                 continue
-            given = entry.group()
+            given = catalog_group(entry.name)
             copy = relabelled(given, rng)
             counts = {}  # m -> number of orbits of the given group
             for m in ms:
@@ -683,8 +680,8 @@ def assert_sympy_set_orbits(group, orbits):
     ("PSL(2,49)", 3, "matrix"), ("M_22", 4, "matrix"),
     ("PSL(2,9)", 5, "partition"), ("PSL(2,13)", 11, "partition"),
 ])
-def test_subset_orbit_routes(orbit_routes, name, m, route):
-    group = catalog_entry_by_name(name).group()
+def test_subset_orbit_routes(orbit_routes, catalog_group, name, m, route):
+    group = catalog_group(name)
     orbits, taken = orbit_routes(group, m)
     assert taken == route
     if name == "M_24":  # 5-transitive, so 20-homogeneous; its partition takes 0.1 s

@@ -390,10 +390,8 @@ def test_tuple_transitivity_matches_bfs_small_groups(cycles, degree):
 
 
 @pytest.mark.parametrize("name", ["M_11", "M_11(deg12)", "PGL(2,11)", "PSL(2,11)", "AGL(3,2)"])
-def test_tuple_transitivity_matches_bfs_catalog(name):
-    from steinerkit.catalog import catalog_entry_by_name
-
-    group = catalog_entry_by_name(name).group()
+def test_tuple_transitivity_matches_bfs_catalog(catalog_group, name):
+    group = catalog_group(name)
     t = 0
     while _transitive_on_tuples_bfs(group, t + 1):
         t += 1
@@ -453,7 +451,7 @@ def test_is_homogeneous_matches_bfs_random(data):
         assert group.is_homogeneous(m) == _homogeneous_bfs(group, m), m
 
 
-def test_is_homogeneous_matches_bfs_on_catalog():
+def test_is_homogeneous_matches_bfs_on_catalog(catalog_group):
     # A_v and S_v are left to the random groups above and the test below:
     # their G_(S) is large, and the setwise backtrack rebuilds a chain that
     # size for each generator it finds
@@ -463,7 +461,7 @@ def test_is_homogeneous_matches_bfs_on_catalog():
     for v in range(4, 25):
         for entry in candidates_for_degree(v):
             if entry.constructible and not entry.k_homogeneous_all:
-                group = entry.group()
+                group = catalog_group(entry.name)
                 for m in range(1, 5):
                     assert group.is_homogeneous(m) == _homogeneous_bfs(group, m), (entry.name, m)
                 checked += 1
@@ -510,7 +508,7 @@ def test_point_orbits_with_many_orbits():
     assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
 
 
-def test_transitivity_degree_matches_sympy_on_catalog():
+def test_transitivity_degree_matches_sympy_on_catalog(catalog_group):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     from steinerkit.catalog import candidates_for_degree
 
@@ -519,7 +517,7 @@ def test_transitivity_degree_matches_sympy_on_catalog():
         for entry in candidates_for_degree(v):
             if not entry.constructible:
                 continue
-            group = entry.group()
+            group = catalog_group(entry.name)
             oracle = combinatorics.PermutationGroup(
                 [combinatorics.Permutation(list(g.images)) for g in group.generators]
             )
@@ -800,10 +798,8 @@ HEXAD = (0, 1, 2, 8, 11, 20)  # a block of the Steiner system S(3,6,22)
 
 
 @pytest.mark.parametrize("name, block, order", [("M_23", HEPTAD, 40320), ("M_22", HEXAD, 5760)])
-def test_setwise_stabilizer_of_steiner_blocks(name, block, order):
-    from steinerkit.catalog import catalog_entry_by_name
-
-    group = catalog_entry_by_name(name).group()
+def test_setwise_stabilizer_of_steiner_blocks(catalog_group, name, block, order):
+    group = catalog_group(name)
     stab = group.stabilizer_setwise(block)
     assert stab.order == order
     for g in stab.generators:
@@ -812,10 +808,8 @@ def test_setwise_stabilizer_of_steiner_blocks(name, block, order):
     assert stab.generators == _setwise_generators_by_recursion(group, block)
 
 
-def test_stabilizer_point_in_heptad():
-    from steinerkit.catalog import catalog_entry_by_name
-
-    m23 = catalog_entry_by_name("M_23").group()
+def test_stabilizer_point_in_heptad(catalog_group):
+    m23 = catalog_group("M_23")
     sub = m23.stabilizer_point_in_block(HEPTAD[0], HEPTAD)
     assert sub.order == 5760
     for g in sub.generators:
@@ -966,10 +960,8 @@ def test_setwise_generators_match_the_recursive_backtrack_random(data):
 
 
 @pytest.mark.parametrize("name", ["PSL(2,11)", "M_11", "M_11(deg12)", "AGL(3,2)"])
-def test_setwise_generators_match_the_recursive_backtrack(name):
-    from steinerkit.catalog import catalog_entry_by_name
-
-    group = catalog_entry_by_name(name).group()
+def test_setwise_generators_match_the_recursive_backtrack(catalog_group, name):
+    group = catalog_group(name)
     rng = random.Random(name)
     for size in range(1, group.degree):
         block = tuple(sorted(rng.sample(range(group.degree), size)))
@@ -1143,8 +1135,8 @@ def _check_orbit_routines(group, rng):
 
 @pytest.mark.parametrize("relabel", [False, True], ids=["given", "relabelled"])
 @pytest.mark.parametrize("name", CATALOG_TO_28)
-def test_orbit_routines_match_the_reference_loops_on_the_catalog(name, relabel):
-    group = catalog_entry_by_name(name).group()
+def test_orbit_routines_match_the_reference_loops_on_the_catalog(catalog_group, name, relabel):
+    group = catalog_group(name)
     rng = random.Random(name)
     if relabel:
         group = _relabelled(group, rng)

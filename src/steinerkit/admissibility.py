@@ -5,9 +5,10 @@ decides all of them on integers at one site: passed is True or False, or
 None ("not applicable") when the condition's hypothesis does not hold.
 ``_witnesses`` gives the exact numbers behind each decision.  A report
 (``check``) lists every condition with its pass / fail / not-applicable
-status and witness; the block-transitive screen builds only the first
-failing condition's witness, and ``scan`` builds no report.  "Admissible"
-means no applicable condition failed; it never asserts existence.
+status and witness; ``parameter_step``, the block-transitive screen's
+first step, builds only the first failing condition's witness, and
+``scan`` builds no report.  "Admissible" means no applicable condition
+failed; it never asserts existence.
 
 Conditions and their hypotheses:
 
@@ -15,8 +16,7 @@ Conditions and their hypotheses:
   C(k-s, t-s) for every s in 1..t.  Always applicable; decided by one
   remainder per s.  The block count b = lambda_0 (s = 0) is not tested,
   so parameters with a fractional b can be admissible: 2-(11,3,1) passes
-  with b = 55/3.  The block-transitive screen in ``blocktrans`` rejects
-  such b itself.
+  with b = 55/3.  ``parameter_step`` rejects such b itself.
 * tits-bound: v >= (t+1)(k-t+1) for nontrivial Steiner parameters.
 * cameron-bound: v-t+1 >= (k-t+2)(k-t+1) for nontrivial Steiner
   parameters with t > 2.
@@ -236,6 +236,29 @@ def _witnesses(t, v, k, lam, failing, passed):
     else:
         yield {"b": b, "bound": (1 + odd) * comb(v - odd, s), "s": s,
                "parity": ("even", "odd")[odd]}
+
+
+def parameter_step(t, v, k, lam):
+    """(witness, None) if (t, v, k, lam) fails, else (None, integral b).
+
+    The conditions are decided on integers; a failing witness names every
+    failing condition and carries the first one's witness, the only one
+    built.  Parameters that pass them fail when the block count b itself is
+    not an integer: the counting conditions range over s >= 1 only.
+    """
+    failing = _failing_s(t, v, k, lam)
+    passed = _decide(t, v, k, lam, failing)
+    if False in passed:
+        detail = {"conditions": [c.value for c, d in zip(_CONDITIONS, passed) if d is False]}
+        witnesses = _witnesses(t, v, k, lam, failing, passed)
+        detail.update(next(w for d, w in zip(passed, witnesses) if d is False))
+        return detail, None
+    numerator, denominator = lam * comb(v, t), comb(k, t)
+    b, remainder = divmod(numerator, denominator)
+    if remainder:
+        witness = {"condition": "block-count-integrality", "b": Fraction(numerator, denominator)}
+        return witness, None
+    return None, b
 
 
 def check(params):

@@ -15,7 +15,6 @@ screen; nothing here asserts that a design exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import admissibility
@@ -99,30 +98,6 @@ class EliminationVerdict:
         }
 
 
-def _parameter_step(t, v, k, lam):
-    """(reason, None) if (t, v, k, lam) fails, else (None, integral b).
-
-    The conditions are decided on integers; a failing reason names every
-    failing condition and carries the first one's witness, the only one built.
-    """
-    failing = admissibility._failing_s(t, v, k, lam)
-    passed = admissibility._decide(t, v, k, lam, failing)
-    if False in passed:
-        conditions = admissibility._CONDITIONS
-        detail = {"conditions": [c.value for c, d in zip(conditions, passed) if d is False]}
-        witnesses = admissibility._witnesses(t, v, k, lam, failing, passed)
-        detail.update(next(w for d, w in zip(passed, witnesses) if d is False))
-        return ReasonStep("inadmissible-params", detail), None
-    numerator, denominator = lam * comb(v, t), comb(k, t)
-    b, remainder = divmod(numerator, denominator)
-    if remainder:
-        # the counting conditions range over s >= 1; the block count
-        # itself must also be an integer for a design to exist
-        witness = {"condition": "block-count-integrality", "b": Fraction(numerator, denominator)}
-        return ReasonStep("inadmissible-params", witness), None
-    return None, b
-
-
 def _group_step(entry, k, b, homogeneity_reason):
     """The outcome at k for parameters that passed, with block count b."""
     if homogeneity_reason is not None:
@@ -151,7 +126,10 @@ def _screen(v, entries, t, lam):
         raise ValueError("elimination screen needs t >= 2")
     required = t // 2
     feasible = admissibility.feasible_k(t, v, lam)
-    steps = [(k, *_parameter_step(t, v, k, lam)) for k in feasible]
+    steps = []  # (k, the reason k fails or None, b)
+    for k in feasible:
+        witness, b = admissibility.parameter_step(t, v, k, lam)
+        steps.append((k, ReasonStep("inadmissible-params", witness) if witness else None, b))
     needs_homogeneity = not feasible or any(reason is None for _, reason, _ in steps)
     verdicts = []
     for entry in entries:

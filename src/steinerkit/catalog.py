@@ -4,8 +4,9 @@ Projective groups act on the projective line over GF(q): point indices
 0..q-1 are the field elements in the fixed basis order and index q is the
 point at infinity.  Affine groups over GF(2) act on bit-vector indices.
 Mathieu groups (and the affine group with point stabilizer A_7 on 16
-points) load from bundled generator files whose expected orders are
-re-verified by the stabilizer chain on every load; a mismatch fails closed.
+points) load from bundled generator files; ``BUNDLES`` gives each file's
+degree and order, and every load checks the file against its row, the order
+by the stabilizer chain, and fails closed on a mismatch.
 
 Entries above the construction caps stay symbolic: they carry the family's
 closed-form order so divisibility screening can run without building the
@@ -18,22 +19,33 @@ is exhaustive is a question the listing does not decide.
 """
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field as dc_field
 from math import comb, factorial, gcd
 
-from .errors import DataIntegrityError
+from .errors import CapacityError, DataIntegrityError
 from .gf import field, prime_power_decomposition
-from .perms import Permutation, PermutationGroup, _is_int, group_from_json_dict
+from .perms import Permutation, PermutationGroup, group_from_json
 
 DEFAULT_DEGREE_CAP = 4096
 PROJECTIVE_CONSTRUCT_CAP = 300
 AFFINE_CONSTRUCT_CAP = 64
 ALTERNATING_CONSTRUCT_CAP = 16
 
-MATHIEU_ORDERS = {11: 7920, 12: 95040, 22: 443520, 23: 10200960, 24: 244823040}
+# Each bundled generator file, as <name>.json: (degree, order).  The catalog
+# lists these orders, every load checks its file against its row, and
+# tools/build_group_bundles.py checks each group it derives against it.
+BUNDLES = {
+    "m24": (24, 244823040),
+    "m23": (23, 10200960),
+    "m22": (22, 443520),
+    "m12": (12, 95040),
+    "m11": (11, 7920),
+    "m11_deg12": (12, 7920),
+    "a7_16": (16, 40320),
+}
+_MATHIEU_TRANSITIVITY = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}  # M_v is this transitive
 
 DATA_ENV_VAR = "STEINERKIT_DATA"
 
@@ -187,49 +199,31 @@ def data_directory():
 
 
 def load_bundled_group(name):
-    """Load a bundled group and verify its chain order against the metadata.
+    """Load the bundled group ``name`` and check it against its ``BUNDLES`` row.
 
-    Metadata that is not JSON or has a field missing or of the wrong type,
-    or a generator file that is not JSON or that ``group_from_json_dict``
-    refuses, is a DataIntegrityError naming the file."""
-    data_dir = data_directory()
-    path = os.path.join(data_dir, "metadata.json")
+    A missing or unreadable file, one ``group_from_json`` refuses (a degree
+    above the cap too), or one whose 'name', degree or chain order is not
+    the row's is a DataIntegrityError naming the file."""
+    degree, order = BUNDLES[name]
+    path = os.path.join(data_directory(), name + ".json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            meta = {entry["name"]: entry for entry in json.load(handle)["groups"]}
-    except FileNotFoundError:
-        raise DataIntegrityError("bundle metadata not found at %s" % path) from None
-    except (KeyError, TypeError):
-        raise DataIntegrityError("bundle metadata %s: expected a 'groups' array of "
-                                 "objects with a 'name'" % path) from None
-    except ValueError as exc:
-        raise DataIntegrityError("bundle metadata %s: %s" % (path, exc)) from None
-    if name not in meta:
-        raise DataIntegrityError("no bundled group named %r" % (name,))
-    entry = meta[name]
-    file, degree, order = (entry.get(key) for key in ("file", "degree", "expected_order"))
-    if not (isinstance(file, str) and _is_int(degree) and _is_int(order)):
-        raise DataIntegrityError("bundle metadata %s: %r needs a string 'file' and integer "
-                                 "'degree' and 'expected_order'" % (path, name))
-    path = os.path.join(data_dir, file)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        group = group_from_json_dict(payload)
-    except ValueError as exc:
+            text = handle.read()
+        group = group_from_json(text, name=name)
+    except OSError as exc:
+        raise DataIntegrityError("bundle %s: %s" % (path, exc.strerror)) from None
+    except (ValueError, CapacityError) as exc:
         raise DataIntegrityError("bundle %s: %s" % (path, exc)) from None
-    if payload.get("name") != name or group.degree != degree:
-        raise DataIntegrityError("bundle %s does not match its metadata entry" % path)
-    if group.order != order:
+    if (group.degree, group.order) != (degree, order):
         raise DataIntegrityError(
-            "bundle %s: chain order %d != expected %d (corrupt bundle)" % (path, group.order, order)
-        )
+            "bundle %s: degree %d and chain order %d, expected %d and %d (corrupt bundle)"
+            % (path, group.degree, group.order, degree, order))
     return group
 
 
 def mathieu(v):
     """The Mathieu group M_v in its natural degree-v action, from the bundle."""
-    if v not in MATHIEU_ORDERS:
+    if v not in _MATHIEU_TRANSITIVITY:
         raise ValueError("Mathieu groups exist for v in 11,12,22,23,24; got %r" % (v,))
     return load_bundled_group("m%d" % v)
 
@@ -246,7 +240,7 @@ def mathieu_m11_degree12():
 class CatalogEntry:
     """One group family member at a fixed degree.
 
-    ``order`` is exact (closed form or bundle metadata).  An entry is
+    ``order`` is exact (closed form or ``BUNDLES`` row).  An entry is
     constructible exactly when it has a builder; ``group()`` builds lazily,
     checks the built order against ``order`` and caches; symbolic entries
     (above the construction caps, or M_22:2) raise.  The
@@ -341,7 +335,7 @@ _AFFINE_EXTRAS = {
         ("AGammaL(1,8)", 8 * 7 * 3, lambda: _affine_1dim_group(8, semilinear=True), ""),
     ],
     16: [
-        ("2^4:A7", 40320, lambda: load_bundled_group("a7_16"),
+        ("2^4:A7", BUNDLES["a7_16"][1], lambda: load_bundled_group("a7_16"),
          "translations extended by the exceptional A_7 < GL(4,2)"),
     ],
     32: [
@@ -369,15 +363,14 @@ def _affine_entries(v):
 
 def _mathieu_entries(v):
     rows = []  # name, order, builder (None: symbolic), notes
-    if v in MATHIEU_ORDERS:
-        transitivity = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}[v]
-        rows.append(("M_%d" % v, MATHIEU_ORDERS[v], lambda: mathieu(v),
-                     "%d-transitive" % transitivity))
+    if v in _MATHIEU_TRANSITIVITY:
+        rows.append(("M_%d" % v, BUNDLES["m%d" % v][1], lambda: mathieu(v),
+                     "%d-transitive" % _MATHIEU_TRANSITIVITY[v]))
     if v == 12:
-        rows.append(("M_11(deg12)", MATHIEU_ORDERS[11], mathieu_m11_degree12,
+        rows.append(("M_11(deg12)", BUNDLES["m11_deg12"][1], mathieu_m11_degree12,
                      "M_11 in its 3-transitive action on 12 points"))
     if v == 22:
-        rows.append(("M_22:2", 2 * MATHIEU_ORDERS[22], None,
+        rows.append(("M_22:2", 2 * BUNDLES["m22"][1], None,
                      "automorphism extension of M_22 (symbolic)"))
     return [
         CatalogEntry(name=name, family="mathieu", degree=v, order=order,

@@ -76,7 +76,7 @@ def _load_group(source):
         return entry.group(), entry.name
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except FileNotFoundError as exc:
         import steinerkit.catalog as catalog
 
@@ -85,11 +85,9 @@ def _load_group(source):
         except ValueError:
             raise exc from None
         raise ValueError("%s (catalog groups are given as catalog:%s)" % (exc, name)) from None
-    except RecursionError as exc:  # arrays nested past the interpreter's limit
-        raise ValueError("group json: %s" % exc) from None
     import steinerkit.perms as perms
 
-    return perms.group_from_json_dict(data), source
+    return perms.group_from_json(text, source), source
 
 
 def cmd_admissible(args):

@@ -68,7 +68,7 @@ class Design:
     __slots__ = ("params", "columns")
 
     def __init__(self, params, blocks):
-        columns, _ = _checked_columns(params, blocks)
+        columns, _ = _checked_columns(params, list(blocks))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "columns", columns)
 
@@ -111,55 +111,49 @@ def _trusted_design(params, columns):
 _SLICE = 1 << 12
 
 
-def _checked_columns(params, blocks, release=False):
-    """The columns of ``blocks`` in lexicographic order, and whether
-    ``blocks`` came in that order.
+def _checked_columns(params, rows):
+    """The columns of the list ``rows`` in lexicographic order, and whether
+    ``rows`` came in that order.
 
-    Rows in order are checked and turned into columns a slice at a time
-    (``_slice_columns``).  Past one slice, a list of rows this function
-    owns, one it listed from an iterator or one given with ``release``,
+    The function takes ``rows`` over.  Rows in order are checked and turned
+    into columns a slice at a time (``_slice_columns``), and the list
     becomes the first column as its rows are dropped, so the rows and all
-    the columns are never held at once; a list given without ``release``
-    is left as it was.  Rows out of order are sorted, once their lengths and point types
-    show that any two compare, and checked the same way.  Rows that are not
-    all lists or all tuples are read as tuples, so that any two compare.
-    An invalid block list raises the ValueError naming its first invalid
-    entry in the order given; dropped rows are put back first, as tuples.
+    the columns are never held at once.  Rows out of order are sorted, once
+    their lengths and point types show that any two compare, and checked
+    the same way.  Rows that are not all lists or all tuples are read as
+    tuples, so that any two compare.  An invalid block list raises the
+    ValueError naming its first invalid entry in the order given; dropped
+    rows are put back first, as tuples.
     """
     k = params.k
-    listed = type(blocks) not in (list, tuple)
-    rows = list(blocks) if listed else blocks
-    owned = release or listed
     kinds = set(map(type, rows))
     if not (kinds <= {list} or kinds <= {tuple}):
-        rows, owned = list(map(tuple, rows)), True
-    columns, m = _slice_columns(params, rows, owned)
+        rows = list(map(tuple, rows))
+    columns, m = _slice_columns(params, rows)
     if not m:
         return columns, True
-    if owned and m < len(rows):  # put the dropped rows back
+    if m < len(rows):  # put the dropped rows back
         rows[m:] = zip(*columns)
         rows = list(map(tuple, rows))
     # out of order, or a fault
     if all(map(k.__eq__, map(len, rows))) and set(map(type, chain.from_iterable(rows))) <= {int}:
-        ordered = sorted(rows)
-        columns, m = _slice_columns(params, ordered, False)
+        columns, m = _slice_columns(params, sorted(rows))
         if not m:
             return columns, False
     _raise_block_fault(params, rows)
 
 
-def _slice_columns(params, rows, release):
+def _slice_columns(params, rows):
     """The columns of the longest run of whole slices at the end of
     ``rows`` whose rows are blocks of k strictly increasing points in
     [0, v), each row less than the next, and the index m where that run
     starts: 0 when every row got through.
 
     Slices of ``_SLICE`` rows are taken from the end, and each is checked
-    and turned into columns before the one before it is read.  Rows that
-    fit in one slice get that slice's columns as built.  Past one slice,
-    with ``release``, each slice's entries in ``rows`` are then overwritten
-    by its first points, so ``rows[m:]`` is the first column, and ``rows``
-    itself when m is 0.  From the end, because the rows a decoder made last lie in
+    and turned into columns before the one before it is read.  Each
+    slice's entries in ``rows`` are then overwritten by its first points,
+    so ``rows[m:]`` is the first column, and ``rows`` itself when m is 0.
+    From the end, because the rows a decoder made last lie in
     the memory it took last, which is handed back as soon as they are gone;
     its first rows fill memory taken before, which other objects may still
     hold.  The walk stops at the first failing slice, which is left as it
@@ -167,7 +161,6 @@ def _slice_columns(params, rows, release):
     """
     k, v = params.k, params.v
     columns = [[] for _ in range(k)]  # built back to front, reversed at the end
-    first = int(release)  # with release, rows holds the first column
     m = len(rows)
     after = None  # the first row of the slice after
     for lo in reversed(range(0, len(rows), _SLICE)):
@@ -188,18 +181,14 @@ def _slice_columns(params, rows, release):
             and max(cols[-1]) < v
         ):
             break
-        if not lo and m == len(rows):  # one slice: nothing to release
-            return cols, 0
-        if release:
-            rows[lo:m] = cols[0]
-        for column, col in zip(columns[first:], cols[first:]):
+        rows[lo:m] = cols[0]
+        for column, col in zip(columns[1:], cols[1:]):
             column += reversed(col)
         after = part[0]
         m = lo
-    for column in columns[first:]:
+    for column in columns[1:]:
         column.reverse()
-    if release:
-        columns[0] = rows[m:] if m else rows
+    columns[0] = rows[m:] if m else rows
     return columns, m
 
 
@@ -414,9 +403,9 @@ def _json_lines(designs):
 def design_from_json_dict(data):
     """Validate and load the interchange object; errors carry positions.
 
-    The load takes over ``data['blocks']``: past one slice of rows, the
-    list becomes the first column as its rows are dropped, and a fault puts
-    them back, as tuples (``_checked_columns``).
+    The load takes over ``data['blocks']``: the list becomes the first
+    column as its rows are dropped, and a fault puts them back, as tuples
+    (``_checked_columns``).
     """
     if not isinstance(data, dict):
         raise ValueError("design json: expected an object")
@@ -434,7 +423,7 @@ def design_from_json_dict(data):
         i = next(i for i, block in enumerate(blocks) if not isinstance(block, list))
         raise ValueError("design json: blocks[%d] must be an array" % i)
     try:
-        columns, in_order = _checked_columns(params, blocks, True)
+        columns, in_order = _checked_columns(params, blocks)
     except ValueError:
         # JSON true/false load as bools, which Design refuses as points;
         # one is named in preference to any other fault

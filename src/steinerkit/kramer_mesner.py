@@ -351,7 +351,7 @@ def search_design(group, t, k, lam, limit=None, cap=DEFAULT_SUBSET_CAP, matrix=N
                     raise AssertionError("column %d is not closed under the group (bug)" % j)
                 orbit.sort()
                 try:
-                    columns, _ = _checked_columns(params, orbit)
+                    columns, _ = _checked_columns(params, list(orbit))
                 except ValueError as exc:
                     raise AssertionError("orbit of column %d: %s (bug)" % (j, exc)) from None
                 i = column_of.setdefault(orbit[0], j)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinerkit import admissibility
-from steinerkit.blocktrans import ReasonStep, _parameter_step, eliminate, sweep
+from steinerkit.blocktrans import eliminate, sweep
 from steinerkit.catalog import (
     candidates_for_degree,
     catalog_entry_by_name,
@@ -220,23 +220,22 @@ def reference_parameter_step(t, v, k, lam):
         failures = [out for out in report.outcomes if out.status is admissibility.Status.FAIL]
         detail = {"conditions": [out.condition.value for out in failures]}
         detail.update(failures[0].witness)
-        return ReasonStep("inadmissible-params", detail), None
+        return detail, None
     b = report.outcome(admissibility.Condition.INTEGRALITY_ALL_S).witness["b"]
     if b.denominator != 1:
-        witness = {"condition": "block-count-integrality", "b": b}
-        return ReasonStep("inadmissible-params", witness), None
+        return {"condition": "block-count-integrality", "b": b}, None
     return None, int(b)
 
 
 def assert_parameter_step_matches_the_reference(t, v, k, lam):
-    reason, b = _parameter_step(t, v, k, lam)
-    expected_reason, expected_b = reference_parameter_step(t, v, k, lam)
-    assert (reason, b) == (expected_reason, expected_b)
-    if reason is not None:
+    witness, b = admissibility.parameter_step(t, v, k, lam)
+    expected_witness, expected_b = reference_parameter_step(t, v, k, lam)
+    assert (witness, b) == (expected_witness, expected_b)
+    if witness is not None:
         # equal dicts may still differ in key order or in int against Fraction,
         # which the JSON form would show
-        assert [(key, value, type(value)) for key, value in reason.witness.items()] == [
-            (key, value, type(value)) for key, value in expected_reason.witness.items()
+        assert [(key, value, type(value)) for key, value in witness.items()] == [
+            (key, value, type(value)) for key, value in expected_witness.items()
         ]
     else:
         assert type(b) is int

@@ -1,7 +1,7 @@
 import hashlib
 import importlib.util
 import json
-import shutil
+import re
 import sys
 import time
 from pathlib import Path
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from steinerkit.catalog import (
+    BUNDLES,
     DEFAULT_DEGREE_CAP,
     agl_d2_order,
     alternating_group,
@@ -25,7 +26,7 @@ from steinerkit.catalog import (
 from steinerkit.errors import DataIntegrityError
 from steinerkit.gf import field, prime_power_decomposition
 from steinerkit.kramer_mesner import subset_orbits
-from steinerkit.perms import PermutationGroup, group_from_json_dict, homogeneity, parse_cycles
+from steinerkit.perms import PermutationGroup, group_from_json, homogeneity, parse_cycles
 
 
 def test_projective_orders_match_closed_forms():
@@ -139,25 +140,32 @@ def test_affine_a7_bundle():
 def test_bundle_integrity_check(tmp_path, monkeypatch):
     import steinerkit.catalog as catalog_module
 
-    source = catalog_module.data_directory()
-    for name in ("metadata.json", "m11.json"):
-        shutil.copy(f"{source}/{name}", tmp_path / name)
-    with open(tmp_path / "metadata.json", "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    meta["groups"] = [g for g in meta["groups"] if g["name"] == "m11"]
-    meta["groups"][0]["expected_order"] = 7921  # corrupt the recorded order
-    with open(tmp_path / "metadata.json", "w", encoding="utf-8") as handle:
-        json.dump(meta, handle)
+    with open(f"{catalog_module.data_directory()}/m11.json", "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    del data["generators"][1:]  # one generator: a cyclic group, not M_11
+    with open(tmp_path / "m11.json", "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
     monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
-    with pytest.raises(DataIntegrityError):
+    with pytest.raises(DataIntegrityError, match="corrupt bundle"):
         load_bundled_group("m11")
-    with pytest.raises(DataIntegrityError):
+    with pytest.raises(DataIntegrityError, match="No such file"):
         load_bundled_group("m24")
+
+
+def test_bundle_table_matches_the_bundled_files_one_to_one():
+    """Every ``BUNDLES`` row has its file and every file its row, and each
+    file holds the group its row says."""
+    bundled = Path(__file__).resolve().parents[1] / "src" / "steinerkit" / "data" / "groups"
+    assert sorted(path.name for path in bundled.iterdir()) == sorted(
+        name + ".json" for name in BUNDLES)
+    for name, (degree, order) in BUNDLES.items():
+        group = load_bundled_group(name)
+        assert (group.degree, group.order) == (degree, order)
 
 
 def test_bundle_tool_regenerates_the_bundled_groups(tmp_path, monkeypatch, capsys):
     """``tools/build_group_bundles.py``, run into an empty directory, writes
-    the six Mathieu files and metadata.json byte for byte as bundled.  Its
+    the six Mathieu files byte for byte as bundled, and no other file.  Its
     2^4:A7 comes out with other generators, as the tool's docstring says,
     but they generate the bundled group."""
     root = Path(__file__).resolve().parents[1]
@@ -170,10 +178,12 @@ def test_bundle_tool_regenerates_the_bundled_groups(tmp_path, monkeypatch, capsy
     tool.main()
     capsys.readouterr()
     bundled = root / "src" / "steinerkit" / "data" / "groups"
-    for name in ("m24", "m23", "m22", "m12", "m11", "m11_deg12", "metadata"):
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        path.name for path in bundled.iterdir())
+    for name in ("m24", "m23", "m22", "m12", "m11", "m11_deg12"):
         filename = name + ".json"
         assert (tmp_path / filename).read_bytes() == (bundled / filename).read_bytes(), name
-    written, held = (group_from_json_dict(json.loads((folder / "a7_16.json").read_text()))
+    written, held = (group_from_json((folder / "a7_16.json").read_text())
                      for folder in (tmp_path, bundled))
     assert written.order == held.order == 40320
     assert all(g in held for g in written.generators)
@@ -182,7 +192,7 @@ def test_bundle_tool_regenerates_the_bundled_groups(tmp_path, monkeypatch, capsy
 
 def test_data_dir_env_var_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
-    with pytest.raises(DataIntegrityError, match="metadata"):
+    with pytest.raises(DataIntegrityError, match="bundle %s" % re.escape(str(tmp_path))):
         mathieu(11)
 
 

@@ -777,59 +777,52 @@ def test_analyze_bt_with_an_empty_group_name_exits_2(capsys, name):
     assert err == "error: unknown catalog entry ''\n"
 
 
-def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
-    import shutil
-
+def _m11_bundle():
     from steinerkit.catalog import data_directory
 
-    shutil.copy(f"{data_directory()}/m11.json", tmp_path / "m11.json")
-    with open(f"{data_directory()}/metadata.json", "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    meta["groups"] = [g for g in meta["groups"] if g["name"] == "m11"]
-    meta["groups"][0]["expected_order"] = 7921
-    (tmp_path / "metadata.json").write_text(json.dumps(meta))
+    with open(f"{data_directory()}/m11.json", "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_data_env_var_reaches_the_cli(capsys, tmp_path, monkeypatch):
+    data = _m11_bundle()
+    del data["generators"][1:]  # one generator: a cyclic group, not M_11
+    (tmp_path / "m11.json").write_text(json.dumps(data))
     monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
     code, out, err = run_cli(capsys, ["group", "info", "catalog:M_11"])
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "corrupt bundle" in err
+    assert err.startswith("error: bundle ") and err.count("\n") == 1 and "corrupt bundle" in err
 
 
-def _drop_file(files):
-    for entry in files["metadata.json"]["groups"]:
-        del entry["file"]
-
-
-def _order_as_text(files):
-    for entry in files["metadata.json"]["groups"]:
-        entry["expected_order"] = str(entry["expected_order"])
+def _with_a_fixed_point(data):
+    degree = data["degree"]
+    generators = [images + [degree] for images in data["generators"]]
+    return json.dumps(dict(data, degree=degree + 1, generators=generators))
 
 
 @pytest.mark.parametrize("damage", [
-    lambda files: files["metadata.json"].pop("groups"),
-    _drop_file,
-    lambda files: files["m11.json"].update(generators=5),
-    _order_as_text,
-    lambda files: files.update({"metadata.json": "{"}),
-    lambda files: files.update({"m11.json": "{"}),
-], ids=["no-groups", "no-file", "generators-not-an-array", "order-as-text",
-        "metadata-not-json", "m11-not-json"])
+    lambda data: None,
+    lambda data: "{",
+    lambda data: "[" * 100000 + "]" * 100000,  # past the interpreter's recursion limit
+    lambda data: json.dumps(dict(data, name="m12")),
+    lambda data: json.dumps({key: data[key] for key in ("degree", "generators")}),
+    _with_a_fixed_point,
+    lambda data: json.dumps(dict(data, degree=10**11)),
+    lambda data: json.dumps(dict(data, generators=data["generators"][:1])),
+    lambda data: json.dumps(dict(data, generators=5)),
+], ids=["no-file", "m11-not-json", "nested", "wrong-name", "no-name", "wrong-degree",
+        "degree-above-cap", "wrong-order", "generators-not-an-array"])
 def test_a_malformed_bundle_exits_2_naming_the_file(capsys, tmp_path, monkeypatch, damage):
-    """A damaged file is written as JSON, or as it stands where ``damage``
-    replaces its data with text."""
-    from steinerkit.catalog import data_directory
-
-    files = {}
-    for name in ("metadata.json", "m11.json"):
-        with open(f"{data_directory()}/{name}", "r", encoding="utf-8") as handle:
-            files[name] = json.load(handle)
-    damage(files)
-    for name, data in files.items():
-        (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
+    """``damage`` gives the text written in place of the M_11 bundle, or
+    None for no file."""
+    text = damage(_m11_bundle())
+    if text is not None:
+        (tmp_path / "m11.json").write_text(text)
     monkeypatch.setenv("STEINERKIT_DATA", str(tmp_path))
     code, out, err = run_cli(capsys, ["group", "info", "catalog:M_11"])
     assert code == 2 and out == ""
-    assert err.startswith("error: bundle ") and err.count("\n") == 1
-    assert str(tmp_path) in err and "Traceback" not in err
+    assert err.startswith("error: bundle %s: " % (tmp_path / "m11.json"))
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -1217,3 +1210,54 @@ def test_a_malformed_group_file_exits_2_or_3_with_one_error_line(tmp_path_factor
         assert code in (2, 3) and out == "", (argv, code, out)
         prefix = "capacity error: " if code == 3 else "error: "
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+FANO_FILE = "<fano>"  # stands for a Fano plane file the test writes
+
+
+@st.composite
+def numeric_argvs(draw):
+    """An argv that gives every numeric option and positional of one
+    subcommand a small or negative value; optional ones only at times."""
+
+    def small(high=8):
+        return str(draw(st.integers(-3, high)))
+
+    def maybe(option, high=8):
+        return [option, small(high)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["admissible", "scan", "construct", "derive", "orbits",
+                                    "homogeneity", "analyze-bt", "km-search"]))
+    if command == "admissible":
+        return [command, small(), small(), small(), small()]
+    if command == "scan":
+        return [command, small(), small(), "--v-max", small(60), *maybe("--k-min", 60),
+                *maybe("--k-max", 60)]
+    if command == "construct":
+        return [command, "boolean", small(6), *maybe("--max-subsets", 10**4)]
+    if command == "derive":
+        return [command, FANO_FILE, small()]
+    if command in ("orbits", "homogeneity"):
+        option = "--m" if command == "orbits" else "--t-max"
+        return ["group", command, "catalog:PSL(2,7)", *maybe(option), *maybe("--max-subsets")]
+    if command == "analyze-bt":
+        return [command, "--t", small(), *maybe("--lambda"), *maybe("--v-max", 60)]
+    return [command, "--group", "catalog:PSL(2,7)", "--t", small(), "--k", small(),
+            *maybe("--lambda"), *maybe("--limit"), *maybe("--max-subsets", 10**4)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(numeric_argvs())
+def test_numeric_options_at_small_and_negative_values_exit_cleanly(tmp_path_factory, argv):
+    fano = tmp_path_factory.getbasetemp() / "fano-numeric.json"
+    fano.write_text(design_to_json(fano_plane()))
+    argv = [str(fano) if arg == FANO_FILE else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.endswith("\n") and out.getvalue() == "", (argv, err)
+    else:
+        assert err == "", (argv, err)

@@ -517,21 +517,15 @@ def test_derived_holds_its_rows_and_a_slice_of_columns(boolean7, monkeypatch):
     assert peak < rows + columns + slices + free_tuples
 
 
-def test_checked_columns_takes_over_only_a_released_list_past_one_slice(monkeypatch):
+@pytest.mark.parametrize("b", [3, 4, 56], ids=["in-one-slice", "one-slice", "14-slices"])
+def test_checked_columns_takes_over_the_list_as_its_first_column(monkeypatch, b):
     monkeypatch.setattr(designs, "_SLICE", 4)
     params = DesignParameters(2, 8, 3, 6)
-    blocks = list(combinations(range(8), 3))  # 56 rows, 14 slices
-    expected = [list(column) for column in zip(*blocks)]
-    kept = list(blocks)
-    assert designs._checked_columns(params, kept) == (expected, True)
-    assert kept == blocks  # a caller's list, as km-search's orbits
-    released = list(blocks)
-    columns, in_order = designs._checked_columns(params, released, True)
-    assert (columns, in_order) == (expected, True) and columns[0] is released
-    one = blocks[:3]
-    released = list(one)
-    columns, _ = designs._checked_columns(params, released, True)
-    assert columns == [list(column) for column in zip(*one)] and released == one
+    blocks = list(combinations(range(8), 3))[:b]
+    rows = list(blocks)
+    columns, in_order = designs._checked_columns(params, rows)
+    assert (columns, in_order) == ([list(column) for column in zip(*blocks)], True)
+    assert columns[0] is rows
 
 
 def test_design_from_lists_tuples_a_mix_or_an_iterator_is_one_design():

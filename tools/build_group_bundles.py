@@ -11,16 +11,16 @@ Everything is derived, not copied from tables:
    catalog's PSL(2,23) permutes the octads (checked).
 2. A depth-first search finds one octad-preserving permutation fixing three
    points; together with PSL(2,23) it generates the full automorphism group
-   M_24 (order checked against 244823040).
+   M_24.
 3. The remaining groups are stabilizers inside M_24: point stabilizers give
    M_23 and M_22, a dodecad (weight-12 word) stabilizer gives M_12, its point
    stabilizer gives M_11 in both its degree-11 and degree-12 actions, and an
    incident point+octad stabilizer restricted to the complementary 16 points
    gives the affine group 2^4:A7.
 
-Every derived group's order is verified by a stabilizer chain before the
-file is written; the orders land in metadata.json and are re-verified at
-load time by the package.
+Every derived group's degree and order are checked against its row of
+``steinerkit.catalog.BUNDLES`` before the file is written; the package
+checks each file against the same row whenever it loads it.
 
 A file that already holds the group built is left alone: same order, and
 each generator set lies in the other group.  This keeps ``a7_16.json``
@@ -28,8 +28,8 @@ frozen: the stabilizer routines have changed since it was written, and
 the tool now derives other generators for the same 2^4:A7.  Writing them
 would change the output of ``group info catalog:2^4:A7`` and of every task
 that starts from those generators.  With the bundle files removed, the
-tool writes the six Mathieu files and metadata.json byte for byte as
-committed; only ``a7_16.json`` comes out different.
+tool writes the six Mathieu files byte for byte as committed; only
+``a7_16.json`` comes out different.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from itertools import combinations
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from steinerkit.catalog import (  # noqa: E402
+    BUNDLES,
     projective_inversion,
     projective_scaling,
     projective_translation,
@@ -49,7 +50,7 @@ from steinerkit.catalog import (  # noqa: E402
 from steinerkit.perms import (  # noqa: E402
     Permutation,
     PermutationGroup,
-    group_from_json_dict,
+    group_from_json,
 )
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "steinerkit", "data", "groups")
@@ -177,16 +178,14 @@ def find_extra_automorphism(octads):
     return perm
 
 
-def restrict(group, kept_points, expected_order):
+def restrict(group, kept_points):
     """Action of a group on an invariant point set, relabelled onto 0..n-1."""
     kept = sorted(kept_points)
     relabel = {p: i for i, p in enumerate(kept)}
     gens = []
     for g in group.generators:
         gens.append(Permutation([relabel[g(p)] for p in kept]))
-    out = PermutationGroup(gens, degree=len(kept))
-    assert out.order == expected_order, (out.order, expected_order)
-    return out
+    return PermutationGroup(gens, degree=len(kept))
 
 
 def holds_group(path, group):
@@ -194,7 +193,7 @@ def holds_group(path, group):
     if not os.path.exists(path):
         return False
     with open(path, encoding="utf-8") as handle:
-        held = group_from_json_dict(json.load(handle))
+        held = group_from_json(handle.read())
     return (
         held.degree == group.degree
         and held.order == group.order
@@ -203,13 +202,12 @@ def holds_group(path, group):
     )
 
 
-def dump(name, group, expected_order, metadata):
-    assert group.order == expected_order, (name, group.order, expected_order)
+def dump(name, group):
+    """Write ``group`` as the bundle ``name`` after checking it against its
+    ``BUNDLES`` row."""
+    assert (group.degree, group.order) == BUNDLES[name], (name, group.degree, group.order)
     filename = "%s.json" % name
     path = os.path.join(OUT_DIR, filename)
-    metadata.append(
-        {"name": name, "degree": group.degree, "expected_order": expected_order, "file": filename}
-    )
     if holds_group(path, group):
         print("kept %s: it holds this group already" % filename)
         return
@@ -222,7 +220,7 @@ def dump(name, group, expected_order, metadata):
         json.dump(payload, handle)
         handle.write("\n")
     print("wrote %s (degree %d, order %d, %d generators)" % (
-        filename, group.degree, expected_order, len(group.generators)))
+        filename, group.degree, group.order, len(group.generators)))
 
 
 def main():
@@ -251,57 +249,42 @@ def main():
 
     m24 = PermutationGroup(psl23 + [extra], degree=24)
     print("M24 chain order:", m24.order, "(%.1fs)" % (time.time() - t0))
-    assert m24.order == 244823040
+    dump("m24", m24)
 
-    metadata = []
-    dump("m24", m24, 244823040, metadata)
+    m23 = restrict(m24.stabilizer_point(23), range(23))
+    dump("m23", m23)
 
-    m23_24 = m24.stabilizer_point(23)
-    m23 = restrict(m23_24, range(23), 10200960)
-    dump("m23", m23, 10200960, metadata)
-
-    m22_23 = m23.stabilizer_point(22)
-    m22 = restrict(m22_23, range(22), 443520)
-    dump("m22", m22, 443520, metadata)
+    m22 = restrict(m23.stabilizer_point(22), range(22))
+    dump("m22", m22)
 
     dodecad = dodecads[0]
     print("dodecad stabilizer (this is the slow step)...")
     t1 = time.time()
     stab_dodecad = m24.stabilizer_setwise(dodecad)
     print("  order %d in %.1fs" % (stab_dodecad.order, time.time() - t1))
-    assert stab_dodecad.order == 95040
-    m12 = restrict(stab_dodecad, dodecad, 95040)
-    dump("m12", m12, 95040, metadata)
+    m12 = restrict(stab_dodecad, dodecad)
+    dump("m12", m12)
 
-    m11_12pts = m12.stabilizer_point(0)
-    assert m11_12pts.order == 7920
-    m11 = restrict(m11_12pts, range(1, 12), 7920)
-    dump("m11", m11, 7920, metadata)
+    m11 = restrict(m12.stabilizer_point(0), range(1, 12))
+    dump("m11", m11)
 
     # the same stabilizer acts 3-transitively on the complementary dodecad
     stab_point = stab_dodecad.stabilizer_point(dodecad[0])
     complement = [p for p in range(24) if p not in set(dodecad)]
-    m11_deg12 = restrict(stab_point, complement, 7920)
-    dump("m11_deg12", m11_deg12, 7920, metadata)
+    m11_deg12 = restrict(stab_point, complement)
+    dump("m11_deg12", m11_deg12)
 
     octad = octads[0]
     print("octad stabilizer...")
     t1 = time.time()
     stab_octad = m24.stabilizer_setwise(octad)
     print("  order %d in %.1fs" % (stab_octad.order, time.time() - t1))
-    assert stab_octad.order == 322560
     inc_stab = stab_octad.stabilizer_point(octad[0])
-    assert inc_stab.order == 40320
     outside = [p for p in range(24) if p not in set(octad)]
-    a7_16 = restrict(inc_stab, outside, 40320)
+    a7_16 = restrict(inc_stab, outside)
     assert a7_16.is_homogeneous(3)
-    assert a7_16.stabilizer_point(0).order == 2520  # the A_7 point stabilizer
-    dump("a7_16", a7_16, 40320, metadata)
-
-    with open(os.path.join(OUT_DIR, "metadata.json"), "w", encoding="utf-8") as handle:
-        json.dump({"groups": metadata}, handle, indent=2)
-        handle.write("\n")
-    print("metadata.json written; total %.1fs" % (time.time() - t0))
+    dump("a7_16", a7_16)
+    print("total %.1fs" % (time.time() - t0))
 
 
 if __name__ == "__main__":

@@ -51,13 +51,22 @@ def _emit(args, payload, lines):
         print(line)
 
 
+def _decoded(path, read):
+    """``read()``, where text that is not UTF-8 is a ValueError naming
+    ``path`` (``-`` for stdin)."""
+    try:
+        return read()
+    except UnicodeDecodeError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
 def _read_design(path):
     import steinerkit.designs as designs
 
     if path == "-":
-        return designs.design_from_json(sys.stdin.read())
+        return designs.design_from_json(_decoded(path, sys.stdin.read))
     with open(path, "r", encoding="utf-8") as handle:
-        return designs.design_from_json(handle.read())
+        return designs.design_from_json(_decoded(path, handle.read))
 
 
 def _require_positive(*options):
@@ -76,7 +85,7 @@ def _load_group(source):
         return entry.group(), entry.name
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = _decoded(source, handle.read)
     except FileNotFoundError as exc:
         import steinerkit.catalog as catalog
 

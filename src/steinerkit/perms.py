@@ -10,6 +10,8 @@ first build from generators closes it fully, a rebase of a group whose
 order is already known stops once the transversal lengths multiply to that
 order (Seress, *Permutation Group Algorithms*, 2003, ch. 4), and
 ``_extend`` adds one generator and re-closes only the levels it reaches.
+Every composition of image tuples, in products, transversals, Schreier
+generators and sifts, goes through ``_compose``, which runs in C.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb, prod
+from operator import itemgetter
 
 from .errors import DEFAULT_SUBSET_CAP, CapacityError, MembershipError, NotAutomorphismError
 
@@ -82,7 +85,7 @@ class Permutation:
         q = other.images
         if len(q) != len(self.images):
             raise ValueError("degree mismatch: %d * %d" % (len(self.images), len(q)))
-        return Permutation._trusted(tuple([q[x] for x in self.images]))
+        return Permutation._trusted(_compose(self.images, q))
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -216,12 +219,12 @@ class PermutationGroup:
     def _orbit_transversal(self, level):
         b = self.base[level]
         tree = {}
-        _orbit(b, self._level_gens[level], tree)
+        _orbit(b, [g.images.__getitem__ for g in self._level_gens[level]], tree)
         # the tree lists the orbit in breadth-first order, each member after
-        # the point it was reached from
+        # the point it was reached from; f.__self__ is the generator's images
         trans = {b: self._identity}
-        for image, (point, g) in tree.items():
-            trans[image] = trans[point] * g
+        for image, (point, f) in tree.items():
+            trans[image] = Permutation._trusted(_compose(trans[point].images, f.__self__))
         self._transversals[level] = trans
         self._inverses[level] = {}
 
@@ -241,7 +244,7 @@ class PermutationGroup:
         whose transversal cannot absorb the residue, or ``len(base)`` if the
         residue passed every level (identity iff membership).
         """
-        points = [perm(b) for b in self.base[level:]]
+        points = _compose(self.base[level:], perm.images)
         residue, dropout = self._sift_points(points, perm.images, level)
         return Permutation._trusted(residue), dropout
 
@@ -266,15 +269,14 @@ class PermutationGroup:
         installed, or None when the level verified clean.
         """
         trans = self._transversals[level]
-        gens = self._level_gens[level]
+        gens = [s.images for s in self._level_gens[level]]
         for point in sorted(trans):
-            u = trans[point]
+            u = trans[point].images
             for s in gens:
-                image = s(point)
-                us = u * s
-                if us.images == trans[image].images:
+                us = _compose(u, s)
+                if us == trans[s[point]].images:
                     continue
-                residue, dropout = self._sift_from(us, level)
+                residue, dropout = self._sift_from(Permutation._trusted(us), level)
                 if not residue.is_identity():
                     self._install(residue, level + 1, dropout)
                     return dropout
@@ -308,16 +310,18 @@ class PermutationGroup:
         Returns (images of ``carried``, depth).  Depth is ``level + len(points)``
         when a member g fixing ``base[:level]`` has g(base[level + i]) = points[i],
         with the images under g^-1 for the g the transversals give, and is
-        otherwise the first level whose transversal lacks its point."""
-        points, carried = list(points), list(carried)
-        for lev, x in enumerate(points, level):
+        otherwise the first level whose transversal lacks its point.  One
+        tuple holds the point images, then the carried images, and each
+        level composes it whole."""
+        n = len(points)
+        state = (*points, *carried)
+        for lev in range(level, level + n):
+            x = state[lev - level]
             if x not in self._transversals[lev]:
-                return tuple(carried), lev
+                return state[n:], lev
             if x != self.base[lev]:
-                inv = self._inverse(lev, x).images
-                points[lev - level + 1:] = [inv[p] for p in points[lev - level + 1:]]
-                carried = [inv[p] for p in carried]
-        return tuple(carried), level + len(points)
+                state = _compose(state, self._inverse(lev, x).images)
+        return state[n:], level + n
 
     def _rebase(self, prefix):
         """The same group on a chain with ``prefix`` as its base prefix: this
@@ -432,8 +436,7 @@ class PermutationGroup:
                 if gamma == block[level]:
                     child_pre = pre
                 else:
-                    inv = chain._inverse(level, gamma).images
-                    child_pre = tuple([inv[p] for p in pre])
+                    child_pre = _compose(pre, chain._inverse(level, gamma).images)
                 if table is not None and child_pre is not block:
                     label, need = table
                     counts = [0] * len(need)
@@ -637,6 +640,15 @@ def induced_block_action(group, design):
         is_flag_transitive=flag_orbits == 1 and nblocks > 0,
         is_point_transitive=point_orbits == 1,
     )
+
+
+def _compose(p, q):
+    """The image tuple of "p, then q": ``q[p[x]]`` for each point x.
+    itemgetter returns a bare item for one index, so p of length 0 or 1
+    takes the comprehension."""
+    if len(p) > 1:
+        return itemgetter(*p)(q)
+    return tuple([q[x] for x in p])
 
 
 def _orbit(seed, maps, tree=None):

@@ -1212,6 +1212,44 @@ def test_a_malformed_group_file_exits_2_or_3_with_one_error_line(tmp_path_factor
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
 
 
+@pytest.mark.parametrize("degree, gens", [(1, []), (1, [[0]]), (2, []), (2, ["(0 1)"])],
+                         ids=["1-trivial", "1-identity", "2-trivial", "2-swap"])
+def test_group_orbits_of_a_group_of_degree_1_or_2(capsys, tmp_path, degree, gens):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"degree": degree, "generators": gens}))
+    swaps = degree == 2 and gens != []
+    for m in range(4):
+        code, out, err = run_cli(capsys, ["group", "orbits", str(path), "--m", str(m), "--json"])
+        assert (code, err) == (0, "")
+        subsets = list(combinations(range(degree), m))
+        if swaps and m == 1:  # (0 1) joins the two points
+            expected = [{"representative": [0], "size": 2}]
+        else:
+            expected = [{"representative": list(s), "size": 1} for s in subsets]
+        assert json.loads(out)["orbits"] == expected, m
+
+
+NOT_UTF_8 = b"\xff\xfe{}"  # a UTF-16 byte-order mark
+
+
+@pytest.mark.parametrize("argv", [["group", "info", "<file>"], ["group", "orbits", "<file>"],
+                                  ["km-search", "--t", "2", "--k", "3", "--group", "<file>"],
+                                  ["verify", "<file>"], ["derive", "<file>", "0"],
+                                  ["verify", "-"], ["derive", "-", "0"]],
+                         ids=["group-info", "group-orbits", "km-search", "verify", "derive",
+                              "verify-stdin", "derive-stdin"])
+def test_a_file_that_is_not_utf_8_exits_2_naming_the_file(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(NOT_UTF_8)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF_8), encoding="utf-8"))
+    argv = [str(path) if arg == "<file>" else arg for arg in argv]
+    code, out, err = run_cli(capsys, argv)
+    where = "-" if "-" in argv else str(path)
+    assert (code, out) == (2, "")
+    assert err == ("error: %s: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n" % where)
+
+
 FANO_FILE = "<fano>"  # stands for a Fano plane file the test writes
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinerkit import kramer_mesner
+from steinerkit import kramer_mesner, perms
 from steinerkit.catalog import candidates_for_degree, catalog_entry_by_name, projective_group
 from steinerkit.designs import verify
 from steinerkit.kramer_mesner import (
@@ -163,6 +163,20 @@ def brute_force_reference(matrix, lam):
     return sorted(hits)
 
 
+# what a stabilizer chain stores and the private steps that build it;
+# kramer_mesner calls _set_stabilizer and _sift_points, the chain's interface
+CHAIN_LAYOUT = {"_transversals", "_inverses", "_level_gens", "_identity", "_set_stabilizers",
+                "_inverse", "_orbit_transversal", "_sift_from", "_order_from", "_close_from",
+                "_close_level", "_install", "_extend", "_rebase", "_level_subgroup",
+                "_orbit_counts", "_compose"}
+
+
+def test_the_chain_layout_names_are_defined_in_perms():
+    group = PermutationGroup([], degree=1)
+    assert {name for name in CHAIN_LAYOUT if not hasattr(group, name)} == {"_compose"}
+    assert callable(perms._compose)
+
+
 @pytest.mark.parametrize("module", sorted(
     path.name for path in Path(kramer_mesner.__file__).parent.glob("*.py")
     if path.name != "perms.py"))
@@ -171,11 +185,13 @@ def test_no_module_but_perms_reads_the_chain_layout(module):
     the chain is stored (a base change, say) stays inside ``perms``."""
     path = Path(kramer_mesner.__file__).parent / module
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    layout = {"_transversals", "_inverse", "_inverses", "_level_gens", "_sift_from",
-              "_sift_base_images", "_order_from", "_install", "_close_from",
-              "_close_level", "_orbit_transversal"}
-    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not read & layout
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    assert not read & CHAIN_LAYOUT
 
 
 def test_c7_matrix_shape_and_row_sums():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 import re
 import time
@@ -6,7 +7,7 @@ from itertools import combinations, permutations
 from math import comb, perm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from steinerkit.catalog import candidates_for_degree, catalog_entry_by_name
 from steinerkit.designs import Design, DesignParameters, construct_boolean, fano_plane
@@ -16,6 +17,7 @@ from steinerkit.perms import (
     DEFAULT_SUBSET_CAP,
     Permutation,
     PermutationGroup,
+    _compose,
     group_from_json_dict,
     homogeneity,
     induced_block_action,
@@ -141,6 +143,38 @@ def test_trivial_group():
     assert group.order == 1
     assert Permutation.identity(10) in group
     assert parse_cycles("(0 1)", 10) not in group
+
+
+@pytest.mark.parametrize("degree, gens", [(1, []), (1, [[0]]), (2, []), (2, [[1, 0]])],
+                         ids=["1-trivial", "1-identity", "2-trivial", "2-swap"])
+def test_groups_of_degree_1_and_2(degree, gens):
+    # a chain on one or two points composes tuples of length 0 to 2, below
+    # and at the length where _compose switches to itemgetter
+    group = PermutationGroup([Permutation(g) for g in gens], degree=degree)
+    elements = closure(group.generators, degree)
+    assert group.order == len(elements)
+    for images in permutations(range(degree)):
+        perm = Permutation(images)
+        assert (perm in group) == (perm in elements)
+        assert group.sift(perm) == (Permutation.identity(degree) if perm in elements else perm)
+    for size in range(degree + 1):
+        for block in combinations(range(degree), size):
+            stabilizer = group.stabilizer_setwise(block)
+            expected = {g for g in elements if g.apply_set(block) == block}
+            assert closure(stabilizer.generators, degree) == expected
+            assert stabilizer.order == len(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@example(([], (0,)))
+@example(([0], (0,)))
+@example(([1], (1, 0)))
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), max_size=40), st.permutations(range(n)))))
+def test_compose_is_the_image_tuple_of_p_then_q(pq):
+    # lengths 0..40, length 1 being the bare item itemgetter returns
+    p, q = pq
+    assert _compose(p, tuple(q)) == tuple(q[x] for x in p)
 
 
 def test_membership_exact():
@@ -1149,6 +1183,101 @@ def test_orbit_routines_match_the_reference_loops_random(data):
     group = _random_group(data, max_degree=9)
     if group.degree > 3:
         _check_orbit_routines(group, random.Random(data.draw(st.integers(0, 2**16))))
+
+
+def _chain_digest(group):
+    """The first 16 hex digits of the sha256 of the chain: base, strong
+    generators per level, transversals in their insertion order, and order."""
+    state = (_chain_state(group), [list(trans) for trans in group._transversals], group.order)
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+def _pin_block(degree):
+    return tuple(p for p in (0, 1, 3, 7, 12) if p < degree - 1)
+
+
+# (chain of the group, chain of its setwise stabilizer of _pin_block(degree));
+# a relabelled group is built afresh from its conjugated generators
+PINNED_CHAINS = {
+    'AGL(2,2)': ('66b90d56e765e3d4', '13b480dbfd7c5eaf'),
+    'A_5': ('025ce9305119f331', 'eb4fc0b536f93cbf'),
+    'PGammaL(2,4)': ('637feeac2d3b58a7', '253e27b0ae5703f5'),
+    'PSL(2,4)': ('e34f898380f8f350', 'eb4fc0b536f93cbf'),
+    'A_6': ('9795dfa468c0757b', 'ca5e36dfaba84769'),
+    'PGL(2,5)': ('f893478029a06d3d', 'd26dec8fb471aad8'),
+    'PSL(2,5)': ('7096c06f2060b6af', 'd26dec8fb471aad8'),
+    'A_7': ('ceb769a14b40d6db', '0eb4c0ea0fcbaf20'),
+    'AGL(1,8)': ('d870d02afa2e72f3', '91b07bb58fff7027'),
+    'AGL(3,2)': ('5e3e88bfbcfca8c1', 'a0d5d7828f274707'),
+    'AGammaL(1,8)': ('30531a148352a88f', 'e6a5760c86dee7cc'),
+    'A_8': ('3f39c4c11e88ea97', '2aa5dc7775752299'),
+    'PGL(2,7)': ('17b5255475eab2a8', '7b17457922d8c16b'),
+    'PSL(2,7)': ('8b1b52af421214a1', 'f2543776db2f040d'),
+    'A_9': ('a42039e75ab675d7', '69d26c135043d97d'),
+    'PGammaL(2,8)': ('94c9f46d76a2e2fe', '3a87a8aa86dfaffa'),
+    'PSL(2,8)': ('d7a0486467993561', '2e007b22188929ac'),
+    'A_10': ('f68d9fac967b97be', '9c9e05f90d73c84c'),
+    'PGL(2,9)': ('7173d57fe2c52acf', 'bb190388b81fd6f5'),
+    'PGammaL(2,9)': ('da35f362f72db534', 'ab19a72a092f9654'),
+    'PSL(2,9)': ('2500b89b92ff1a2c', '73b68a5d785d65f2'),
+    'PSigmaL(2,9)': ('cc29d8289e4d287f', 'bd4fa322e3e2d46a'),
+    'A_11': ('283fb1aa8b27732a', 'f33e872f38c4c9c5'),
+    'M_11': ('073cb7d780b94e52', '521d4103c31e1f39'),
+    'A_12': ('ffad7171cebd5eae', '074979dd384a4e83'),
+    'M_11(deg12)': ('26cf39ffcbdef795', '9367480aacadced8'),
+    'M_12': ('856a99f5d24053a0', 'bb8208571a3f58c6'),
+    'PGL(2,11)': ('ce9e35ca1af5a838', '2f38de590fd240c7'),
+    'PSL(2,11)': ('9157634632b5d1db', 'd1d03aa247ffe777'),
+    'A_13': ('bd6b514e7692c57f', 'ee4abc5d33de6c29'),
+    'A_14': ('60204c2f1df47558', 'f92af66601e04270'),
+    'PGL(2,13)': ('04f5b26fc1798652', '3bb58491fee2c8a5'),
+    'PSL(2,13)': ('f9271f58c618589b', '134000fc5ac3b6f0'),
+    'A_15': ('dca970e678e032ff', '5e853828b497becc'),
+    '2^4:A7': ('7c2ae3430e377792', 'c92ce7d5cdd9f272'),
+    'AGL(4,2)': ('e91a1a8dbfd6be37', '559ea3ae1decd417'),
+    'A_16': ('7a3b3f41ab67d2a9', '1587776d6a45a309'),
+    'PGammaL(2,16)': ('ed06ff7dfa922323', '9baec0bf799ea2f0'),
+    'PSL(2,16)': ('9cff933578c1035b', '986600cb010a0359'),
+    'PGL(2,17)': ('734256baac0a1d9c', '3a2190abae838ad9'),
+    'PSL(2,17)': ('74677491a078331f', '3a2190abae838ad9'),
+    'PGL(2,19)': ('c737d9d758582d27', '7a91d353217a8cdc'),
+    'PSL(2,19)': ('40e5e60c6bb0acf6', '7a91d353217a8cdc'),
+    'M_22': ('d887e996180b6cd7', '7327c50a481a4602'),
+    'M_23': ('9ed054da83c1e528', '2aa20a5a9cd14eef'),
+    'M_24': ('df720ddac9123b8d', '3709f7900397927e'),
+    'PGL(2,23)': ('7b811f00d1d32864', 'affd881f427b3831'),
+    'PSL(2,23)': ('afe2bb1046b1503f', 'ae5cf60471e70332'),
+    'PGL(2,25)': ('1b28e9ccdc33c4cc', '74118740f0b1276b'),
+    'PGammaL(2,25)': ('0c7d1ec029d8ab3c', 'd5fe427a4300ad6c'),
+    'PSL(2,25)': ('db2225b2f8b3c826', '74118740f0b1276b'),
+    'PSigmaL(2,25)': ('b11715f37bb7f8a9', 'd5fe427a4300ad6c'),
+    'PGL(2,27)': ('0d24f1ed52ea5e3c', '66afb98a997bcd14'),
+    'PGammaL(2,27)': ('c3d283b6ab59e498', '66afb98a997bcd14'),
+    'PSL(2,27)': ('2edd10eae84d9b1d', 'f638148b5d745a3b'),
+    'PSigmaL(2,27)': ('2380dc309fa40852', 'f638148b5d745a3b'),
+    'relabelled M_24': ('162d4b10be11b9f5', '5532d04d3dc20c96'),
+    'relabelled M_12': ('3a7d85a1e2dd2f96', '5126ebc72cd77d26'),
+    'relabelled PSL(2,49)': ('c2e8b38d7594c0a6', '2af022e07c779ff4'),
+}
+
+
+def test_the_pinned_chains_cover_the_catalog_to_degree_28():
+    assert list(PINNED_CHAINS)[:len(CATALOG_TO_28)] == CATALOG_TO_28
+
+
+@pytest.mark.parametrize("name", list(PINNED_CHAINS))
+def test_the_stabilizer_chain_is_pinned(name):
+    """Any change to how the chain is composed must build the same chains.
+    Each group is built afresh, so no other test's searches reach it."""
+    given = name.removeprefix("relabelled ")
+    group = catalog_entry_by_name(given).group()
+    if given != name:
+        images = list(range(group.degree))
+        random.Random(given).shuffle(images)
+        conj = Permutation(images)
+        group = PermutationGroup([conj.inverse() * g * conj for g in group.generators])
+    stabilizer = group.stabilizer_setwise(_pin_block(group.degree))
+    assert (_chain_digest(group), _chain_digest(stabilizer)) == PINNED_CHAINS[name]
 
 
 @settings(max_examples=200, deadline=None)

@@ -179,14 +179,14 @@ def sweep(t, lam, v_max):
 
     Degrees below t+2 carry no nontrivial parameter set and are skipped,
     so the result is empty when v_max < t+2.  A v_max above the catalog
-    cap is refused before any degree is screened.  Verdicts are ordered by
-    (degree, family, name).
+    cap is refused before any degree is screened.  Verdicts come ordered
+    by (degree, family, name): degrees are screened in increasing order, and
+    ``candidates_for_degree`` lists each degree's entries in that order.
     """
     if v_max > DEFAULT_DEGREE_CAP:
         raise ValueError("degree %d exceeds catalog cap %d" % (v_max, DEFAULT_DEGREE_CAP))
     verdicts = []
     for v in range(max(4, t + 2), v_max + 1):
         verdicts += _screen(v, candidates_for_degree(v), t, lam)
-    verdicts.sort(key=lambda verdict: (verdict.degree, verdict.family, verdict.entry_name))
     return verdicts
 

@@ -81,33 +81,16 @@ def agl_d2_order(d):
 # -- projective line constructions -------------------------------------------
 
 
-def projective_translation(q):
-    """x -> x + 1 on the projective line (infinity fixed)."""
-    f = field(q)
-    images = [f.add(x, 1) for x in range(q)] + [q]
-    return Permutation(images)
-
-
-def projective_scaling(q, square=False):
-    """x -> c*x for the canonical generator c (or x -> c^2*x), fixing 0 and infinity."""
+def _field_maps(q, square=False, semilinear=False):
+    """Image lists on GF(q) of x -> x+1, of x -> c*x for the field's
+    generator c (x -> c^2*x if ``square``) and, if ``semilinear``, of the
+    Frobenius x -> x^p.  The projective and affine builders share them."""
     f = field(q)
     c = f.mul(f.generator, f.generator) if square else f.generator
-    images = [f.mul(c, x) for x in range(q)] + [q]
-    return Permutation(images)
-
-
-def projective_inversion(q):
-    """x -> -1/x, swapping 0 and infinity (reduces to x -> 1/x in characteristic 2)."""
-    f = field(q)
-    images = [q] + [f.neg(f.inv(x)) for x in range(1, q)] + [0]
-    return Permutation(images)
-
-
-def projective_frobenius(q):
-    """x -> x^p on the projective line (infinity fixed)."""
-    f = field(q)
-    images = [f.frobenius(x) for x in range(q)] + [q]
-    return Permutation(images)
+    maps = [[f.add(x, 1) for x in range(q)], [f.mul(c, x) for x in range(q)]]
+    if semilinear:
+        maps.append([f.frobenius(x) for x in range(q)])
+    return maps
 
 
 # kind: (closed-form order, scaling by a square, Frobenius among the generators)
@@ -132,9 +115,10 @@ def projective_group(kind, q):
     if prime_power_decomposition(q) is None or q <= 3:
         raise ValueError("q must be a prime power > 3, got %r" % (q,))
     order, square, semilinear = PROJECTIVE_KINDS[kind]
-    gens = [projective_translation(q), projective_scaling(q, square), projective_inversion(q)]
-    if semilinear:
-        gens.append(projective_frobenius(q))
+    f = field(q)
+    gens = [images + [q] for images in _field_maps(q, square, semilinear)]  # infinity fixed
+    # x -> -1/x swaps 0 and infinity (x -> 1/x in characteristic 2)
+    gens.insert(2, [q] + [f.neg(f.inv(x)) for x in range(1, q)] + [0])
     group = PermutationGroup(gens, degree=q + 1)
     if group.order != order(q):
         raise DataIntegrityError(
@@ -161,14 +145,7 @@ def _agl_d2_group(d):
 
 
 def _affine_1dim_group(q, semilinear):
-    f = field(q)
-    gens = [
-        Permutation([f.add(x, 1) for x in range(q)]),
-        Permutation([f.mul(f.generator, x) for x in range(q)]),
-    ]
-    if semilinear:
-        gens.append(Permutation([f.frobenius(x) for x in range(q)]))
-    return PermutationGroup(gens, degree=q)
+    return PermutationGroup(_field_maps(q, semilinear=semilinear), degree=q)
 
 
 # -- alternating / symmetric ---------------------------------------------------

@@ -64,9 +64,9 @@ def _read_design(path):
     import steinerkit.designs as designs
 
     if path == "-":
-        return designs.design_from_json(_decoded(path, sys.stdin.read))
+        return designs.design_from_json(_decoded(path, sys.stdin.read), path)
     with open(path, "r", encoding="utf-8") as handle:
-        return designs.design_from_json(_decoded(path, handle.read))
+        return designs.design_from_json(_decoded(path, handle.read), path)
 
 
 def _require_positive(*options):

@@ -439,8 +439,9 @@ def design_from_json_dict(data):
     return _trusted_design(params, columns)
 
 
-def design_from_json(text):
-    """Parse a design from JSON text.
+def design_from_json(text, path=None):
+    """Parse a design from JSON text; text that does not decode, or nests
+    past the recursion limit, is a ValueError naming ``path`` if given.
 
     A load holds the text and one list per block while the decoder runs;
     the text is then dropped, and each slice of block lists once its
@@ -456,7 +457,8 @@ def design_from_json(text):
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise ValueError("design json: %s" % exc) from exc
+            where = "" if path is None else "%s: " % path
+            raise ValueError("design json: %s%s" % (where, exc)) from exc
         del text
         return design_from_json_dict(data)
     finally:

@@ -12,8 +12,6 @@ from steinerkit.catalog import (
     candidates_for_degree,
     catalog_entry_by_name,
     projective_group,
-    projective_scaling,
-    projective_translation,
 )
 from steinerkit.designs import (
     DesignParameters,
@@ -187,6 +185,14 @@ def test_sweep_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+@pytest.mark.parametrize("t", range(2, 9))
+def test_sweep_lists_verdicts_by_degree_family_and_name(t):
+    # sweep does not sort: the degree loop and candidates_for_degree give the order
+    keys = [(verdict.degree, verdict.family, verdict.entry_name) for verdict in sweep(t, 1, 257)]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+
+
 def test_sweep_matches_eliminate_of_each_entry():
     for t in range(4, 9):
         swept = [verdict.to_json_dict() for verdict in sweep(t, 1, 64)]
@@ -293,12 +299,12 @@ def subgroup_orbit_profile(group, subgroup_generators):
 
 def borel_generators(q):
     """Generators of the Borel subgroup of PSL(2,q): x -> x+1 and x -> c^2*x."""
-    return [projective_translation(q), projective_scaling(q, square=True)]
+    return list(projective_group("PSL", q).generators[:2])
 
 
 def cyclic_scaling_generators(q):
     """Generator of the cyclic subgroup x -> c*x of PGL(2,q)."""
-    return [projective_scaling(q)]
+    return [projective_group("PGL", q).generators[1]]
 
 
 def test_subgroup_orbit_profiles():

@@ -316,6 +316,22 @@ def test_catalog_listing_is_pinned():
         "754becd4d40ca98f298b634ea7628ad6dae47d103ef89fae6b47917b086fe9ba")
 
 
+def test_field_defined_generators_are_pinned():
+    # the generator images of every constructible projective and affine
+    # entry of degree <= 65, in order: a changed builder changes this digest
+    digest = hashlib.sha256()
+    built = 0
+    for v in range(4, 66):
+        for e in candidates_for_degree(v):
+            if e.family in ("projective", "affine") and e.constructible:
+                images = [list(g.images) for g in e.group().generators]
+                digest.update(repr([e.name, images]).encode())
+                built += 1
+    assert built == 67
+    assert digest.hexdigest() == (
+        "118ff14f91929fb9c9e6aef1fbefc2c1703177723bc98ee208cb81aab99d8c28")
+
+
 def test_m22_2_resolves_to_symbolic_entry():
     entry = catalog_entry_by_name("M_22:2")
     assert (entry.degree, entry.order, entry.constructible) == (22, 887040, False)

@@ -1133,8 +1133,25 @@ def test_a_design_file_nested_past_the_recursion_limit_exits_2(capsys, tmp_path)
     for argv in (["verify", str(path)], ["derive", str(path), "0"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
-        assert err == ("error: design json: maximum recursion depth exceeded while decoding a "
-                       "JSON array from a unicode string\n")
+        assert err == ("error: design json: %s: maximum recursion depth exceeded while decoding "
+                       "a JSON array from a unicode string\n" % path)
+
+
+def test_a_design_file_that_is_not_json_is_named(capsys, tmp_path, monkeypatch):
+    text = design_to_json(fano_plane()).replace("], [", "] [", 1)
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    assert str(decode.value).startswith("Expecting ',' delimiter: ")
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    for argv, stdin, name in (
+        (["verify", str(path)], None, str(path)),
+        (["verify", "-"], text, "-"),
+        (["derive", str(path), "0"], None, str(path)),
+        (["derive", "-", "0"], text, "-"),
+    ):
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: design json: %s: %s\n" % (name, decode.value))
 
 
 # cycle text with a character that is no digit, space, comma or parenthesis

@@ -4,7 +4,10 @@ Every run is a pure function of the argv and the input files; reports are
 byte-identical across repeated invocations.  Exit codes:
 0 success / affirmative, 1 definite negative (inadmissible, verification
 failure, eliminated, nothing found), 2 usage or input error, 3 capacity
-cap exceeded.
+cap exceeded.  An input error is one line naming the file, ``-`` for stdin:
+``error: F: design json: ...``, ``error: F: group json: ...``, ``error: F:
+<strerror>`` where it cannot be opened, ``capacity error: F: group json:
+...`` for a degree above the cap.
 
 Output, printed by ``_emit`` except the one design of ``derive`` and
 ``construct``: text starts with the header ``# caps: max_subsets=N``.  Under
@@ -51,22 +54,20 @@ def _emit(args, payload, lines):
         print(line)
 
 
-def _decoded(path, read):
-    """``read()``, where text that is not UTF-8 is a ValueError naming
-    ``path`` (``-`` for stdin)."""
+def _read(path, parse):
+    """``parse`` of the text of the file ``path``, read as UTF-8, or of stdin
+    for ``-``, handed over with no other reference, so ``parse`` can drop it.
+    The one place an input file is opened; a ValueError or CapacityError from
+    reading or parsing gets ``path`` in front of its message."""
     try:
-        return read()
-    except UnicodeDecodeError as exc:
+        if path == "-":
+            return parse(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
+    except CapacityError as exc:
+        raise CapacityError("%s: %s" % (path, exc)) from None
+    except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
-
-
-def _read_design(path):
-    import steinerkit.designs as designs
-
-    if path == "-":
-        return designs.design_from_json(_decoded(path, sys.stdin.read), path)
-    with open(path, "r", encoding="utf-8") as handle:
-        return designs.design_from_json(_decoded(path, handle.read), path)
 
 
 def _require_positive(*options):
@@ -77,15 +78,16 @@ def _require_positive(*options):
 
 
 def _load_group(source):
-    """A group from ``catalog:NAME`` or a JSON interchange file."""
+    """A group from ``catalog:NAME`` or a JSON interchange file (``-`` for stdin)."""
     if source.startswith("catalog:"):
         import steinerkit.catalog as catalog
 
         entry = catalog.catalog_entry_by_name(source.removeprefix("catalog:"))
         return entry.group(), entry.name
+    import steinerkit.perms as perms
+
     try:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = _decoded(source, handle.read)
+        return _read(source, perms.group_from_json), source
     except FileNotFoundError as exc:
         import steinerkit.catalog as catalog
 
@@ -93,10 +95,8 @@ def _load_group(source):
             name = catalog.catalog_entry_by_name(source).name
         except ValueError:
             raise exc from None
-        raise ValueError("%s (catalog groups are given as catalog:%s)" % (exc, name)) from None
-    import steinerkit.perms as perms
-
-    return perms.group_from_json(text, source), source
+        raise ValueError("%s: %s (catalog groups are given as catalog:%s)"
+                         % (source, exc.strerror, name)) from None
 
 
 def cmd_admissible(args):
@@ -152,7 +152,7 @@ def cmd_scan(args):
 def cmd_verify(args):
     import steinerkit.designs as designs
 
-    design = _read_design(args.design)
+    design = _read(args.design, designs.design_from_json)
     report = designs.verify(design, cap=args.max_subsets)
     ok = report.covered_lambda == design.params.lam
     payload = {
@@ -180,7 +180,7 @@ def cmd_verify(args):
 def cmd_derive(args):
     import steinerkit.designs as designs
 
-    design = _read_design(args.design)
+    design = _read(args.design, designs.design_from_json)
     result = designs.derived(design, args.x)
     print(designs.design_to_json(result))
     return EXIT_OK
@@ -419,6 +419,8 @@ def main(argv=None):
         print("capacity error: %s" % exc, file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, DataIntegrityError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = "%s: %s" % (exc.filename, exc.strerror)
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -201,7 +201,9 @@ def _raise_block_fault(params, blocks):
                 "blocks[%d] has %d points, expected k=%d" % (i, len(block), params.k)
             )
         for j, p in enumerate(block):
-            if type(p) is not int or not 0 <= p < params.v:
+            if type(p) is not int:
+                raise ValueError("blocks[%d][%d] must be an integer, got %r" % (i, j, p))
+            if not 0 <= p < params.v:
                 raise ValueError(
                     "blocks[%d][%d]=%r out of point range [0, %d)" % (i, j, p, params.v)
                 )
@@ -401,47 +403,40 @@ def _json_lines(designs):
 
 
 def design_from_json_dict(data):
-    """Validate and load the interchange object; errors carry positions.
+    """Validate and load the interchange object; an error is a ValueError
+    reading ``design json: ``, then the fault and its position.
 
     The load takes over ``data['blocks']``: the list becomes the first
     column as its rows are dropped, and a fault puts them back, as tuples
     (``_checked_columns``).
     """
-    if not isinstance(data, dict):
-        raise ValueError("design json: expected an object")
-    for key in ("t", "v", "k", "lambda", "blocks"):
-        if key not in data:
-            raise ValueError("design json: missing key %r" % key)
-    for key in ("t", "v", "k", "lambda"):
-        if type(data[key]) is not int:
-            raise ValueError("design json: %r must be an integer, got %r" % (key, data[key]))
-    params = DesignParameters(data["t"], data["v"], data["k"], data["lambda"])
-    blocks = data["blocks"]
-    if not isinstance(blocks, list):
-        raise ValueError("design json: 'blocks' must be an array")
-    if not all(map(isinstance, blocks, repeat(list))):
-        i = next(i for i, block in enumerate(blocks) if not isinstance(block, list))
-        raise ValueError("design json: blocks[%d] must be an array" % i)
     try:
+        if not isinstance(data, dict):
+            raise ValueError("expected an object")
+        for key in ("t", "v", "k", "lambda", "blocks"):
+            if key not in data:
+                raise ValueError("missing key %r" % key)
+        for key in ("t", "v", "k", "lambda"):
+            if type(data[key]) is not int:
+                raise ValueError("%r must be an integer, got %r" % (key, data[key]))
+        params = DesignParameters(data["t"], data["v"], data["k"], data["lambda"])
+        blocks = data["blocks"]
+        if not isinstance(blocks, list):
+            raise ValueError("'blocks' must be an array")
+        if not all(map(isinstance, blocks, repeat(list))):
+            i = next(i for i, block in enumerate(blocks) if not isinstance(block, list))
+            raise ValueError("blocks[%d] must be an array" % i)
         columns, in_order = _checked_columns(params, blocks)
-    except ValueError:
-        # JSON true/false load as bools, which Design refuses as points;
-        # one is named in preference to any other fault
-        for i, block in enumerate(blocks):
-            for j, p in enumerate(block):
-                if type(p) is bool:
-                    raise ValueError(
-                        "design json: blocks[%d][%d] must be an integer, got %r" % (i, j, p)
-                    ) from None
-        raise
-    if not in_order:
-        raise ValueError("design json: blocks must be sorted lexicographically")
+        if not in_order:
+            raise ValueError("blocks must be sorted lexicographically")
+    except ValueError as exc:
+        raise ValueError("design json: %s" % exc) from None
     return _trusted_design(params, columns)
 
 
-def design_from_json(text, path=None):
+def design_from_json(text):
     """Parse a design from JSON text; text that does not decode, or nests
-    past the recursion limit, is a ValueError naming ``path`` if given.
+    past the recursion limit, is a ValueError.
 
     A load holds the text and one list per block while the decoder runs;
     the text is then dropped, and each slice of block lists once its
@@ -457,8 +452,7 @@ def design_from_json(text, path=None):
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            where = "" if path is None else "%s: " % path
-            raise ValueError("design json: %s%s" % (where, exc)) from exc
+            raise ValueError("design json: %s" % exc) from exc
         del text
         return design_from_json_dict(data)
     finally:

@@ -685,18 +685,16 @@ def _partition(items, maps, tree=None):
     return orbits, index
 
 
-def group_from_json(text, path=None, name=None):
+def group_from_json(text, name=None):
     """Read the text of a group file; the one reader of group JSON.
 
     Text that does not decode, or nests past the recursion limit, is a
-    ValueError naming ``path`` if given; so is an object whose 'name' is
-    not ``name``, when ``name`` is given.  ``group_from_json_dict`` reads
-    the object."""
+    ValueError; so is an object whose 'name' is not ``name``, when ``name``
+    is given.  ``group_from_json_dict`` reads the object."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-        where = "" if path is None else "%s: " % path
-        raise ValueError("group json: %s%s" % (where, exc)) from None
+        raise ValueError("group json: %s" % exc) from None
     if name is not None and isinstance(data, dict) and data.get("name") != name:
         raise ValueError("group json: name %r, expected %r" % (data.get("name"), name))
     return group_from_json_dict(data)

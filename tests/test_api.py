@@ -54,7 +54,7 @@ def test_public_api_inventory():
         "complete_design": ["v", "k", "t"],
         "construct_boolean": ["n", "cap"],
         "derived": ["design", "x"],
-        "design_from_json": ["text", "path"],
+        "design_from_json": ["text"],
         "design_to_json": ["design"],
         "eliminate": ["entry", "t", "lam"],
         "fano_plane": [],

@@ -469,7 +469,7 @@ def test_design_json_booleans_exit_2(capsys, tmp_path, field):
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, ["verify", str(path), "--json"])
     assert code == 2 and out == ""
-    assert err.startswith("error: design json: ") and err.count("\n") == 1
+    assert err.startswith("error: %s: design json: " % path) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -545,7 +545,7 @@ def test_malformed_group_json_exits_2(capsys, tmp_path, generators):
     path.write_text(json.dumps({"degree": 3, "generators": generators}))
     code, out, err = run_cli(capsys, ["group", "info", str(path)])
     assert code == 2 and out == ""
-    assert err.startswith("error: group json: ") and err.count("\n") == 1
+    assert err.startswith("error: %s: group json: " % path) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,7 +569,7 @@ def test_group_file_of_a_huge_degree_exits_3(capsys, tmp_path, argv):
     path.write_text(json.dumps({"degree": 2**40, "generators": ["(0 1)"]}))
     code, out, err = run_cli(capsys, argv + [str(path)])
     assert code == 3 and out == ""
-    assert err == "capacity error: group json: degree %d exceeds cap 10000000\n" % 2**40
+    assert err == "capacity error: %s: group json: degree %d exceeds cap 10000000\n" % (path, 2**40)
 
 
 @pytest.mark.parametrize("argv", [
@@ -581,7 +581,7 @@ def test_a_missing_file_named_like_a_catalog_entry_names_the_prefix(capsys, monk
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
-    assert err == ("error: [Errno 2] No such file or directory: '%s' (catalog groups are "
+    assert err == ("error: %s: No such file or directory (catalog groups are "
                    "given as catalog:%s)\n" % (argv[-1], argv[-1]))
 
 
@@ -596,7 +596,7 @@ def test_a_group_file_is_read_before_a_catalog_name(capsys, monkeypatch, tmp_pat
     for missing in ("PSL(2,6)", "group.json"):
         code, out, err = run_cli(capsys, ["group", "info", missing])
         assert code == 2 and out == ""
-        assert err == "error: [Errno 2] No such file or directory: '%s'\n" % missing
+        assert err == "error: %s: No such file or directory\n" % missing
 
 
 def test_group_orbits_negative_m_names_the_option(capsys):
@@ -845,30 +845,30 @@ V = next(v for v in count(3) if comb(v, 3) > 3 * _SLICE)
 
 def _late_fault(kind, i):
     """The JSON of the 3-subsets of V points, sorted, whose one fault of
-    ``kind`` lies at ``blocks[i]``, and the error line ``verify`` and
-    ``derive`` print for it."""
+    ``kind`` lies at ``blocks[i]``, and the message ``verify`` and
+    ``derive`` print for it after the file's name."""
     blocks = [list(block) for block in combinations(range(V), 3)]
     a, b, c = blocks[i]
     if kind == "not-increasing":
         blocks[i] = [a, c, b]
-        error = "blocks[%d] is not strictly increasing at position 2" % i
+        error = "design json: blocks[%d] is not strictly increasing at position 2" % i
     elif kind == "point-v":
         blocks[i] = [a, b, V]
-        error = "blocks[%d][2]=%d out of point range [0, %d)" % (i, V, V)
+        error = "design json: blocks[%d][2]=%d out of point range [0, %d)" % (i, V, V)
     elif kind == "point-minus-1":
         blocks[i] = [-1, b, c]
-        error = "blocks[%d][0]=-1 out of point range [0, %d)" % (i, V)
+        error = "design json: blocks[%d][0]=-1 out of point range [0, %d)" % (i, V)
     elif kind == "true":
         blocks[i] = [a, True, c]
         error = "design json: blocks[%d][1] must be an integer, got True" % i
     elif kind == "duplicate":
         blocks[i] = list(blocks[i - 1])
-        error = "duplicate block %r (blocks[%d])" % (tuple(blocks[i]), i)
+        error = "design json: duplicate block %r (blocks[%d])" % (tuple(blocks[i]), i)
     else:  # unsorted
         blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
         error = "design json: blocks must be sorted lexicographically"
     text = json.dumps({"t": 2, "v": V, "k": 3, "lambda": 1, "blocks": blocks})
-    return text, "error: %s\n" % error
+    return text, error
 
 
 LATE_FAULTS = ["not-increasing", "point-v", "point-minus-1", "true", "duplicate", "unsorted"]
@@ -888,7 +888,7 @@ def test_a_fault_in_any_slice_of_rows_keeps_its_message(capsys, tmp_path, monkey
         (["derive", str(path), "0"], None),
     ):
         code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
-        assert (code, out, err) == (2, "", error), argv
+        assert (code, out, err) == (2, "", "error: %s: %s\n" % (argv[1], error)), argv
 
 
 POINT_REPLACEMENTS = [1.5, 2.0, True, False, "1", None, -1, 7, 2**70]
@@ -995,17 +995,19 @@ def test_design_parsing_restores_the_callers_gc_state(capsys, tmp_path, enabled)
             code, out, err = run_cli(capsys, ["verify", str(path)])
             assert gc.isenabled() == enabled
             assert code == 2 and out == ""
-            assert err == error if error else err.startswith("error: design json: ")
+            where = "error: %s: " % path
+            assert err == where + error + "\n" if error else err.startswith(where + "design json: ")
             assert err.count("\n") == 1
     finally:
         (gc.enable if was else gc.disable)()
 
 
-def test_every_subcommand_prints_its_pinned_output(capsys, tmp_path):
-    """One sha256 over (argv, exit, stdout, stderr) of every subcommand, text and --json.
+def _pinned_runs(capsys, tmp_path):
+    """[argv, exit, stdout, stderr] of 61 runs of every subcommand, text and
+    --json, as JSON text.
 
     Temporary paths read as ``<tmp>``.  Where argparse itself refuses the
-    argv (exit 2), its stderr is left out: its wording is the interpreter's.
+    argv (exit 2), its stderr is None: its wording is the interpreter's.
     """
     fano = tmp_path / "fano.json"
     fano.write_text(design_to_json(fano_plane()))
@@ -1055,7 +1057,7 @@ def test_every_subcommand_prints_its_pinned_output(capsys, tmp_path):
         ["construct", "octads", "3"],
         ["group", "degree", "catalog:PSL(2,7)"],
     ]
-    digest = hashlib.sha256()
+    assert len(cases) == 61
     for argv in cases:
         try:
             code = main(argv)
@@ -1068,10 +1070,28 @@ def test_every_subcommand_prints_its_pinned_output(capsys, tmp_path):
         if dump.exists():
             out += dump.read_text()
             dump.unlink()
-        record = json.dumps([argv, code, out, err]).replace(str(tmp_path), "<tmp>")
-        digest.update(record.encode() + b"\n")
-    assert len(cases) == 61
-    assert digest.hexdigest() == "c15ae9d403831d0c63edec6defd01d9e94fe1760b2d1bae1ed669526b3022cdd"
+        yield [json.dumps(x).replace(str(tmp_path), "<tmp>") for x in (argv, code, out, err)]
+
+
+def _digest(records):
+    """sha256 over the records, each written as the JSON list of its fields."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(("[%s]" % ", ".join(record)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_every_subcommand_prints_its_pinned_output(capsys, tmp_path):
+    """One sha256 over (argv, exit, stdout, stderr) of every pinned run."""
+    digest = _digest(_pinned_runs(capsys, tmp_path))
+    assert digest == "72e49da5bdd6715c316ce93cd6cbeea358b5a5c7b8bc16180bc7721a46ba0207"
+
+
+def test_every_subcommand_prints_its_pinned_stdout(capsys, tmp_path):
+    """One sha256 over (argv, exit, stdout) of every pinned run: an error
+    message may change its wording, no report may change a byte."""
+    digest = _digest(record[:3] for record in _pinned_runs(capsys, tmp_path))
+    assert digest == "306e2ccc01a6750c3b9ae1b517137a2499413d1639807c69ade06ed13d233007"
 
 
 LOADED_BY = """
@@ -1133,7 +1153,7 @@ def test_a_design_file_nested_past_the_recursion_limit_exits_2(capsys, tmp_path)
     for argv in (["verify", str(path)], ["derive", str(path), "0"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
-        assert err == ("error: design json: %s: maximum recursion depth exceeded while decoding "
+        assert err == ("error: %s: design json: maximum recursion depth exceeded while decoding "
                        "a JSON array from a unicode string\n" % path)
 
 
@@ -1151,7 +1171,7 @@ def test_a_design_file_that_is_not_json_is_named(capsys, tmp_path, monkeypatch):
         (["derive", "-", "0"], text, "-"),
     ):
         code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
-        assert (code, out, err) == (2, "", "error: design json: %s: %s\n" % (name, decode.value))
+        assert (code, out, err) == (2, "", "error: %s: design json: %s\n" % (name, decode.value))
 
 
 # cycle text with a character that is no digit, space, comma or parenthesis
@@ -1265,6 +1285,133 @@ def test_a_file_that_is_not_utf_8_exits_2_naming_the_file(capsys, monkeypatch, t
     assert (code, out) == (2, "")
     assert err == ("error: %s: 'utf-8' codec can't decode byte 0xff in position 0: "
                    "invalid start byte\n" % where)
+
+
+DESIGN_COMMANDS = [["verify", "<F>"], ["derive", "<F>", "0"]]
+GROUP_COMMANDS = [["group", action, "<F>"] for action in ("info", "orbits", "homogeneity")]
+GROUP_COMMANDS.append(["km-search", "--t", "2", "--k", "3", "--group", "<F>"])
+TEXT_FAULTS = ["not-utf-8", "not-json", "nested", "missing-key"]
+DESIGN_FAULTS = ["bool-parameter", "float-parameter", "bool-point", "float-point",
+                 "point-out-of-range", "unsorted", "duplicate"]
+GROUP_FAULTS = ["not-a-bijection", "short-generator", "degree-above-cap"]
+PATH_FAULTS = ["missing-file", "directory"]
+
+
+@st.composite
+def planted_faults(draw):
+    """An argv reading one input, ``<F>``; the fault planted in it; whether
+    the input comes on stdin; and its bytes, or None for a fault in the path."""
+    design = draw(st.booleans())
+    argv = draw(st.sampled_from(DESIGN_COMMANDS if design else GROUP_COMMANDS))
+    fault = draw(st.sampled_from(
+        TEXT_FAULTS + (DESIGN_FAULTS if design else GROUP_FAULTS) + PATH_FAULTS))
+    if fault in PATH_FAULTS:
+        return argv, fault, False, None
+    if fault == "not-utf-8":
+        content = b"\xff" + draw(st.binary(max_size=8))
+    elif fault == "not-json":  # nothing completes a JSON value that ends in "{"
+        content = (draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=20))
+                   + "{").encode()
+    elif fault == "nested":  # past the interpreter's recursion limit
+        depth = draw(st.integers(2000, 5000))
+        content = ("[" * depth + "]" * depth).encode()
+    elif design:
+        data = json.loads(design_to_json(fano_plane()))
+        blocks = data["blocks"]
+        i, j = draw(st.integers(0, 6)), draw(st.integers(0, 2))
+        if fault == "missing-key":
+            del data[draw(st.sampled_from(["t", "v", "k", "lambda", "blocks"]))]
+        elif fault in ("bool-parameter", "float-parameter"):
+            key = draw(st.sampled_from(["t", "v", "k", "lambda"]))
+            data[key] = draw(st.booleans()) if fault == "bool-parameter" else float(data[key])
+        elif fault == "bool-point":
+            blocks[i][j] = draw(st.booleans())
+        elif fault == "float-point":
+            blocks[i][j] = float(blocks[i][j]) + draw(st.sampled_from([0, 0.5]))
+        elif fault == "point-out-of-range":
+            blocks[i][j] = draw(st.sampled_from([-1, 7, 2**70]))
+        elif fault == "unsorted":
+            blocks[i], blocks[(i + 1) % 7] = blocks[(i + 1) % 7], blocks[i]
+        else:
+            blocks.insert(i, list(blocks[i]))
+        content = json.dumps(data).encode()
+    else:
+        degree = draw(st.integers(2, 8))
+        generators = [draw(st.permutations(range(degree))) for _ in range(draw(st.integers(1, 3)))]
+        data = {"degree": degree, "generators": generators}
+        bad = generators[draw(st.integers(0, len(generators) - 1))]
+        if fault == "missing-key":
+            del data[draw(st.sampled_from(["degree", "generators"]))]
+        elif fault == "not-a-bijection":
+            bad[0] = bad[1]
+        elif fault == "short-generator":
+            del bad[draw(st.integers(0, degree - 1))]
+        else:
+            data["degree"] = draw(st.integers(10**7 + 1, 10**12))
+        content = json.dumps(data).encode()
+    return argv, fault, draw(st.booleans()), content
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(planted_faults())
+def test_a_planted_fault_prints_one_line_naming_the_input(tmp_path_factory, case):
+    argv, fault, stdin, content = case
+    base = tmp_path_factory.getbasetemp()
+    if stdin:
+        name = "-"
+    elif fault == "directory":
+        name = str(base)
+    else:
+        name = str(base / ("planted-%s.json" % fault))
+        if content is not None:
+            Path(name).write_bytes(content)
+    old_stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(content if stdin else b""), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([name if arg == "<F>" else arg for arg in argv])
+    finally:
+        sys.stdin = old_stdin
+    out, err = out.getvalue(), err.getvalue()
+    capped = fault == "degree-above-cap"
+    assert (code, out) == (3 if capped else 2, ""), (argv, fault, code, out)
+    prefix = "%s: %s: " % ("capacity error" if capped else "error", name)
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_a_group_file_on_stdin_is_named_dash(capsys, monkeypatch):
+    c7 = json.dumps({"degree": 7, "generators": ["(0 1 2 3 4 5 6)"]})
+    code, out, err = run_cli(capsys, ["group", "info", "-", "--json"], stdin=c7,
+                             monkeypatch=monkeypatch)
+    payload = json.loads(out)
+    assert (code, err, payload["name"], payload["order"]) == (0, "", "-", "7")
+
+
+@pytest.mark.parametrize("where", ["directory", "no-parent"])
+def test_a_matrix_dump_that_cannot_be_written_names_the_path(capsys, tmp_path, where):
+    dump = tmp_path if where == "directory" else tmp_path / "no" / "matrix.json"
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    argv = ["km-search", "--group", "catalog:PSL(2,7)", "--t", "3", "--k", "4",
+            "--dump-matrix", str(dump)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: %s: %s\n" % (dump, reason))
+
+
+def test_only_the_reader_opens_an_input_file():
+    """Every ``open`` in the CLI outside ``_read`` writes."""
+    import ast
+    import steinerkit.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    opens = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                    mode = node.args[1].value if len(node.args) > 1 else "r"
+                    opens.setdefault(function.name, []).append(mode)
+    assert opens == {"_read": ["r"], "cmd_km_search": ["w"]}
 
 
 FANO_FILE = "<fano>"  # stands for a Fano plane file the test writes

@@ -25,6 +25,7 @@ from steinerkit.designs import (
     verify,
 )
 from steinerkit import designs
+from steinerkit.cli import main
 from steinerkit.errors import CapacityError
 
 
@@ -68,7 +69,9 @@ def reference_canon(params, blocks):
                 "blocks[%d] has %d points, expected k=%d" % (i, len(block), params.k)
             )
         for j, p in enumerate(block):
-            if not isinstance(p, int) or not 0 <= p < params.v:
+            if type(p) is not int:
+                raise ValueError("blocks[%d][%d] must be an integer, got %r" % (i, j, p))
+            if not 0 <= p < params.v:
                 raise ValueError(
                     "blocks[%d][%d]=%r out of point range [0, %d)" % (i, j, p, params.v)
                 )
@@ -419,7 +422,7 @@ def test_design_matches_the_per_point_oracle(case):
 
 def test_design_refuses_bool_points():
     # bool is an int subclass; a point must be an int proper
-    with pytest.raises(ValueError, match=r"blocks\[0\]\[0\]=False out of point range"):
+    with pytest.raises(ValueError, match=r"blocks\[0\]\[0\] must be an integer, got False"):
         Design(DesignParameters(1, 3, 2, 1), [(False, True)])
 
 
@@ -493,6 +496,28 @@ def test_design_from_json_holds_the_rows_and_a_slice_of_columns(boolean7):
     slices = 4 * k * _SLICE * 8
     assert slices < k * sys.getsizeof([0] * b)
     assert peak < rows + slices
+
+
+def test_verify_of_a_design_file_peaks_at_the_text_and_the_parse(boolean7, tmp_path, capsys):
+    """The CLI's read of a file adds nothing to the parse's peak but the
+    text itself: a reader that held a copy of the file's bytes beside the
+    text would pass the bound by about the text's length."""
+    text = design_to_json(boolean7)
+    size, rows = len(text), _rows_bytes(json.loads(text)["blocks"])
+    path = tmp_path / "boolean7.json"
+    path.write_text(text)
+    del text
+    main(["verify", str(tmp_path / "missing.json")])  # the parser and imports, untraced
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out.splitlines()[-1]) == (0, "verified: yes")
+    slices = 4 * boolean7.params.k * _SLICE * 8
+    assert peak < size + rows + slices
 
 
 def test_derived_holds_its_rows_and_a_slice_of_columns(boolean7, monkeypatch):

@@ -55,16 +55,6 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "steinerkit", "da
 # -- GF(2) polynomial helpers (coefficients as bitmasks, bit i = coeff of x^i) --
 
 
-def poly_mul(a, b):
-    out = 0
-    while a:
-        if a & 1:
-            out ^= b
-        a >>= 1
-        b <<= 1
-    return out
-
-
 def poly_divmod(a, b):
     db = b.bit_length() - 1
     q = 0
